@@ -1,5 +1,5 @@
 //! **bench_heal** — crash → full-redundancy-restored latency with the
-//! anti-entropy scrubber on vs off (DESIGN.md §16).
+//! anti-entropy scrubber on vs off (DESIGN.md §10).
 //!
 //! Each run stages a replicated iteration, kills the primary that holds
 //! block 0 mid-iteration, and measures (in virtual time) how long the

@@ -7,9 +7,9 @@ use colza::CommMode;
 use colza_bench::{run_pipeline_experiment, PipelineExperiment};
 use sims::mandelbulb::Mandelbulb;
 
-fn mandelbulb_blocks(
-    blocks_per_client: usize,
-) -> Arc<dyn Fn(usize, u64, usize) -> Vec<(u64, vizkit::DataSet)> + Send + Sync> {
+type BlockGen = Arc<dyn Fn(usize, u64, usize) -> Vec<(u64, vizkit::DataSet)> + Send + Sync>;
+
+fn mandelbulb_blocks(blocks_per_client: usize) -> BlockGen {
     Arc::new(move |rank, _iter, clients| {
         let total = clients * blocks_per_client;
         let m = Mandelbulb {

@@ -183,7 +183,7 @@ mod tests {
         for (rank, (got, red)) in out.into_iter().enumerate() {
             assert_eq!(got, vec![7]);
             if rank == 0 {
-                assert_eq!(red.unwrap(), vec![0 + 1 + 2 + 3]);
+                assert_eq!(red.unwrap(), vec![1 + 2 + 3]);
             } else {
                 assert!(red.is_none());
             }

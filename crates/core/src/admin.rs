@@ -113,7 +113,7 @@ impl AdminClient {
         Ok(self.metrics(server)?.tenants)
     }
 
-    /// One poll of the replication-health predicate (DESIGN.md §16):
+    /// One poll of the replication-health predicate (DESIGN.md §10):
     /// every listed server answers its metrics scrape, reports
     /// [`ServerLifecycle::Ready`], zero under-replicated and orphan
     /// blocks, an empty pending-handoff set, and at least one completed

@@ -205,7 +205,7 @@ pub enum SupervisorAction {
 }
 
 /// Crash-vs-leave classifier for staging-area departures (the
-/// self-healing companion to the [`AutoScaler`], DESIGN.md §16).
+/// self-healing companion to the [`AutoScaler`], DESIGN.md §10).
 ///
 /// The scaler decides *how many* servers the pool should have; the
 /// supervisor keeps it there when members vanish without being asked.

@@ -300,7 +300,7 @@ mod tests {
     fn custom_library_registration() {
         register_library(
             "mylib",
-            Arc::new(|_| Arc::new(NullBackend::default()) as Arc<dyn Backend>),
+            Arc::new(|_| Ok(Arc::new(NullBackend::default()) as Arc<dyn Backend>)),
         );
         let ctx = BackendCtx {
             self_addr: na::Address(1),
@@ -336,10 +336,10 @@ mod tests {
         for k in 0..8 {
             for j in 0..8 {
                 for i in 0..8 {
-                    let d = (((i as f32 - 3.5).powi(2)
+                    let d = ((i as f32 - 3.5).powi(2)
                         + (j as f32 - 3.5).powi(2)
-                        + (k as f32 - 3.5).powi(2)) as f32)
-                        .sqrt();
+                        + (k as f32 - 3.5).powi(2))
+                    .sqrt();
                     vals.push(30.0 - d * 4.0);
                 }
             }

@@ -22,6 +22,7 @@ use store::{BlockKey, HashRing, RingConfig, Role};
 use crate::codec::{CodecConfig, CodecSpec};
 use crate::error::{ColzaError, Result};
 use crate::protocol::*;
+use crate::retry::{activate_retry, commit_retry, control_retry, heavy_retry};
 
 /// A Colza client: one per simulation process.
 pub struct ColzaClient {
@@ -791,67 +792,6 @@ impl DistributedPipelineHandle {
             .into_iter()
             .map(|h| h.join().expect("broadcast thread panicked"))
             .collect()
-    }
-}
-
-const RPC_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Retry policy for control-plane RPCs (activate phases, view queries,
-/// deactivate): short tries, quick backoff, a bounded overall budget.
-/// `Unreachable` is not retried — a closed endpoint means a dead peer,
-/// and membership (not the transport) must react to that.
-fn control_retry() -> RetryConfig {
-    RetryConfig {
-        max_attempts: 0,
-        base_delay: Duration::from_millis(2),
-        max_delay: Duration::from_millis(50),
-        per_try_timeout: Duration::from_millis(400),
-        deadline: Some(Duration::from_secs(6)),
-        ..Default::default()
-    }
-}
-
-/// Retry policy for the 2PC prepare/abort broadcasts: trivial handlers,
-/// so short tries only resend over genuinely dropped messages, but a
-/// generous deadline — a commit syncing stores on another member can
-/// hold the view busy for a while, and abandoning the round early just
-/// re-enqueues the whole 2PC behind it (a livelock). A dead member
-/// still fails fast (`Unreachable`).
-fn activate_retry() -> RetryConfig {
-    RetryConfig {
-        deadline: Some(Duration::from_secs(30)),
-        ..control_retry()
-    }
-}
-
-/// Retry policy for the 2PC commit specifically. The commit handler
-/// re-syncs the server's store holdings before replying, which takes
-/// real seconds when pushes ride out loss — with a short per-try the
-/// client would race the handler with resends, and *how many* resends
-/// land is a wall-clock race that perturbs the per-link message
-/// sequence the fault plan hashes on, breaking same-seed determinism.
-/// A long per-try means resends happen only for genuinely dropped
-/// messages; in-flight suppression absorbs them either way, and the
-/// straggler reply to an earlier attempt still completes the call.
-fn commit_retry() -> RetryConfig {
-    RetryConfig {
-        per_try_timeout: Duration::from_secs(10),
-        deadline: Some(Duration::from_secs(30)),
-        ..control_retry()
-    }
-}
-
-/// Retry policy for heavy RPCs (execute, stage, result fetch), whose
-/// handlers legitimately run for a long time: generous per-try timeouts
-/// so slow-but-alive servers are not mistaken for lossy links.
-fn heavy_retry() -> RetryConfig {
-    RetryConfig {
-        max_attempts: 0,
-        base_delay: Duration::from_millis(5),
-        max_delay: Duration::from_millis(100),
-        per_try_timeout: Duration::from_secs(10),
-        deadline: Some(RPC_TIMEOUT),
-        ..Default::default()
     }
 }
 

@@ -59,16 +59,17 @@ pub struct DaemonConfig {
     /// gate. Disabled by default — accounting still runs, enforcement
     /// does not.
     pub tenancy: crate::protocol::TenancyConfig,
-    /// Run an anti-entropy scrub pass (DESIGN.md §16) in the service
-    /// loop every `scrub_every` idle ticks. Off by default: deterministic
-    /// harnesses and the heal suites drive [`ColzaDaemon::scrub_sync`]
-    /// explicitly so the pass lands at a reproducible protocol step;
-    /// wall-clock deployments opt in.
+    /// Run an anti-entropy scrub pass (DESIGN.md §10) in the service
+    /// loop every [`SCRUB_EVERY_IDLE_TICKS`] idle ticks. Off by default:
+    /// deterministic harnesses and the heal suites drive
+    /// [`ColzaDaemon::scrub_sync`] explicitly so the pass lands at a
+    /// reproducible protocol step; wall-clock deployments opt in.
     pub auto_scrub: bool,
-    /// Idle-tick cadence of the background scrubber when `auto_scrub`
-    /// is on.
-    pub scrub_every: u32,
 }
+
+/// Idle-tick cadence of the background scrubber when
+/// [`DaemonConfig::auto_scrub`] is on.
+const SCRUB_EVERY_IDLE_TICKS: u32 = 64;
 
 impl DaemonConfig {
     /// A default configuration over the given connection file.
@@ -85,7 +86,6 @@ impl DaemonConfig {
             codec: crate::codec::CodecConfig::default(),
             tenancy: crate::protocol::TenancyConfig::default(),
             auto_scrub: false,
-            scrub_every: 64,
         }
     }
 }
@@ -212,12 +212,10 @@ impl ColzaDaemon {
                         // `drain_for_leave` we must exit either way. A
                         // drain that could not empty the store parks the
                         // leftovers on any reachable survivor, where the
-                        // scrubber reclaims them (DESIGN.md §16); the
+                        // scrubber reclaims them (DESIGN.md §10); the
                         // abandoned counter now records only copies that
                         // could not even be parked.
-                        if !drain_for_leave(&provider, &group, me)
-                            && !provider.handoff_leftovers()
-                        {
+                        if !drain_for_leave(&provider) && !provider.handoff_leftovers() {
                             hpcsim::trace::counter_add("colza.store.drain.abandoned", 1);
                         }
                         group.leave();
@@ -236,13 +234,13 @@ impl ColzaDaemon {
                         group.tick_quiet();
                         if cfg.auto_scrub {
                             idle_ticks += 1;
-                            if idle_ticks >= cfg.scrub_every.max(1) {
+                            if idle_ticks >= SCRUB_EVERY_IDLE_TICKS {
                                 idle_ticks = 0;
                                 let _ = provider.scrub();
                             }
                         }
                         if provider.leave_requested() {
-                            if drain_for_leave(&provider, &group, me) {
+                            if drain_for_leave(&provider) {
                                 group.leave();
                                 remove_connection_entry(&cfg.connection_file, me);
                                 margo.finalize();
@@ -413,17 +411,11 @@ pub fn settle_views(daemons: &[ColzaDaemon], expect: usize) {
 /// transient loss; each pass re-reads the SSG view, so a target that
 /// died mid-drain is replaced by its successor on the next pass.
 ///
-/// Returns whether every copy is safe: the store emptied, or no
-/// survivor exists to push to (the whole group is going away — there is
-/// nowhere for the data to live).
-fn drain_for_leave(provider: &ColzaProvider, group: &SsgGroup, me: Address) -> bool {
+/// Returns whether every copy is safe (see [`ColzaProvider::drain`]).
+fn drain_for_leave(provider: &ColzaProvider) -> bool {
     const ATTEMPTS: u32 = 8;
     for attempt in 0..ATTEMPTS {
-        provider.drain();
-        if provider.store().is_empty() {
-            return true;
-        }
-        if !group.view().iter().any(|&a| a != me) {
+        if provider.drain() {
             return true;
         }
         if attempt + 1 < ATTEMPTS {
@@ -431,7 +423,7 @@ fn drain_for_leave(provider: &ColzaProvider, group: &SsgGroup, me: Address) -> b
             std::thread::sleep(Duration::from_millis(5u64 << attempt.min(5)));
         }
     }
-    provider.store().is_empty()
+    false
 }
 
 fn read_connection_file(path: &PathBuf) -> Vec<Address> {

@@ -41,6 +41,7 @@ pub mod error;
 pub mod protocol;
 pub mod provider;
 pub mod qos;
+pub(crate) mod retry;
 
 pub use admin::AdminClient;
 pub use autoscale::{

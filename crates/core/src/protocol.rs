@@ -325,14 +325,14 @@ pub(crate) struct FetchResultArgs {
     pub pipeline: String,
 }
 
-/// `colza.store.digest` request (DESIGN.md §16). No parameters today —
+/// `colza.store.digest` request (DESIGN.md §10). No parameters today —
 /// the reply is the responder's whole-store [`store::StoreDigest`] — but
 /// kept as a struct so the scrub protocol can grow filters without a new
 /// RPC id.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct DigestArgs {}
 
-/// Where a server stands in its service lifecycle (DESIGN.md §16).
+/// Where a server stands in its service lifecycle (DESIGN.md §10).
 /// `Joining`/`Ready`/`Draining` are self-reported through
 /// `colza.admin.metrics`; `Suspect`/`Dead` are never self-reported —
 /// the supervisor assigns them to *peers* from the SSG view when
@@ -378,7 +378,7 @@ pub struct MetricsReport {
     /// the aggregate fields above; a single-tenant deployment reports
     /// one entry (the default tenant) equal to the totals.
     pub tenants: Vec<TenantUsage>,
-    /// The server's self-reported lifecycle state (DESIGN.md §16): a
+    /// The server's self-reported lifecycle state (DESIGN.md §10): a
     /// fresh server is `Joining` until its first committed iteration or
     /// first clean scrub pass, `Draining` once a leave is under way, and
     /// `Ready` otherwise.

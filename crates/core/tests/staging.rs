@@ -30,8 +30,7 @@ fn image_block(n: usize, offset: f32, field: &str) -> Bytes {
     for k in 0..n {
         for j in 0..n {
             for i in 0..n {
-                let d = (((i as f32 - c).powi(2) + (j as f32 - c).powi(2) + (k as f32 - c).powi(2))
-                    as f32)
+                let d = ((i as f32 - c).powi(2) + (j as f32 - c).powi(2) + (k as f32 - c).powi(2))
                     .sqrt();
                 vals.push(30.0 - 4.0 * d);
             }

@@ -1073,7 +1073,7 @@ mod tests {
             for r in 0..n {
                 let range = super::reduce_scatter_range(len, n, r);
                 assert!(
-                    range.start % super::COLL_ALIGN == 0 || range.start == len,
+                    range.start.is_multiple_of(super::COLL_ALIGN) || range.start == len,
                     "unaligned interior start {range:?} len={len} n={n}"
                 );
                 assert_eq!(range.start, covered.min(len));

@@ -427,7 +427,7 @@ fn notify(observers: &Arc<Mutex<Vec<Observer>>>, events: &[Event]) {
         // applied it. Views still converge — the member is gone — but no
         // observer (and so no reactive repair) ever hears about it. Only
         // anti-entropy scrubbing can heal the resulting silent
-        // under-replication (DESIGN.md §16).
+        // under-replication (DESIGN.md §10).
         if ev.is_departure()
             && hpcsim::process::try_current()
                 .is_some_and(|ctx| ctx.cluster().faults().departure_suppressed(ev.addr().0))

@@ -224,7 +224,7 @@ fn observers_fire_on_membership_changes() {
 
 #[test]
 fn suppressed_departure_converges_view_without_observer_events() {
-    // The self-healing fault rule (DESIGN.md §16): a named member's
+    // The self-healing fault rule (DESIGN.md §10): a named member's
     // departure event is swallowed before observer delivery, so nothing
     // reactive (store repair) fires — yet SWIM itself still removes the
     // member, leaving silent under-replication for the scrubber to find.

@@ -59,7 +59,7 @@ fn ping(
 
 /// One protocol round for every node: advance, probe (direct with retry,
 /// then indirect), mark failure only when every path failed.
-fn run_round(net: &mut LossyNet, states: &mut Vec<SwimState>) {
+fn run_round(net: &mut LossyNet, states: &mut [SwimState]) {
     let n = states.len();
     for i in 0..n {
         let (target, _events) = states[i].advance_round();

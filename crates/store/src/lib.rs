@@ -3,7 +3,7 @@
 //! Colza's original design binds a staged block to exactly one server: a
 //! crash or shrink between `stage` and `execute` loses the block and the
 //! simulation must resubmit the whole iteration. This crate removes that
-//! weakness with three pieces, kept deliberately free of RPC machinery so
+//! weakness with four pieces, kept deliberately free of RPC machinery so
 //! every placement decision is a pure, testable function:
 //!
 //! 1. [`ring`] — a deterministic consistent-hash ring over the SSG member
@@ -13,30 +13,32 @@
 //!    (from hpcsim) allows it. Determinism matters: client and every
 //!    server recompute the same ring from the same frozen member list,
 //!    with no coordination.
-//! 2. [`plan`] — the migration planner. Diffing the pre- and
-//!    post-membership rings at the `activate` 2PC boundary yields, per
-//!    held block, a minimal set of push transfers plus a keep/promote/
-//!    demote/drop verdict for the local copy. Grow rebalances, graceful
-//!    shrink drains, and crash repair re-replicates — all three are the
-//!    same diff.
+//! 2. [`plan`] — the convergence planner. For one held copy, comparing
+//!    the owner set a target ring wants with the owners presumed to hold
+//!    it already yields a set of push transfers plus the local copy's
+//!    role (or leave to drop it once the pushes land). Grow rebalances,
+//!    graceful drains, crash repair, anti-entropy scrub and execute-time
+//!    role correction are all this one diff; they differ only in the
+//!    target view and in whom they presume ([`plan_copy`]).
 //! 3. [`store`] — [`StagingStore`], the per-server block table that backs
 //!    the provider: role (primary/replica) and fed-to-backend tracking,
 //!    idempotent inserts (pushes may race and repeat), and staged-byte
 //!    accounting exported through `colza.admin.metrics`.
-//! 4. [`scrub`] — compact per-`(pipeline, iteration)` inventory digests
-//!    for the anti-entropy scrubber: servers summarise their holdings as
-//!    sorted fingerprint sets and re-replicate exactly the copies a ring
-//!    owner provably lacks, whatever event the owner missed.
+//! 4. [`scrub`] — compact per-`(pipeline, iteration)` inventory digests:
+//!    servers summarise their holdings as sorted fingerprint sets, which
+//!    is how a scrub pass knows — rather than presumes — which owners
+//!    hold a copy, whatever event they missed.
 //!
-//! The RPC execution of a plan (bulk transfers over mona/na) lives in the
-//! `colza` provider; this crate only decides *what* moves *where*.
+//! The one executor of a plan (bulk transfers over margo/na, feeding the
+//! backend) lives in the `colza` provider; this crate only decides *what*
+//! moves *where*.
 
 pub mod plan;
 pub mod ring;
 pub mod scrub;
 pub mod store;
 
-pub use plan::{rebalance_plan, sync_block, BlockSync, Transfer};
+pub use plan::{plan_copy, rebalance_plan, sync_block, BlockSync, Transfer};
 pub use ring::{key_hash, BlockKey, HashRing, RingConfig};
 pub use scrub::{copy_hash, IterationDigest, StoreDigest};
 pub use store::{Admit, Role, StagingStore, StoredBlock, TenantUsage};

@@ -1,69 +1,94 @@
-//! The migration planner: diffing two rings into a minimal transfer plan.
+//! The convergence planner: one holder, one copy, one target owner set.
 //!
-//! Rebalance, drain and crash repair are all the same computation: each
-//! holder of a block compares the owner set under the *previous* ring
-//! with the owner set under the *new* ring and derives, locally and
-//! without coordination, (a) which new owners it must push the block to
-//! and (b) whether to keep, promote, demote, or drop its own copy. The
-//! rules are arranged so that when every holder applies them, every new
-//! owner ends up with a copy, each block is fed to exactly one backend
-//! (its new primary), and no two holders push to the same destination —
-//! except in repair races, where the destination's idempotent insert
-//! makes the duplicate harmless.
+//! Rebalance, drain, crash repair, anti-entropy scrub and execute-time
+//! reconciliation are all the same computation: a holder of a copy
+//! compares "where the target ring wants this copy" with "who is presumed
+//! to hold it already" and derives, locally and without coordination,
+//! (a) which owners it must push the copy to and (b) the role its own
+//! copy keeps, if any ([`plan_copy`]). The callers differ only in the
+//! target view, in who they presume holds a copy, and in whether this
+//! holder is the one that pushes. The rules are arranged so that when
+//! every holder applies them, every owner ends up with a copy, exactly
+//! one of them holds it as primary, and a holder whose pushes did not
+//! all land keeps its copy ([`BlockSync::may_drop`]).
 
 use na::Address;
 
 use crate::ring::{BlockKey, HashRing};
 use crate::store::Role;
 
-/// What one holder of a block must do after a membership change.
+/// What one holder of a copy must do to converge on a target owner set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockSync {
-    /// Push a copy to each of these new owners, tagged with the role the
+    /// Push a copy to each of these owners, tagged with the role the
     /// copy will hold there.
     pub push: Vec<(Address, Role)>,
-    /// The local copy's new role, or `None` when the block no longer
-    /// belongs here and should be dropped (after the pushes).
+    /// The local copy's role under the target ring, or `None` when the
+    /// ring places the copy elsewhere.
     pub keep: Option<Role>,
 }
 
-/// Plans one holder's actions for one block.
+impl BlockSync {
+    /// Whether the local copy may be dropped once `landed` of the pushes
+    /// have landed: only a copy the ring places elsewhere, and only when
+    /// nothing this holder owes is still outstanding — never trade the
+    /// last copy away.
+    pub fn may_drop(&self, landed: usize) -> bool {
+        self.keep.is_none() && landed == self.push.len()
+    }
+}
+
+/// Plans one holder's actions for one copy.
 ///
 /// * `me` — the holder computing the plan.
-/// * `old_owners` — owner set under the ring the block was placed with.
+/// * `owners` — the copy's owner set under the target ring, primary first.
+/// * `holds` — whether an owner is presumed (or known) to hold the copy
+///   already. Under-reporting only costs an idempotent duplicate push;
+///   over-reporting is what loses data, so callers presume sparingly.
+/// * `push` — whether this holder delivers the copy to the owners that
+///   lack it. `false` when another holder does (the mover of
+///   [`sync_block`]) or when the pass only corrects roles.
+pub fn plan_copy(
+    me: Address,
+    owners: &[Address],
+    holds: impl Fn(Address) -> bool,
+    push: bool,
+) -> BlockSync {
+    let mut sync = BlockSync {
+        push: Vec::new(),
+        keep: None,
+    };
+    for (i, &owner) in owners.iter().enumerate() {
+        if owner == me {
+            sync.keep = Some(role_at(i));
+        } else if push && !holds(owner) {
+            sync.push.push((owner, role_at(i)));
+        }
+    }
+    sync
+}
+
+/// [`plan_copy`] across a membership change, from ring knowledge alone.
+///
+/// * `old_owners` — owner set under the ring the copy was placed with.
 /// * `new_owners` — owner set under the new ring.
 /// * `new_members` — full member list of the new ring (survivors).
 ///
-/// The *mover* — the first old owner that survived into the new view, or
-/// the holder itself when none survived (e.g. the block landed here by a
-/// stage fallback) — pushes to every new owner that is not presumed to
-/// already hold a copy. Everyone keeps its copy iff it is a new owner.
+/// The old owners that survived into the new view are presumed to hold
+/// the copy. The *mover* — the first of them, or the holder itself when
+/// none survived (e.g. the block landed here by a stage fallback) —
+/// pushes to every new owner not so presumed; the other holders stay
+/// quiet, so the global plan is duplicate-free.
 pub fn sync_block(
     me: Address,
     old_owners: &[Address],
     new_owners: &[Address],
     new_members: &[Address],
 ) -> BlockSync {
-    let presumed: Vec<Address> = old_owners
-        .iter()
-        .filter(|a| new_members.contains(a))
-        .copied()
-        .collect();
-    let mover = presumed.first().is_none_or(|&m| m == me);
-    let mut push = Vec::new();
-    if mover {
-        for (i, &t) in new_owners.iter().enumerate() {
-            if t == me || presumed.contains(&t) {
-                continue;
-            }
-            push.push((t, role_at(i)));
-        }
-    }
-    let keep = new_owners
-        .iter()
-        .position(|&a| a == me)
-        .map(role_at);
-    BlockSync { push, keep }
+    let presumed = |a: Address| old_owners.contains(&a) && new_members.contains(&a);
+    let first_survivor = old_owners.iter().find(|a| new_members.contains(a));
+    let mover = first_survivor.is_none_or(|&m| m == me);
+    plan_copy(me, new_owners, presumed, mover)
 }
 
 fn role_at(i: usize) -> Role {

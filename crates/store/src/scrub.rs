@@ -1,4 +1,4 @@
-//! Anti-entropy inventory digests (DESIGN.md §16).
+//! Anti-entropy inventory digests (DESIGN.md §10).
 //!
 //! The scrubber's wire currency: a server summarises its holdings as a
 //! compact per-`(pipeline, iteration)` set of 64-bit copy fingerprints.

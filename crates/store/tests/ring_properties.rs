@@ -3,12 +3,15 @@
 //! rests on. Placement must be a pure function of the member *set* (so
 //! clients and servers agree without coordination), replicas must land on
 //! distinct servers, a single membership change must relocate only its
-//! fair share of the keyspace, and the migration plan must leave every
-//! new owner holding its blocks.
+//! fair share of the keyspace, the migration plan must leave every new
+//! owner holding its blocks, and the per-copy planner every convergence
+//! pass runs must never lose a copy or feed it twice.
+
+use std::collections::BTreeMap;
 
 use na::Address;
 use proptest::prelude::*;
-use store::{rebalance_plan, BlockKey, HashRing, RingConfig};
+use store::{plan_copy, rebalance_plan, BlockKey, HashRing, RingConfig, Role};
 
 /// Builds a topology-blind ring over `n` distinct members derived from a
 /// seed (addresses are scattered, not 0..n, so nothing accidentally
@@ -26,6 +29,13 @@ fn members_of(seed: u64, n: usize) -> Vec<Address> {
 
 fn keys(pipeline: &str, n: u64) -> Vec<BlockKey> {
     (0..n).map(|b| BlockKey::new(pipeline, b)).collect()
+}
+
+/// A deterministic coin per `(seed, a, b)`, for the random relations below.
+fn coin(seed: u64, a: u64, b: u64) -> bool {
+    let mut x = seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 31)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (x >> 40) & 1 == 1
 }
 
 proptest! {
@@ -186,6 +196,84 @@ proptest! {
                     "plan pushes block {} to {:?} which already holds it",
                     k.block_id, target
                 );
+            }
+        }
+    }
+
+    /// The per-copy planner is safe whoever holds the copy and whatever
+    /// each holder knows. A random set of surviving holders (owners under
+    /// some older ring, stage fallbacks, parked leftovers — the planner
+    /// does not care) each apply `plan_copy` against the target ring,
+    /// either scrub-style (everyone pushes, each from its own partial but
+    /// never over-reporting knowledge of who holds) or commit-style (one
+    /// mover pushes from full knowledge). Then: every target owner holds
+    /// or is sent the copy; exactly one server ends up `Primary`; a
+    /// holder with a push that did not land never drops; and once every
+    /// push landed the copy lives on exactly its owners.
+    #[test]
+    fn plan_copy_converges_without_losing_or_double_feeding(
+        seed in any::<u64>(),
+        n in 1usize..9,
+        replication in 1usize..=3,
+        mover_only in any::<bool>(),
+        lossy in any::<bool>(),
+    ) {
+        let cfg = RingConfig { replication, ..RingConfig::default() };
+        let ring = ring_of(seed, n, cfg);
+        let members = ring.members().to_vec();
+        for k in keys("prop", 32) {
+            let owners = ring.owners(&k);
+            let mut holders: Vec<Address> = members
+                .iter()
+                .copied()
+                .filter(|m| coin(seed, m.0, k.block_id))
+                .collect();
+            if holders.is_empty() {
+                holders.push(members[(seed as usize).wrapping_add(k.block_id as usize) % members.len()]);
+            }
+            // Who ends the pass holding the copy, and in which role.
+            let mut after: BTreeMap<Address, Role> = BTreeMap::new();
+            let mut all_landed = true;
+            for &h in &holders {
+                let knows = |a: Address| {
+                    holders.contains(&a) && (mover_only || coin(seed ^ 0xA5A5, h.0, a.0))
+                };
+                let sync = plan_copy(h, &owners, knows, !mover_only || h == holders[0]);
+                let mut landed = 0;
+                for &(to, role) in &sync.push {
+                    prop_assert!(!knows(to) && to != h, "pushed to a known holder");
+                    if lossy && coin(seed ^ 0x5A5A, h.0 ^ k.block_id, to.0) {
+                        all_landed = false;
+                        continue;
+                    }
+                    landed += 1;
+                    // Receivers admit idempotently; a Primary claim sticks.
+                    let slot = after.entry(to).or_insert(role);
+                    if role == Role::Primary {
+                        *slot = Role::Primary;
+                    }
+                }
+                if landed < sync.push.len() {
+                    prop_assert!(!sync.may_drop(landed), "dropped with a push still owed");
+                }
+                if !sync.may_drop(landed) {
+                    // Kept: in its ring role, or demoted while it waits.
+                    after.insert(h, sync.keep.unwrap_or(Role::Replica));
+                }
+            }
+            prop_assert!(!after.is_empty(), "block {} lost every copy", k.block_id);
+            let primaries: Vec<Address> = after
+                .iter()
+                .filter(|(_, r)| **r == Role::Primary)
+                .map(|(a, _)| *a)
+                .collect();
+            prop_assert!(primaries.len() <= 1, "block {} fed twice: {:?}", k.block_id, primaries);
+            if all_landed {
+                prop_assert_eq!(primaries, vec![owners[0]]);
+                let mut want = owners.clone();
+                want.sort();
+                let got: Vec<Address> = after.keys().copied().collect();
+                prop_assert_eq!(got, want, "landed pass must leave exactly the owners holding");
             }
         }
     }

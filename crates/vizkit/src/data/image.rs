@@ -144,7 +144,7 @@ mod tests {
     fn counts_and_indexing() {
         let g = ImageData::new([4, 3, 2]);
         assert_eq!(g.num_points(), 24);
-        assert_eq!(g.num_cells(), 3 * 2 * 1);
+        assert_eq!(g.num_cells(), 3 * 2);
         assert_eq!(g.point_index(0, 0, 0), 0);
         assert_eq!(g.point_index(3, 2, 1), 23);
     }

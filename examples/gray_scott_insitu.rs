@@ -94,15 +94,12 @@ fn main() {
                 comm.barrier().unwrap();
             }
             if rank == 0 {
-                handle
-                    .fetch_result()
-                    .expect("fetch")
-                    .map(|bytes| {
-                        let img = vizkit::Image::from_bytes(&bytes);
-                        let path = std::env::temp_dir().join("gray_scott_insitu.ppm");
-                        img.write_ppm(&path).expect("write");
-                        println!("final frame -> {}", path.display());
-                    });
+                if let Some(bytes) = handle.fetch_result().expect("fetch") {
+                    let img = vizkit::Image::from_bytes(&bytes);
+                    let path = std::env::temp_dir().join("gray_scott_insitu.ppm");
+                    img.write_ppm(&path).expect("write");
+                    println!("final frame -> {}", path.display());
+                }
             }
             margo.finalize();
         },

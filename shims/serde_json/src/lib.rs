@@ -740,7 +740,7 @@ mod tests {
         assert_eq!(from_str::<u64>("42").unwrap(), 42);
         assert_eq!(from_str::<i64>("-42").unwrap(), -42);
         assert_eq!(from_str::<f64>("0.5").unwrap(), 0.5);
-        assert_eq!(from_str::<bool>("true").unwrap(), true);
+        assert!(from_str::<bool>("true").unwrap());
         assert_eq!(from_str::<String>("\"a\\nb\"").unwrap(), "a\nb");
         assert_eq!(from_str::<Option<u32>>("null").unwrap(), None);
         assert_eq!(from_str::<Option<u32>>("7").unwrap(), Some(7));

@@ -1,4 +1,4 @@
-//! Self-healing tests (DESIGN.md §16): the anti-entropy scrubber, the
+//! Self-healing tests (DESIGN.md §10): the anti-entropy scrubber, the
 //! pending-handoff reclaim path, and supervised daemon replacement.
 //!
 //! The centerpiece is the suppressed-observer chaos rule: a named
@@ -564,6 +564,16 @@ fn quota_refused_drain_parks_blocks_and_scrub_reclaims_them() {
     assert!(
         survivor.provider().pending_handoff_len() >= 1,
         "the refused drain must have parked leftovers in the handoff set"
+    );
+    // The drain's refused pushes are booked as quota refusals (per
+    // tenant), like every other pass's — not as transient failures.
+    assert!(
+        cluster
+            .shared()
+            .trace_snapshot()
+            .counter_total("colza.tenant.t.push_refused")
+            >= 1,
+        "a quota-refused drain push must count as push_refused for its tenant"
     );
 
     // First scrub pass: still quota-bound, so the parked copies are
