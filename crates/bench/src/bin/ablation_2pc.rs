@@ -10,14 +10,9 @@
 //!
 //! Run: `cargo run --release -p colza-bench --bin ablation_2pc`
 
-use std::sync::Arc;
-
-use colza::daemon::{launch_group, settle_views};
-use colza::{AdminClient, ColzaClient, ColzaDaemon, DaemonConfig};
+use colza::StagingArea;
 use colza_bench::{table, Args};
 use hpcsim::stats::fmt_ns;
-use margo::MargoInstance;
-use na::Fabric;
 
 fn main() {
     let args = Args::parse();
@@ -54,58 +49,45 @@ fn main() {
     println!("measured here against an already-settled view, costs microseconds.");
 }
 
-fn env(tag: &str) -> (hpcsim::Cluster, Fabric, DaemonConfig) {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join(format!("abl2pc-{tag}-{}.addrs", std::process::id()));
-    std::fs::remove_file(&conn).ok();
-    (cluster, fabric, DaemonConfig::new(conn))
+/// A self-ticking area of `servers` daemons, four per node.
+fn launched(servers: usize, tune: impl FnOnce(&mut colza::DaemonConfig)) -> StagingArea {
+    let mut area = StagingArea::new(hpcsim::ClusterConfig::aries());
+    tune(area.config_mut());
+    area.launch(servers, 4);
+    area
 }
 
 fn steady_activate_ns(servers: usize, iters: usize) -> u64 {
-    let (cluster, fabric, cfg) = env("steady");
-    let daemons = launch_group(&cluster, &fabric, servers, 4, 0, &cfg);
-    let contact = daemons[0].address();
-    let f2 = fabric.clone();
-    let mean = cluster
-        .spawn("sim", 8, move || {
-            let margo = MargoInstance::init(&f2);
-            let client = ColzaClient::new(Arc::clone(&margo));
-            let admin = AdminClient::new(Arc::clone(&margo));
-            let view = client.view_from(contact).unwrap();
-            admin
+    let mut area = launched(servers, |_| {});
+    let contact = area.contact();
+    let mean = area
+        .client("sim", 8, move |s| {
+            let view = s.client.view_from(contact).unwrap();
+            s.admin
                 .create_pipeline_on_all(&view, "null", "p", "")
                 .unwrap();
-            let handle = client.distributed_handle(contact, "p").unwrap();
-            let ctx = hpcsim::current();
+            let handle = s.client.distributed_handle(contact, "p").unwrap();
             let mut total = 0u64;
             for i in 0..iters as u64 {
-                let before = ctx.now();
+                let before = s.ctx.now();
                 handle.activate(i).unwrap();
-                total += ctx.now() - before;
+                total += s.ctx.now() - before;
                 handle.deactivate(i).unwrap();
             }
-            margo.finalize();
             total / iters as u64
         })
         .join();
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
     mean
 }
 
 fn churn_activate_ns(servers: usize) -> u64 {
-    let (cluster, fabric, cfg) = env("churn");
-    let mut daemons = launch_group(&cluster, &fabric, servers, 4, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = launched(servers, |_| {});
+    let contact = area.contact();
     let (go_tx, go_rx) = crossbeam::channel::bounded::<()>(1);
     let (grown_tx, grown_rx) = crossbeam::channel::bounded::<()>(1);
-    let f2 = fabric.clone();
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
+    let sim = area.client("sim", 8, move |s| {
+        let (client, admin) = (&s.client, &s.admin);
         let view = client.view_from(contact).unwrap();
         admin
             .create_pipeline_on_all(&view, "null", "p", "")
@@ -119,47 +101,27 @@ fn churn_activate_ns(servers: usize) -> u64 {
         admin
             .create_pipeline_on_all(&fresh, "null", "p", "")
             .unwrap();
-        let ctx = hpcsim::current();
-        let before = ctx.now();
+        let before = s.ctx.now();
         handle.activate(0).unwrap();
-        let span = ctx.now() - before;
+        let span = s.ctx.now() - before;
         handle.deactivate(0).unwrap();
-        margo.finalize();
         span
     });
     go_rx.recv().unwrap();
-    let newcomer = ColzaDaemon::spawn(&cluster, &fabric, 9, cfg.clone());
-    daemons.push(newcomer);
-    settle_views(&daemons, servers + 1);
+    area.grow_on(&[9]);
+    area.settle();
     grown_tx.send(()).unwrap();
     let span = sim.join();
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
     span
 }
 
 fn join_propagation_ns(n: usize, period_ms: u64) -> u64 {
-    let (cluster, fabric, mut cfg) = env(&format!("period{period_ms}"));
-    cfg.ssg.period_ns = period_ms * hpcsim::MS;
-    let mut daemons = launch_group(&cluster, &fabric, n, 4, 0, &cfg);
-    let t0 = cluster.shared().max_clock_ns();
-    let newcomer = ColzaDaemon::spawn(&cluster, &fabric, 5, cfg.clone());
-    daemons.push(newcomer);
-    settle_views(&daemons, n + 1);
-    let t1 = daemons
-        .iter()
-        .map(|d| {
-            cluster
-                .shared()
-                .clock_of(d.address().pid())
-                .map(|c| c.now())
-                .unwrap_or(0)
-        })
-        .max()
-        .unwrap_or(t0);
-    for d in daemons {
-        d.stop();
-    }
+    let mut area = launched(n, |cfg| cfg.ssg.period_ns = period_ms * hpcsim::MS);
+    let t0 = area.shared().max_clock_ns();
+    area.grow_on(&[5]);
+    area.settle();
+    let t1 = area.now_ns();
+    area.shutdown();
     t1.saturating_sub(t0)
 }

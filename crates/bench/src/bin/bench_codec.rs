@@ -18,12 +18,11 @@
 //! nonzero unless the delta codec cuts Gray–Scott wire bytes by at least
 //! 1.5x (the gate `scripts/check.sh` runs).
 
-use std::io::Write;
 use std::time::Instant;
 
 use bytes::Bytes;
 use colza::codec::{self, CodecId, CodecSpec};
-use colza_bench::Args;
+use colza_bench::{write_json, Args};
 use vizkit::{DataArray, DataSet};
 
 const LOSSY_BOUND: f32 = 1e-3;
@@ -247,13 +246,4 @@ fn dwi_series(iters: usize) -> Vec<Bytes> {
     (0..iters)
         .map(|i| codec::dataset_to_bytes(&DataSet::UGrid(series.generate_block(i as u64, 0))))
         .collect()
-}
-
-fn write_json(path: &str, rows: &[Row]) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    let mut f = std::fs::File::create(path).expect("create output file");
-    let body = serde_json::to_string(&rows).expect("serialize rows");
-    writeln!(f, "{body}").expect("write output file");
 }

@@ -13,9 +13,7 @@
 //! adaptive engine beats the naive one for every op at sizes above the
 //! pipeline switchover.
 
-use std::io::Write;
-
-use colza_bench::Args;
+use colza_bench::{write_json, Args};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Op {
@@ -178,13 +176,4 @@ fn check_adaptive_wins(rows: &[Row]) -> Vec<String> {
         }
     }
     failures
-}
-
-fn write_json(path: &str, rows: &[Row]) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    let mut f = std::fs::File::create(path).expect("create output file");
-    let body = serde_json::to_string(&rows).expect("serialize rows");
-    writeln!(f, "{body}").expect("write output file");
 }

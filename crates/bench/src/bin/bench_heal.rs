@@ -15,20 +15,13 @@
 //!       [--smoke] [--out results/BENCH_heal.json]
 //!       [--bound-ns N] [--assert]`
 
-use std::io::Write;
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
-use colza::daemon::launch_group;
-use colza::{
-    AdminClient, BlockMeta, ColzaClient, ColzaDaemon, DaemonConfig, Supervisor, SupervisorAction,
-};
-use colza_bench::{table, Args};
+use colza::{BlockMeta, StagingArea, Supervisor, SupervisorAction};
+use colza_bench::{table, write_json, Args};
 use hpcsim::stats::fmt_ns;
-use margo::MargoInstance;
-use na::{Address, Fabric};
-use store::{BlockKey, HashRing, RingConfig};
+use na::Address;
 
 const REPLICATION: usize = 2;
 /// Default virtual-time bound on crash → healthy (generous: SWIM
@@ -61,46 +54,14 @@ struct Row {
     copies_pushed: u64,
 }
 
-fn max_clock(cluster: &hpcsim::Cluster, daemons: &[ColzaDaemon]) -> u64 {
-    daemons
-        .iter()
-        .map(|d| {
-            cluster
-                .shared()
-                .clock_of(d.address().pid())
-                .map(|c| c.now())
-                .unwrap_or(0)
-        })
-        .max()
-        .unwrap_or(0)
-}
-
-/// Serialized SWIM rounds until every daemon's view has `expect`
-/// members, plus settle margin.
-fn settle_sync(daemons: &[ColzaDaemon], expect: usize) {
-    for _ in 0..500 {
-        if daemons.iter().all(|d| d.view().len() == expect) {
-            for _ in 0..10 {
-                for d in daemons {
-                    d.tick_sync();
-                }
-            }
-            return;
-        }
-        for d in daemons {
-            d.tick_sync();
-        }
-    }
-    panic!("bench gossip failed to converge at {expect}");
-}
-
 /// Copies of iteration-0 blocks the pool is short of: for each block,
 /// `min(replication, pool size)` minus the copies actually held.
-fn missing_copies(daemons: &[ColzaDaemon], blocks: u64) -> u64 {
-    let want = REPLICATION.min(daemons.len()) as u64;
+fn missing_copies(area: &StagingArea, blocks: u64) -> u64 {
+    let want = REPLICATION.min(area.daemons().len()) as u64;
     (0..blocks)
         .map(|b| {
-            let have = daemons
+            let have = area
+                .daemons()
                 .iter()
                 .filter(|d| {
                     d.provider()
@@ -115,62 +76,40 @@ fn missing_copies(daemons: &[ColzaDaemon], blocks: u64) -> u64 {
         .sum()
 }
 
-/// One crash-and-heal episode. The choreography mirrors the heal test
-/// suite: harness-driven daemons (no self-ticking), a mid-iteration
-/// kill, client recovery on the survivor view, a supervisor-classified
-/// replacement through the normal join path, and — with the scrubber on
-/// — serialized scrub passes that restore redundancy and verify the
-/// newcomer before the health probe runs.
+/// One crash-and-heal episode, on the same `StagingArea` steps as the
+/// heal test suite: harness-driven daemons (no self-ticking), a
+/// mid-iteration kill, client recovery on the survivor view, a
+/// supervisor-classified replacement through the normal join path, and —
+/// with the scrubber on — serialized scrub passes that restore
+/// redundancy and verify the newcomer before the health probe runs.
 fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
     let mode = if scrub_on { "scrub_on" } else { "scrub_off" };
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig {
+    let mut area = StagingArea::harness_driven(hpcsim::ClusterConfig {
         seed,
         ..hpcsim::ClusterConfig::aries()
     });
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join(format!(
-        "bench-heal-{mode}-{servers}-{}.addrs",
-        std::process::id()
-    ));
-    std::fs::remove_file(&conn).ok();
-    let mut cfg = DaemonConfig::new(&conn);
-    cfg.tick_interval = Duration::from_secs(3600); // harness-driven only
-    cfg.auto_repair = false; // isolate the scrubber as the only healer
-    let mut daemons = launch_group(&cluster, &fabric, servers, 1, 0, &cfg);
-    settle_sync(&daemons, servers);
+    area.config_mut().auto_repair = false; // isolate the scrubber as the only healer
+    area.launch(servers, 1);
+    area.settle();
 
     // The victim is block 0's primary under the shared ring; the
     // client's contact must be a survivor (it asks it for fresh views
-    // after the kill).
-    let members: Vec<Address> = {
-        let mut m: Vec<Address> = daemons.iter().map(|d| d.address()).collect();
-        m.sort_unstable();
-        m
-    };
-    let ring_cfg = RingConfig {
-        replication: REPLICATION,
-        ..RingConfig::default()
-    };
-    let shared = Arc::clone(cluster.shared());
-    let ring = HashRing::build(&members, |a| shared.node_of(a.pid()), ring_cfg);
-    let victim_addr = ring.primary(&BlockKey::new("p", 0)).unwrap();
-    let contact = daemons
+    // after the kill), and the same survivor's event stream drives the
+    // supervisor.
+    let victim_addr = area.primary_of("p", 0, REPLICATION);
+    let watcher = area
+        .daemons()
         .iter()
-        .map(|d| d.address())
-        .find(|&a| a != victim_addr)
+        .find(|d| d.address() != victim_addr)
         .unwrap();
-    let watcher_idx = daemons
-        .iter()
-        .position(|d| d.address() != victim_addr)
-        .unwrap();
+    let contact = watcher.address();
     let events = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let ev2 = Arc::clone(&events);
-    daemons[watcher_idx]
+    watcher
         .provider()
         .group()
         .observe(move |e| ev2.lock().push(e));
 
-    let f2 = fabric.clone();
     let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
     let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
     let (recovered_tx, recovered_rx) = crossbeam::channel::bounded::<()>(1);
@@ -179,10 +118,8 @@ fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
     let (scrubbed_tx, scrubbed_rx) = crossbeam::channel::bounded::<()>(1);
     let (healthy_tx, healthy_rx) = crossbeam::channel::bounded::<Option<u32>>(1);
     let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 16, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
+    let sim = area.client("sim", 16, move |s| {
+        let (client, admin) = (&s.client, &s.admin);
         let view = client.view_from(contact).unwrap();
         admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
         let mut handle = client.distributed_handle(contact, "p").unwrap();
@@ -227,40 +164,23 @@ fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
         handle.execute(1).unwrap();
         done_rx.recv().unwrap();
         handle.deactivate(1).unwrap();
-        margo.finalize();
     });
 
     staged_rx.recv().unwrap();
-    let t_crash = max_clock(&cluster, &daemons);
-    let victim_idx = daemons
-        .iter()
-        .position(|d| d.address() == victim_addr)
-        .unwrap();
-    daemons.remove(victim_idx).kill();
-    settle_sync(&daemons, servers - 1);
-    let missing_after_crash = missing_copies(&daemons, blocks);
+    let t_crash = area.now_ns();
+    area.kill(area.index_of(victim_addr));
+    area.settle();
+    let missing_after_crash = missing_copies(&area, blocks);
 
     // The background-heal window: with the scrubber on, serialized
     // passes until steady; with it off, nothing runs — that IS the gap.
-    let mut copies_pushed = 0;
-    let mut scrub_passes = 0;
+    let mut scrubbed = Vec::new();
     let mut crash_to_redundant_ns = 0;
     if scrub_on {
-        for _ in 0..8 {
-            let reports: Vec<_> = daemons.iter().map(|d| d.scrub_sync()).collect();
-            scrub_passes += reports.len() as u64;
-            copies_pushed += reports.iter().map(|r| r.pushed).sum::<u64>();
-            if reports
-                .iter()
-                .all(|r| r.pushed == 0 && r.under_replicated == 0 && r.orphans == 0)
-            {
-                crash_to_redundant_ns = max_clock(&cluster, &daemons).saturating_sub(t_crash);
-                break;
-            }
-        }
-        assert!(crash_to_redundant_ns > 0, "scrub never reached steady");
+        scrubbed.append(&mut area.scrub_until_steady(8));
+        crash_to_redundant_ns = area.now_ns().saturating_sub(t_crash);
     }
-    let missing_after_heal_window = missing_copies(&daemons, blocks);
+    let missing_after_heal_window = missing_copies(&area, blocks);
     killed_tx.send(()).unwrap();
     recovered_rx.recv().unwrap();
 
@@ -276,39 +196,24 @@ fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
         })
         .collect();
     let supervisor_replaced = replaces == vec![victim_addr];
-    let replacement = ColzaDaemon::spawn(&cluster, &fabric, servers, cfg.clone());
-    let newcomer = replacement.address();
-    daemons.push(replacement);
-    settle_sync(&daemons, servers);
+    let newcomer = area.grow(1)[0];
+    area.settle();
     replaced_tx.send(newcomer).unwrap();
 
     staged2_rx.recv().unwrap();
     if scrub_on {
-        for _ in 0..8 {
-            let reports: Vec<_> = daemons.iter().map(|d| d.scrub_sync()).collect();
-            scrub_passes += reports.len() as u64;
-            copies_pushed += reports.iter().map(|r| r.pushed).sum::<u64>();
-            if reports
-                .iter()
-                .all(|r| r.pushed == 0 && r.under_replicated == 0 && r.orphans == 0)
-            {
-                break;
-            }
-        }
+        scrubbed.append(&mut area.scrub_until_steady(8));
     }
     scrubbed_tx.send(()).unwrap();
     let polls = healthy_rx.recv().unwrap();
     let crash_to_healthy_ns = if polls.is_some() {
-        max_clock(&cluster, &daemons).saturating_sub(t_crash)
+        area.now_ns().saturating_sub(t_crash)
     } else {
         0
     };
     done_tx.send(()).unwrap();
     sim.join();
-    for d in daemons {
-        d.stop();
-    }
-    std::fs::remove_file(&conn).ok();
+    area.shutdown();
 
     Row {
         mode,
@@ -322,8 +227,8 @@ fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
         healthy_polls: polls.unwrap_or(0),
         healthy_converged: polls.is_some(),
         supervisor_replaced,
-        scrub_passes,
-        copies_pushed,
+        scrub_passes: scrubbed.iter().map(|pass| pass.len() as u64).sum(),
+        copies_pushed: scrubbed.iter().flatten().map(|r| r.pushed).sum(),
     }
 }
 
@@ -415,13 +320,4 @@ fn main() {
         }
         println!("Assert: crash->healthy bounded with scrub+supervisor; scrub-off gap shown (OK)");
     }
-}
-
-fn write_json(path: &str, rows: &[Row]) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    let mut f = std::fs::File::create(path).expect("create output file");
-    let body = serde_json::to_string(&rows).expect("serialize rows");
-    writeln!(f, "{body}").expect("write output file");
 }

@@ -17,14 +17,11 @@
 //! Run: `cargo run --release -p colza-bench --bin bench_recovery
 //!       [--runs 3] [--blocks 4] [--out results/BENCH_recovery.json]`
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use colza::{AdminClient, BlockMeta, ColzaClient, ColzaDaemon, DaemonConfig};
-use colza_bench::{table, Args};
-use margo::{MargoInstance, RetryConfig};
-use na::{Address, Fabric};
-use store::{BlockKey, HashRing, RingConfig};
+use colza::{BlockMeta, StagingArea};
+use colza_bench::{table, write_json, Args};
+use margo::RetryConfig;
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -89,91 +86,49 @@ fn main() {
         blocks,
         rows,
     };
-    if let Some(dir) = std::path::Path::new(out.as_str()).parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    match std::fs::write(&out, serde_json::to_string(&report).unwrap()) {
-        Ok(()) => println!("\nwrote {out}"),
-        Err(e) => eprintln!("\nfailed to write {out}: {e}"),
-    }
+    write_json(&out, &report);
+    println!("\nwrote {out}");
     println!("Shape: virtual recovery time is dominated by the failure");
     println!("detector (SWIM rounds at one period each); the abort, the");
     println!("re-activate 2PC, and the replayed collective round are cheap");
     println!("next to declaring the death.");
 }
 
-/// One crash-and-recover cycle; returns the latency and the counters.
+/// One crash-and-recover cycle — the area steps of the chaos suite's
+/// mid-collective crash scenario — returning the latency and counters.
 fn run_once(run: usize, blocks: u64) -> Row {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    cluster.shared().tracer().set_enabled(true);
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join(format!(
-        "bench-recovery-{}-{run}.addrs",
-        std::process::id()
-    ));
-    std::fs::remove_file(&conn).ok();
-    let mut cfg = DaemonConfig::new(&conn);
-    cfg.tick_interval = Duration::from_secs(3600); // harness-driven SWIM
+    let mut area = StagingArea::harness_driven(hpcsim::ClusterConfig::aries());
+    area.shared().tracer().set_enabled(true);
+    let cfg = area.config_mut();
     cfg.auto_repair = false; // all migration at the 2PC boundary
     // Generous deadline backstop: SWIM detects the death first; the
     // deadline only guards against a detector that never fires.
     cfg.mona.fault.recv_deadline = Some(Duration::from_secs(5));
-    let mut daemons: Vec<ColzaDaemon> = (0..3)
-        .map(|i| ColzaDaemon::spawn(&cluster, &fabric, i, cfg.clone()))
-        .collect();
-    for _ in 0..60 {
-        for d in &daemons {
-            d.tick_sync();
-        }
-    }
+    area.launch(3, 1);
+    area.tick_rounds(60);
     assert!(
-        daemons.iter().all(|d| d.view().len() == 3),
+        area.daemons().iter().all(|d| d.view().len() == 3),
         "serialized gossip failed to converge"
     );
-    let contact = daemons[0].address();
+    let contact = area.contact();
 
     // The victim is block 0's primary under the shared ring, so the
-    // crash provably forces replica promotion during recovery.
-    let members: Vec<Address> = {
-        let mut m: Vec<Address> = daemons.iter().map(|d| d.address()).collect();
-        m.sort_unstable();
-        m
-    };
-    let ring_cfg = RingConfig {
-        replication: 2,
-        ..RingConfig::default()
-    };
-    let shared = Arc::clone(cluster.shared());
-    let ring = HashRing::build(&members, |a| shared.node_of(a.pid()), ring_cfg);
-    let victim_addr = ring.primary(&BlockKey::new("m", 0)).unwrap();
-    let victim_idx = daemons
-        .iter()
-        .position(|d| d.address() == victim_addr)
-        .unwrap();
-    let victim_node = shared.node_of(victim_addr.pid()).unwrap();
-    // Kill switch: the victim's 3rd MoNA-plane send (inside the execute
-    // collectives) is its moment of death.
-    cluster.shared().faults().crash_after_sends_now(
-        victim_node,
-        na::tags::MONA_BASE,
-        na::tags::MPI_BASE - 1,
-        2,
-    );
+    // crash provably forces replica promotion during recovery. Kill
+    // switch: its 3rd MoNA-plane send (inside the execute collectives)
+    // is its moment of death.
+    let victim_addr = area.primary_of("m", 0, 2);
+    area.crash_after_mona_sends(victim_addr, 2);
 
     let script = catalyst::PipelineScript::mandelbulb(48, 48).to_json();
-    let f2 = fabric.clone();
     let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
     let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
     let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
-        admin
+    let sim = area.client("sim", 8, move |s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin
             .create_pipeline_on_all(&view, "catalyst", "m", &script)
             .unwrap();
-        let mut handle = client.distributed_handle(contact, "m").unwrap();
+        let mut handle = s.client.distributed_handle(contact, "m").unwrap();
         handle.set_replication(2);
         // Short per-try: the victim's reply is swallowed, so the call to
         // it must be re-probed without a ten-second stall.
@@ -208,41 +163,18 @@ fn run_once(run: usize, blocks: u64) -> Row {
         executed_tx.send(()).unwrap();
         done_rx.recv().unwrap();
         handle.deactivate(0).unwrap();
-        margo.finalize();
     });
 
     staged_rx.recv().unwrap();
-    let mut tripped = false;
-    for _ in 0..30_000 {
-        if cluster.shared().faults().crash_tripped(victim_node) {
-            tripped = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert!(tripped, "the victim never hit its send-count crash budget");
+    area.wait_crash_tripped(victim_addr);
     // The crash instant: start both clocks, then make it a real crash by
-    // closing the victim's endpoint so probes fail fast.
-    let shared = cluster.shared();
+    // closing the victim's endpoint so probes fail fast, and count the
+    // serialized SWIM rounds until every survivor declared the death.
+    let shared = area.shared().clone();
     let t0_virtual = shared.max_clock_ns();
     let t0_wall = Instant::now();
-    daemons.remove(victim_idx).kill();
-    let mut detect_rounds = 0u64;
-    while daemons.iter().any(|d| d.view().contains(&victim_addr)) {
-        for d in &daemons {
-            d.tick_sync();
-        }
-        detect_rounds += 1;
-        assert!(
-            detect_rounds < 500,
-            "survivors never declared the victim dead"
-        );
-    }
-    for _ in 0..10 {
-        for d in &daemons {
-            d.tick_sync();
-        }
-    }
+    area.kill(area.index_of(victim_addr));
+    let detect_rounds = area.settle();
 
     executed_rx.recv().unwrap();
     let t1_virtual = shared.max_clock_ns();
@@ -263,9 +195,6 @@ fn run_once(run: usize, blocks: u64) -> Row {
         promoted: snap.counter_total("colza.store.promoted.blocks")
             + snap.counter_total("colza.store.exec.promoted"),
     };
-    for d in daemons {
-        d.stop();
-    }
-    std::fs::remove_file(&conn).ok();
+    area.shutdown();
     row
 }

@@ -14,14 +14,9 @@
 //! Run: `cargo run --release -p colza-bench --bin bench_store
 //!       [--servers 4] [--blocks 24] [--out results/BENCH_store.json]`
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use colza::daemon::launch_group;
-use colza::{drain_aware_victims, AdminClient, BlockMeta, ColzaClient, DaemonConfig};
-use colza_bench::{table, Args};
-use margo::MargoInstance;
-use na::Fabric;
+use colza::daemon::wait_until;
+use colza::{drain_aware_victims, BlockMeta, StagingArea};
+use colza_bench::{table, write_json, Args};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Event {
@@ -91,13 +86,8 @@ fn main() {
         blocks,
         rows,
     };
-    if let Some(dir) = std::path::Path::new(out.as_str()).parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    match std::fs::write(&out, serde_json::to_string(&report).unwrap()) {
-        Ok(()) => println!("\nwrote {out}"),
-        Err(e) => eprintln!("\nfailed to write {out}: {e}"),
-    }
+    write_json(&out, &report);
+    println!("\nwrote {out}");
     println!("Shape: relocated bytes grow with k (more copies to restore); a");
     println!("leave always drains the victim's full holdings, while a crash at");
     println!("k=1 has nothing left to copy — the replicas are what make the");
@@ -108,18 +98,10 @@ fn main() {
 /// returns the relocation counters plus the virtual time the rebalance
 /// took (membership change to quiescence, staging-area clocks).
 fn run_event(replication: usize, event: Event, servers: usize, blocks: u64) -> Row {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    cluster.shared().tracer().set_enabled(true);
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join(format!(
-        "bench-store-{}-{replication}-{}.addrs",
-        std::process::id(),
-        if event == Event::Crash { "crash" } else { "leave" },
-    ));
-    std::fs::remove_file(&conn).ok();
-    let cfg = DaemonConfig::new(&conn);
-    let mut daemons = launch_group(&cluster, &fabric, servers, 1, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = StagingArea::new(hpcsim::ClusterConfig::aries());
+    area.shared().tracer().set_enabled(true);
+    area.launch(servers, 1);
+    let contact = area.contact();
 
     let (staged_tx, staged_rx) = crossbeam::channel::bounded::<u64>(1);
     let (victim_tx, victim_rx) = crossbeam::channel::bounded::<na::Address>(1);
@@ -127,11 +109,8 @@ fn run_event(replication: usize, event: Event, servers: usize, blocks: u64) -> R
     let (synced_tx, synced_rx) = crossbeam::channel::bounded::<()>(1);
     let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
 
-    let f2 = fabric.clone();
-    let sim = cluster.spawn("sim", 16, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
+    let sim = area.client("sim", 16, move |s| {
+        let (client, admin) = (&s.client, &s.admin);
         let view = client.view_from(contact).unwrap();
         admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
         let mut handle = client.distributed_handle(contact, "p").unwrap();
@@ -157,19 +136,16 @@ fn run_event(replication: usize, event: Event, servers: usize, blocks: u64) -> R
                 // the 2PC commit carries the shrunken view and every
                 // survivor re-syncs its holdings to the new ring.
                 settled_rx.recv().unwrap();
-                loop {
+                wait_until("the client never saw the shrunken view", || {
                     let _ = handle.refresh_view();
-                    if handle.members().len() == servers - 1 {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+                    handle.members().len() == servers - 1
+                });
                 handle.activate(0).unwrap();
                 synced_tx.send(()).unwrap();
             }
             Event::Leave => {
                 // Drain-aware shrink: nominate the cheapest server.
-                let victim = drain_aware_victims(&admin, &handle.members(), 1)[0];
+                let victim = drain_aware_victims(admin, &handle.members(), 1)[0];
                 victim_tx.send(victim).unwrap();
                 admin.request_leave(victim).unwrap();
             }
@@ -178,57 +154,47 @@ fn run_event(replication: usize, event: Event, servers: usize, blocks: u64) -> R
         done_rx.recv().unwrap();
         // The view changed under us; finish the iteration with the usual
         // refresh-and-retry loop.
-        for _ in 0..400 {
-            match handle.deactivate(0) {
-                Ok(()) => break,
-                Err(e) if e.is_retryable() => {
-                    std::thread::sleep(Duration::from_millis(2));
-                    let _ = handle.refresh_view();
-                }
-                Err(e) => panic!("deactivate failed: {e}"),
+        wait_until("deactivate never completed", || match handle.deactivate(0) {
+            Ok(()) => true,
+            Err(e) if e.is_retryable() => {
+                let _ = handle.refresh_view();
+                false
             }
-        }
-        margo.finalize();
+            Err(e) => panic!("deactivate failed: {e}"),
+        });
     });
 
     let staged_bytes = staged_rx.recv().unwrap();
-    let shared = cluster.shared();
+    let shared = area.shared().clone();
     let before = shared.trace_snapshot();
     let t0 = shared.max_clock_ns();
 
     match event {
         Event::Crash => {
-            // Kill a non-contact server and wait for SWIM to converge.
-            let victim = daemons.remove(1);
-            let victim_addr = victim.address();
-            victim.kill();
-            for _ in 0..5000 {
-                if daemons.iter().all(|d| !d.view().contains(&victim_addr)) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Kill a non-contact server and wait for the daemons' own
+            // SWIM ticks to converge (explicit rounds would advance the
+            // virtual clocks this bench measures).
+            let victim_addr = area.daemons()[1].address();
+            area.kill(1);
+            wait_until("the survivors never declared the victim dead", || {
+                area.daemons().iter().all(|d| !d.view().contains(&victim_addr))
+            });
             settled_tx.send(()).unwrap();
             synced_rx.recv().unwrap();
         }
         Event::Leave => {
             let victim_addr = victim_rx.recv().unwrap();
-            let victim = daemons
-                .iter()
-                .position(|d| d.address() == victim_addr)
-                .unwrap();
+            let victim = area.index_of(victim_addr);
             // Quiescent when every survivor dropped the leaver from its
             // view and the leaver's store is empty (drain finished).
-            for _ in 0..5000 {
-                let gone = daemons
+            wait_until("the leave never completed", || {
+                let gone = area
+                    .daemons()
                     .iter()
                     .enumerate()
                     .all(|(i, d)| i == victim || !d.view().contains(&victim_addr));
-                if gone && daemons[victim].provider().store().is_empty() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
+                gone && area.daemons()[victim].provider().store().is_empty()
+            });
         }
     }
 
@@ -236,10 +202,7 @@ fn run_event(replication: usize, event: Event, servers: usize, blocks: u64) -> R
     let after = shared.trace_snapshot();
     done_tx.send(()).unwrap();
     sim.join();
-    for d in daemons {
-        d.stop();
-    }
-    std::fs::remove_file(&conn).ok();
+    area.shutdown();
 
     let delta = |name: &str| after.counter_total(name) - before.counter_total(name);
     Row {

@@ -20,20 +20,12 @@
 //! and throttled AND the well-behaved tenant's worst iteration stayed
 //! within the latency bound (the gate `scripts/check.sh` runs).
 
-use std::io::Write;
 use std::sync::{Arc, Barrier};
 
 use bytes::Bytes;
 
-use colza::provider::{ColzaProvider, ProviderComm};
-use colza::{
-    AdminClient, BlockMeta, ColzaClient, ColzaError, PriorityClass, TenancyConfig, TenantConfig,
-};
-use colza_bench::Args;
-use margo::MargoInstance;
-use mona::{MonaConfig, MonaInstance};
-use na::Fabric;
-use ssg::{SsgConfig, SsgGroup};
+use colza::{BlockMeta, ColzaError, PriorityClass, StagingArea, TenancyConfig, TenantConfig};
+use colza_bench::{write_json, Args};
 
 /// Well-behaved tenant's block size and blocks per iteration.
 const WB_BLOCK: usize = 16 * 1024;
@@ -88,57 +80,33 @@ fn policy(noisy_tenants: usize) -> TenancyConfig {
     cfg
 }
 
-/// One concurrent session: a server on node 0, the well-behaved client
-/// on node 1 and one flooding client per noisy tenant on nodes 2+,
-/// all running their iterations at the same time against the same
-/// staging server.
+/// One concurrent session on the bare single server of `tenant_e2e`
+/// (node 0): the well-behaved client on node 1 and one flooding client
+/// per noisy tenant on nodes 2+, all running their iterations at the
+/// same time against the same staging server.
 fn run_mode(enforce: bool, noisy_tenants: usize, iterations: u64, seed: u64) -> Row {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig {
+    let mut area = StagingArea::new(hpcsim::ClusterConfig {
         seed,
         compute_scale: 0.0,
         ..hpcsim::ClusterConfig::aries()
     });
-    cluster.shared().tracer().set_enabled(true);
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-
-    let (addr_tx, addr_rx) = crossbeam::channel::bounded(1);
-    let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
-    let f2 = fabric.clone();
-    let server = cluster.spawn("server", 0, move || {
-        let endpoint = Arc::new(f2.open());
-        let margo = MargoInstance::from_endpoint(Arc::clone(&endpoint));
-        let mona = MonaInstance::from_endpoint(Arc::clone(&endpoint), MonaConfig::default());
-        let group = SsgGroup::create(Arc::clone(&margo), "colza", SsgConfig::default());
-        let _provider = ColzaProvider::register(
-            Arc::clone(&margo),
-            mona,
-            Arc::clone(&group),
-            ProviderComm::Mona,
-        );
-        addr_tx.send(margo.address()).unwrap();
-        stop_rx.recv().ok();
-        margo.finalize();
-    });
-    let contact = addr_rx.recv().unwrap();
+    area.shared().tracer().set_enabled(true);
+    let contact = area.launch_bare();
 
     // Setup pass: pipelines and (when enforcing) the tenancy policy.
-    let f3 = fabric.clone();
-    cluster
-        .spawn("setup", 1, move || {
-            let margo = MargoInstance::init(&f3);
-            let admin = AdminClient::new(Arc::clone(&margo));
-            admin.create_pipeline(contact, "null", "wb", "").unwrap();
-            for k in 0..noisy_tenants {
-                admin
-                    .create_pipeline(contact, "null", &format!("noisy{k}"), "")
-                    .unwrap();
-            }
-            if enforce {
-                admin.set_tenancy(contact, &policy(noisy_tenants)).unwrap();
-            }
-            margo.finalize();
-        })
-        .join();
+    area.client("setup", 1, move |s| {
+        let admin = &s.admin;
+        admin.create_pipeline(contact, "null", "wb", "").unwrap();
+        for k in 0..noisy_tenants {
+            admin
+                .create_pipeline(contact, "null", &format!("noisy{k}"), "")
+                .unwrap();
+        }
+        if enforce {
+            admin.set_tenancy(contact, &policy(noisy_tenants)).unwrap();
+        }
+    })
+    .join();
 
     // All clients line up behind one barrier so the well-behaved
     // iterations really contend with the floods.
@@ -146,13 +114,10 @@ fn run_mode(enforce: bool, noisy_tenants: usize, iterations: u64, seed: u64) -> 
 
     let noisy_handles: Vec<_> = (0..noisy_tenants)
         .map(|k| {
-            let fabric = fabric.clone();
             let barrier = Arc::clone(&barrier);
-            cluster.spawn(&format!("noisy{k}"), 2 + k, move || {
-                let margo = MargoInstance::init(&fabric);
-                let client = ColzaClient::new(Arc::clone(&margo));
+            area.client(&format!("noisy{k}"), 2 + k, move |s| {
                 let name = format!("noisy{k}");
-                let mut handle = client.distributed_handle(contact, &name).unwrap();
+                let mut handle = s.client.distributed_handle(contact, &name).unwrap();
                 handle.set_tenant(&name);
                 let payload = Bytes::from(vec![0xA0u8 | k as u8; NOISY_BLOCK]);
                 barrier.wait();
@@ -168,19 +133,15 @@ fn run_mode(enforce: bool, noisy_tenants: usize, iterations: u64, seed: u64) -> 
                     handle.execute(it).unwrap();
                     handle.deactivate(it).unwrap();
                 }
-                margo.finalize();
             })
         })
         .collect();
 
-    let f4 = fabric.clone();
     let b2 = Arc::clone(&barrier);
-    let wb_latencies = cluster
-        .spawn("wb", 1, move || {
-            let ctx = hpcsim::process::current();
-            let margo = MargoInstance::init(&f4);
-            let client = ColzaClient::new(Arc::clone(&margo));
-            let mut handle = client.distributed_handle(contact, "wb").unwrap();
+    let wb_latencies = area
+        .client("wb", 1, move |s| {
+            let ctx = &s.ctx;
+            let mut handle = s.client.distributed_handle(contact, "wb").unwrap();
             handle.set_tenant("wb");
             let payload = Bytes::from(vec![0x55u8; WB_BLOCK]);
             let mut latencies = Vec::with_capacity(iterations as usize);
@@ -197,17 +158,15 @@ fn run_mode(enforce: bool, noisy_tenants: usize, iterations: u64, seed: u64) -> 
                 handle.deactivate(it).unwrap();
                 latencies.push(ctx.now() - t0);
             }
-            margo.finalize();
             latencies
         })
         .join();
     for h in noisy_handles {
         h.join();
     }
-    stop_tx.send(()).unwrap();
-    server.join();
+    area.shutdown();
 
-    let snap = cluster.shared().trace_snapshot();
+    let snap = area.shared().trace_snapshot();
     let mut sorted = wb_latencies.clone();
     sorted.sort_unstable();
     let staged_bytes_peak_noisy: u64 = (0..noisy_tenants)
@@ -314,13 +273,4 @@ fn main() {
         }
         println!("Assert: quotas refused, executes throttled, well-behaved latency bounded (OK)");
     }
-}
-
-fn write_json(path: &str, rows: &[Row]) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    let mut f = std::fs::File::create(path).expect("create output file");
-    let body = serde_json::to_string(&rows).expect("serialize rows");
-    writeln!(f, "{body}").expect("write output file");
 }

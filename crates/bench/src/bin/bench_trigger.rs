@@ -19,11 +19,12 @@
 //! least 1.2x, and reproduced the exact decision schedule on the rerun
 //! (the gates `scripts/check.sh` runs).
 
-use std::io::Write;
 use std::sync::Arc;
 
 use colza::CommMode;
-use colza_bench::{run_pipeline_experiment, Args, IterationTimes, PipelineExperiment};
+use colza_bench::{
+    run_pipeline_experiment, write_json, Args, IterationTimes, PipelineExperiment,
+};
 use sims::dwi::DwiSeries;
 
 #[derive(serde::Serialize)]
@@ -231,13 +232,4 @@ fn decision_trace(times: &[IterationTimes]) -> String {
         .iter()
         .map(|t| if t.skipped { 's' } else { 'R' })
         .collect()
-}
-
-fn write_json(path: &str, rows: &[Row]) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    let mut f = std::fs::File::create(path).expect("create output file");
-    let body = serde_json::to_string(&rows).expect("serialize rows");
-    writeln!(f, "{body}").expect("write output file");
 }

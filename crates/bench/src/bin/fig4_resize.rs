@@ -6,13 +6,9 @@
 //! Run: `cargo run --release -p colza-bench --bin fig4_resize
 //!       [--max-n 12] [--trials 3]`
 
-use std::sync::Arc;
-
-use colza::daemon::{launch_group, settle_views};
-use colza::{ColzaDaemon, DaemonConfig};
+use colza::StagingArea;
 use colza_bench::{table, Args};
 use hpcsim::stats::{fmt_ns, Summary};
-use na::Fabric;
 use rand::{Rng, SeedableRng};
 
 fn main() {
@@ -73,33 +69,18 @@ fn main() {
 /// Elastic: group of n exists; spawn one more daemon and measure virtual
 /// time until every member's view includes it.
 fn elastic_resize_ns(n: usize, seed_shift: u64) -> u64 {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig {
+    let mut area = StagingArea::new(hpcsim::ClusterConfig {
         fabric: hpcsim::fabric::presets::aries(),
         seed: 7 + seed_shift,
         ..Default::default()
     });
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join(format!(
-        "fig4-elastic-{}-{n}-{seed_shift}.addrs",
-        std::process::id()
-    ));
-    std::fs::remove_file(&conn).ok();
-    let cfg = DaemonConfig::new(&conn);
-    let mut daemons = launch_group(&cluster, &fabric, n, 4, 0, &cfg);
+    area.launch(n, 4);
     // Let the group settle, then measure from the current wall time.
-    let t0 = cluster.shared().max_clock_ns();
-    let newcomer = ColzaDaemon::spawn(&cluster, &fabric, n / 4 + 1, cfg.clone());
-    daemons.push(newcomer);
-    settle_views(&daemons, n + 1);
-    let t1 = daemons
-        .iter()
-        .map(|d| cluster.shared().clock_of_daemon(d))
-        .max()
-        .unwrap_or(t0);
-    for d in daemons {
-        d.stop();
-    }
-    std::fs::remove_file(&conn).ok();
+    let t0 = area.shared().max_clock_ns();
+    area.grow_on(&[n / 4 + 1]);
+    area.settle();
+    let t1 = area.now_ns();
+    area.shutdown();
     t1.saturating_sub(t0)
 }
 
@@ -107,41 +88,14 @@ fn elastic_resize_ns(n: usize, seed_shift: u64) -> u64 {
 /// launcher (sampled `srun` overhead + bootstrap), measuring until the
 /// fresh group has settled.
 fn static_resize_ns(n: usize, rng: &mut impl Rng) -> u64 {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join(format!(
-        "fig4-static-{}-{n}.addrs",
-        std::process::id()
-    ));
-    std::fs::remove_file(&conn).ok();
-    let cfg = DaemonConfig::new(&conn);
+    let mut area = StagingArea::new(hpcsim::ClusterConfig::aries());
     let launch = hpcsim::fabric::presets::launch();
     // Kill + relaunch: the job manager charge happens before daemons run.
     let srun = launch.sample_srun_ns(rng.random::<f64>())
         + launch.bootstrap_per_proc_ns * (n as u64 + 1);
-    let t0 = cluster.shared().max_clock_ns();
-    let daemons = launch_group(&cluster, &fabric, n + 1, 4, 0, &cfg);
-    let t1 = daemons
-        .iter()
-        .map(|d| cluster.shared().clock_of_daemon(d))
-        .max()
-        .unwrap_or(t0);
-    for d in daemons {
-        d.stop();
-    }
-    std::fs::remove_file(&conn).ok();
+    let t0 = area.shared().max_clock_ns();
+    area.launch(n + 1, 4);
+    let t1 = area.now_ns();
+    area.shutdown();
     srun + t1.saturating_sub(t0)
-}
-
-/// Helper: a daemon's current virtual clock.
-trait DaemonClock {
-    fn clock_of_daemon(&self, d: &ColzaDaemon) -> u64;
-}
-
-impl DaemonClock for Arc<hpcsim::cluster::ClusterShared> {
-    fn clock_of_daemon(&self, d: &ColzaDaemon) -> u64 {
-        self.clock_of(d.address().pid())
-            .map(|c| c.now())
-            .unwrap_or(0)
-    }
 }

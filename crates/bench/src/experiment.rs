@@ -8,10 +8,10 @@ use std::sync::Arc;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 
-use colza::daemon::{launch_group, settle_views};
-use colza::{AdminClient, BlockMeta, ColzaClient, ColzaDaemon, CommMode, DaemonConfig};
+use colza::daemon::Session;
+use colza::{AdminClient, BlockMeta, CommMode, StagingArea};
 use margo::MargoInstance;
-use na::{Address, Fabric};
+use na::Address;
 use vizkit::DataSet;
 
 /// Experiment configuration.
@@ -100,25 +100,17 @@ pub fn run_pipeline_experiment(
         exp.grow_at.is_empty() || matches!(exp.comm, CommMode::Mona),
         "a static MPI staging area cannot be resized"
     );
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig {
+    let mut area = StagingArea::new(hpcsim::ClusterConfig {
         seed: exp.seed,
         ..hpcsim::ClusterConfig::aries()
     });
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn_file = std::env::temp_dir().join(format!(
-        "colza-exp-{}-{}.addrs",
-        std::process::id(),
-        rand_suffix()
-    ));
-    std::fs::remove_file(&conn_file).ok();
-    let mut cfg = DaemonConfig::new(&conn_file);
-    cfg.comm = exp.comm;
+    area.config_mut().comm = exp.comm;
 
     let total_growth: usize = exp.grow_at.iter().map(|(_, c)| c).sum();
     let server_nodes =
         (exp.servers + total_growth).div_ceil(exp.servers_per_node);
-    let mut daemons = launch_group(&cluster, &fabric, exp.servers, exp.servers_per_node, 0, &cfg);
-    let contact = daemons[0].address();
+    area.launch(exp.servers, exp.servers_per_node);
+    let contact = area.contact();
 
     let (req_tx, req_rx): (Sender<HarnessReq>, Receiver<HarnessReq>) = bounded(4);
     let (ack_tx, ack_rx) = bounded::<Vec<Address>>(4);
@@ -129,14 +121,14 @@ pub fn run_pipeline_experiment(
     let exp = Arc::new(exp);
     let handles: Vec<_> = (0..exp.clients)
         .map(|rank| {
-            let fabric = fabric.clone();
+            let fabric = area.fabric().clone();
             let addr_tx = addr_tx.clone();
             let list_rx = list_rx.clone();
             let exp = Arc::clone(&exp);
             let make_blocks = Arc::clone(&make_blocks);
             let req_tx = req_tx.clone();
             let ack_rx = ack_rx.clone();
-            cluster.spawn(
+            area.cluster().spawn(
                 &format!("sim[{rank}]"),
                 server_nodes + rank / exp.clients_per_node,
                 move || {
@@ -162,24 +154,13 @@ pub fn run_pipeline_experiment(
         list_tx.send(addrs.clone()).unwrap();
     }
 
-    // Serve growth requests until the simulation reports completion.
-    let mut next_node = exp.servers / exp.servers_per_node;
-    let mut in_node = exp.servers % exp.servers_per_node;
+    // Serve growth requests until the simulation reports completion:
+    // newcomers continue the launch's per-node packing.
     while let Ok(req) = req_rx.recv() {
         match req {
             HarnessReq::Grow { count } => {
-                let mut fresh = Vec::new();
-                for _ in 0..count {
-                    let d = ColzaDaemon::spawn(&cluster, &fabric, next_node, cfg.clone());
-                    fresh.push(d.address());
-                    daemons.push(d);
-                    in_node += 1;
-                    if in_node == exp.servers_per_node {
-                        in_node = 0;
-                        next_node += 1;
-                    }
-                }
-                settle_views(&daemons, daemons.len());
+                let fresh = area.grow(count);
+                area.settle();
                 ack_tx.send(fresh).unwrap();
             }
             HarnessReq::Done => break,
@@ -190,32 +171,8 @@ pub fn run_pipeline_experiment(
     for h in handles {
         results.extend(h.join());
     }
-    std::fs::remove_file(&conn_file).ok();
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
     results
-}
-
-fn rand_suffix() -> u64 {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.subsec_nanos() as u64)
-        .unwrap_or(0)
-        ^ (std::thread::current().id().as_u64_fallback())
-}
-
-trait ThreadIdExt {
-    fn as_u64_fallback(&self) -> u64;
-}
-
-impl ThreadIdExt for std::thread::ThreadId {
-    fn as_u64_fallback(&self) -> u64 {
-        // Stable Rust has no ThreadId::as_u64; hash the Debug repr.
-        let s = format!("{self:?}");
-        s.bytes().fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64))
-    }
 }
 
 const PIPELINE_NAME: &str = "pipeline";
@@ -229,9 +186,8 @@ fn client_body(
     ack_rx: &Receiver<Vec<Address>>,
 ) -> Vec<IterationTimes> {
     let rank = sim_comm.rank();
-    let margo = MargoInstance::from_endpoint(Arc::clone(sim_comm.endpoint()));
-    let client = ColzaClient::new(Arc::clone(&margo));
-    let admin = AdminClient::new(Arc::clone(&margo));
+    let session = Session::new(MargoInstance::from_endpoint(Arc::clone(sim_comm.endpoint())));
+    let (client, admin, ctx) = (&session.client, &session.admin, &session.ctx);
     let script_json = exp.script.to_json();
 
     // Rank 0 deploys the pipeline everywhere before anyone proceeds.
@@ -248,7 +204,6 @@ fn client_body(
     let handle = client
         .distributed_handle(contact, PIPELINE_NAME)
         .expect("handle");
-    let ctx = hpcsim::current();
     let mut results = Vec::new();
 
     for iter in 0..exp.iterations {
@@ -264,7 +219,7 @@ fn client_body(
                 req_tx.send(HarnessReq::Grow { count: growth }).unwrap();
                 let fresh = ack_rx.recv().expect("harness grew the group");
                 deploy_pipeline_on_new(
-                    &admin,
+                    admin,
                     &mut known,
                     &fresh,
                     "catalyst",
@@ -318,7 +273,6 @@ fn client_body(
         req_tx.send(HarnessReq::Done).unwrap();
     }
     sim_comm.barrier().unwrap();
-    margo.finalize();
     results
 }
 

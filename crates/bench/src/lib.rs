@@ -18,4 +18,5 @@ pub mod trace_out;
 
 pub use args::Args;
 pub use experiment::{run_pipeline_experiment, IterationTimes, MakeBlocks, PipelineExperiment};
+pub use table::write_json;
 pub use trace_out::TraceOut;

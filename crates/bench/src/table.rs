@@ -1,4 +1,5 @@
-//! Plain-text table/series output matching the paper's presentation.
+//! Plain-text table/series output matching the paper's presentation, and
+//! the JSON result files the bench mains leave under `results/`.
 
 use hpcsim::stats::fmt_ns;
 
@@ -10,6 +11,17 @@ pub fn banner(title: &str, detail: &str) {
         println!("{detail}");
     }
     println!("==================================================================");
+}
+
+/// Writes `value` as one line of JSON to `path`, creating the parent
+/// directory first. A bench whose result cannot be recorded has failed:
+/// this panics rather than report success without an output file.
+pub fn write_json<T: serde::Serialize + ?Sized>(path: &str, value: &T) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).ok();
+    }
+    let body = serde_json::to_string(value).expect("serialize bench output");
+    std::fs::write(path, body + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
 /// Prints one table with a left label column and value columns.

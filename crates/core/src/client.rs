@@ -263,11 +263,6 @@ impl DistributedPipelineHandle {
         self.chain.lock().clear();
     }
 
-    /// The codec configuration staged blocks are encoded with.
-    pub fn codec_config(&self) -> &CodecConfig {
-        &self.codec_cfg
-    }
-
     /// Adopts the staging area's advertised codec configuration (the
     /// `codec` section of the daemons' [`crate::DaemonConfig`]), so
     /// client and deployment agree without out-of-band configuration.
@@ -279,24 +274,6 @@ impl DistributedPipelineHandle {
                 .forward_retry(contact, "colza.get_codec_config", &(), &control_retry())?;
         self.set_codec(cfg);
         Ok(())
-    }
-
-    /// Replaces the full ring configuration (vnodes and replication).
-    pub fn set_ring_config(&mut self, cfg: RingConfig) {
-        assert!(cfg.replication >= 1, "replication factor must be at least 1");
-        self.ring_cfg = cfg;
-        self.placement.lock().take();
-    }
-
-    /// The ring configuration staged blocks are placed with.
-    pub fn ring_config(&self) -> RingConfig {
-        self.ring_cfg
-    }
-
-    /// The servers that will hold a block (primary first) under the
-    /// current member view — the ring placement shared with the servers.
-    pub fn targets_for(&self, block_id: u64) -> Vec<Address> {
-        self.ring().owners(&BlockKey::new(&self.pipeline, block_id))
     }
 
     /// The ring over the current member list (cached until the view

@@ -1,5 +1,11 @@
 //! The Colza staging daemon: assembly of margo + MoNA + SSG + provider,
-//! with the connection-file bootstrap the paper's deployment uses.
+//! with the connection-file bootstrap the paper's deployment uses, and
+//! [`StagingArea`] — the one harness that deploys daemons on a simulated
+//! cluster for every test, bench and example.
+
+mod area;
+
+pub use area::{wait_until, Session, StagingArea};
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -59,17 +65,7 @@ pub struct DaemonConfig {
     /// gate. Disabled by default — accounting still runs, enforcement
     /// does not.
     pub tenancy: crate::protocol::TenancyConfig,
-    /// Run an anti-entropy scrub pass (DESIGN.md §10) in the service
-    /// loop every [`SCRUB_EVERY_IDLE_TICKS`] idle ticks. Off by default:
-    /// deterministic harnesses and the heal suites drive
-    /// [`ColzaDaemon::scrub_sync`] explicitly so the pass lands at a
-    /// reproducible protocol step; wall-clock deployments opt in.
-    pub auto_scrub: bool,
 }
-
-/// Idle-tick cadence of the background scrubber when
-/// [`DaemonConfig::auto_scrub`] is on.
-const SCRUB_EVERY_IDLE_TICKS: u32 = 64;
 
 impl DaemonConfig {
     /// A default configuration over the given connection file.
@@ -85,7 +81,6 @@ impl DaemonConfig {
             mona: MonaConfig::default(),
             codec: crate::codec::CodecConfig::default(),
             tenancy: crate::protocol::TenancyConfig::default(),
-            auto_scrub: false,
         }
     }
 }
@@ -180,8 +175,7 @@ impl ColzaDaemon {
 
             // Service loop: gossip on a timer, watch for admin leave,
             // repair the staging store after membership losses, scrub
-            // on a cadence when enabled.
-            let mut idle_ticks: u32 = 0;
+            // when asked to.
             loop {
                 if cfg.auto_repair && provider.take_repair_request() {
                     provider.repair();
@@ -232,13 +226,6 @@ impl ColzaDaemon {
                         // Background gossip must not outrun the virtual
                         // time of foreground staging work.
                         group.tick_quiet();
-                        if cfg.auto_scrub {
-                            idle_ticks += 1;
-                            if idle_ticks >= SCRUB_EVERY_IDLE_TICKS {
-                                idle_ticks = 0;
-                                let _ = provider.scrub();
-                            }
-                        }
                         if provider.leave_requested() {
                             if drain_for_leave(&provider) {
                                 group.leave();
@@ -308,9 +295,9 @@ impl ColzaDaemon {
     }
 
     /// Runs one anti-entropy scrub pass on the daemon's service thread
-    /// and waits for its report. Like [`tick_sync`](Self::tick_sync)
-    /// this is the deterministic harness entry point: tests drive scrub
-    /// passes explicitly instead of relying on the background cadence.
+    /// and waits for its report. This is the only scrub trigger: whoever
+    /// operates the deployment (a harness, a supervisor) decides when a
+    /// pass runs, so it lands at a reproducible protocol step.
     pub fn scrub_sync(&self) -> crate::provider::ScrubReport {
         let (done_tx, done_rx) = bounded(1);
         if self.cmd.send(Cmd::Scrub(done_tx)).is_ok() {
@@ -383,25 +370,10 @@ pub fn launch_group(
     daemons
 }
 
-/// Pumps ticks until all daemons agree on a view of `expect` members (or
-/// a generous retry budget runs out).
+/// Pumps ticks until all daemons agree on a view of `expect` members;
+/// panics when the polling budget runs out first.
 pub fn settle_views(daemons: &[ColzaDaemon], expect: usize) {
-    for _ in 0..2000 {
-        if daemons
-            .iter()
-            .all(|d| d.view().len() == expect && d.view_epoch() == daemons[0].view_epoch())
-        {
-            return;
-        }
-        for d in daemons {
-            d.tick();
-        }
-        std::thread::sleep(Duration::from_micros(500));
-    }
-    panic!(
-        "views failed to settle at {expect}: {:?}",
-        daemons.iter().map(|d| d.view().len()).collect::<Vec<_>>()
-    );
+    area::settle(daemons, expect, false);
 }
 
 /// Drains the provider's store ahead of a departure, looping until it

@@ -51,7 +51,7 @@ pub use autoscale::{
 pub use backend::{Backend, BackendCtx, StagedBlock};
 pub use client::{ColzaClient, DistributedPipelineHandle, PipelineHandle};
 pub use codec::{CodecConfig, CodecError, CodecId, CodecSpec};
-pub use daemon::{ColzaDaemon, CommMode, DaemonConfig};
+pub use daemon::{ColzaDaemon, CommMode, DaemonConfig, StagingArea};
 pub use error::ColzaError;
 pub use protocol::{
     BlockMeta, ExecOutcome, MetricsReport, PriorityClass, ServerLifecycle, TenancyConfig,

@@ -8,10 +8,11 @@ use bytes::Bytes;
 
 use store::{BlockKey, Role, StoredBlock};
 
-use super::{ColzaProvider, DRAINING, QUOTA};
+use super::ColzaProvider;
 use crate::backend::{Backend, StagedBlock};
 use crate::codec::{self, CodecError, CodecId};
 use crate::protocol::{BlockMeta, TenantId};
+use crate::ColzaError;
 
 impl ColzaProvider {
     /// Records a staged or pushed copy and feeds the backend when this
@@ -28,7 +29,7 @@ impl ColzaProvider {
         plain_hint: Option<Bytes>,
     ) -> std::result::Result<(), String> {
         if self.draining.load(Ordering::SeqCst) {
-            return Err(DRAINING.to_string());
+            return Err(ColzaError::draining().to_reply());
         }
         // Chain frames (iteration deltas) are reconstructed eagerly on
         // *every* holder — primary and replicas alike — before the copy
@@ -74,9 +75,10 @@ impl ColzaProvider {
             store::Admit::OverQuota { used } => {
                 hpcsim::trace::counter_add("colza.qos.quota.refused", 1);
                 hpcsim::trace::counter_add(format!("colza.tenant.{tenant}.quota.refused"), 1);
-                return Err(format!(
-                    "{QUOTA}: tenant {tenant:?} holds {used} staged bytes, quota {quota}"
-                ));
+                return Err(ColzaError::QuotaExceeded(format!(
+                    "tenant {tenant:?} holds {used} staged bytes, quota {quota}"
+                ))
+                .to_reply());
             }
         };
         // Re-check after the insert: if a drain set the flag in between,
@@ -88,7 +90,7 @@ impl ColzaProvider {
                 self.store
                     .remove(pipeline, meta.iteration, meta.block_id, &meta.name);
             }
-            return Err(DRAINING.to_string());
+            return Err(ColzaError::draining().to_reply());
         }
         if role == Role::Primary
             && self

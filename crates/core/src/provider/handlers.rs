@@ -13,10 +13,11 @@ use na::Address;
 use vizkit::Controller;
 
 use super::admit::stored_block;
-use super::{ColzaProvider, ProviderComm, ABORTED, DRAINING, INVALID_SCRIPT};
+use super::{ColzaProvider, ProviderComm};
 use crate::backend::{self, BackendCtx};
 use crate::codec::CodecId;
 use crate::protocol::*;
+use crate::ColzaError;
 
 type Reply<R> = std::result::Result<R, String>;
 
@@ -194,7 +195,7 @@ impl ColzaProvider {
     /// place it through the normal paths.
     fn on_handoff(&self, args: PushBlockArgs, ctx: &CallCtx) -> Reply<()> {
         if self.draining.load(Ordering::SeqCst) {
-            return Err(DRAINING.to_string());
+            return Err(ColzaError::draining().to_reply());
         }
         let (data, plain) = pull_copy(&args, ctx)?;
         hpcsim::trace::counter_add("colza.store.handoff.received", 1);
@@ -252,10 +253,11 @@ impl ColzaProvider {
                 if sp.active() {
                     sp.arg("aborted", true);
                 }
-                Err(format!(
-                    "{ABORTED}: iteration {} collective revoked: {e}",
+                Err(ColzaError::IterationAborted(format!(
+                    "iteration {} collective revoked: {e}",
                     args.iteration
                 ))
+                .to_reply())
             }
             // A trigger skipping the iteration is a successful outcome;
             // surface it to the client typed, not as an error
@@ -292,12 +294,9 @@ impl ColzaProvider {
             self_addr: self.margo.address(),
             config: args.config,
         };
-        let backend = backend::instantiate(&args.library, &ctx).map_err(|e| match &e {
-            // Marker-prefixed so the client maps it back to the typed,
-            // non-retryable InvalidScript.
-            crate::ColzaError::InvalidScript(m) => format!("{INVALID_SCRIPT}: {m}"),
-            _ => e.to_string(),
-        })?;
+        // An InvalidScript rejection travels marker-prefixed, so the client
+        // maps it back to the typed, non-retryable error.
+        let backend = backend::instantiate(&args.library, &ctx).map_err(|e| e.to_reply())?;
         self.pipelines.write().insert(args.name, backend);
         Ok(())
     }

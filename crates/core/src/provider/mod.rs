@@ -291,25 +291,3 @@ impl ColzaProvider {
             .ok_or_else(|| format!("no pipeline named {name:?}"))
     }
 }
-
-/// Marker prefix of the drain refusal, recognized by
-/// `ColzaError::from(RpcError)` so clients treat it as retryable and
-/// re-route the block through the surviving view.
-pub(crate) const DRAINING: &str = "server draining";
-
-/// Marker prefix of the mid-iteration abort reply, recognized by
-/// `ColzaError::from(RpcError)` as [`crate::ColzaError::IterationAborted`]
-/// so clients re-activate against the shrunk view and re-issue the
-/// iteration instead of giving up.
-pub(crate) const ABORTED: &str = "iteration aborted by revoked collective";
-
-/// Marker prefix of the staged-byte-quota refusal, recognized by
-/// `ColzaError::from(RpcError)` as [`crate::ColzaError::QuotaExceeded`]:
-/// typed, retryable backpressure — the client backs off and retries
-/// instead of re-routing.
-pub(crate) const QUOTA: &str = "staged-byte quota exceeded";
-
-/// Marker prefix of a `create_pipeline` script rejection (malformed
-/// JSON or a trigger expression that fails to compile), recognized by
-/// `ColzaError::from(RpcError)` as the fatal, typed `InvalidScript`.
-pub(crate) const INVALID_SCRIPT: &str = "invalid pipeline script";

@@ -16,10 +16,11 @@ use na::Address;
 use store::{BlockSync, HashRing, RingConfig, Role, StoreDigest, StoredBlock};
 
 use super::admit::block_meta;
-use super::{ColzaProvider, Placement, ScrubReport, QUOTA};
+use super::{ColzaProvider, Placement, ScrubReport};
 use crate::codec::CodecId;
 use crate::protocol::{DigestArgs, PushBlockArgs};
 use crate::retry::{probe_retry, push_retry};
+use crate::ColzaError;
 
 /// Peer inventories fetched by a scrub pass.
 type Digests = HashMap<Address, StoreDigest>;
@@ -189,7 +190,7 @@ impl ColzaProvider {
     /// on every retry until the tenant's earlier iterations release) or
     /// a transient failure (timeout, dead target).
     fn not_landed(&self, b: &StoredBlock, handler_error: &str, report: &mut ScrubReport) {
-        if handler_error.starts_with(QUOTA) {
+        if let Some(ColzaError::QuotaExceeded(_)) = ColzaError::from_reply(handler_error) {
             report.refused += 1;
             hpcsim::trace::counter_add("colza.store.push_refused", 1);
             hpcsim::trace::counter_add(format!("colza.tenant.{}.push_refused", b.tenant), 1);

@@ -6,20 +6,14 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use colza::daemon::{launch_group, settle_views};
-use colza::{AdminClient, BlockMeta, ColzaClient, CommMode, DaemonConfig};
-use margo::MargoInstance;
-use na::Fabric;
+use colza::{BlockMeta, CommMode, StagingArea};
 
-fn fresh_env(name: &str) -> (hpcsim::Cluster, Fabric, DaemonConfig) {
-    let cluster = hpcsim::Cluster::default();
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let path = std::env::temp_dir().join(format!(
-        "colza-test-{name}-{}.addrs",
-        std::process::id()
-    ));
-    std::fs::remove_file(&path).ok();
-    (cluster, fabric, DaemonConfig::new(path))
+/// A self-ticking area of `n` daemons, one per node, on the default
+/// (zero-latency) cluster.
+fn launched(n: usize) -> StagingArea {
+    let mut area = StagingArea::new(hpcsim::ClusterConfig::default());
+    area.launch(n, 1);
+    area
 }
 
 fn image_block(n: usize, offset: f32, field: &str) -> Bytes {
@@ -42,16 +36,12 @@ fn image_block(n: usize, offset: f32, field: &str) -> Bytes {
 
 #[test]
 fn full_iteration_with_null_backend() {
-    let (cluster, fabric, cfg) = fresh_env("null");
-    let daemons = launch_group(&cluster, &fabric, 3, 1, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = launched(3);
+    let contact = area.contact();
 
-    let f2 = fabric.clone();
-    cluster
-        .spawn("sim", 10, move || {
-            let margo = MargoInstance::init(&f2);
-            let admin = AdminClient::new(Arc::clone(&margo));
-            let client = ColzaClient::new(Arc::clone(&margo));
+    area
+        .client("sim", 10, move |s| {
+            let (admin, client) = (&s.admin, &s.client);
             let members = client.view_from(contact).unwrap();
             assert_eq!(members.len(), 3);
             admin
@@ -73,28 +63,21 @@ fn full_iteration_with_null_backend() {
                 handle.execute(iter).unwrap();
                 handle.deactivate(iter).unwrap();
             }
-            margo.finalize();
         })
         .join();
 
     // Each of the 3 servers saw 2 of the 6 blocks per iteration.
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 #[test]
 fn catalyst_pipeline_renders_across_servers() {
-    let (cluster, fabric, cfg) = fresh_env("catalyst");
-    let daemons = launch_group(&cluster, &fabric, 2, 1, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = launched(2);
+    let contact = area.contact();
 
-    let f2 = fabric.clone();
-    let coverage = cluster
-        .spawn("sim", 10, move || {
-            let margo = MargoInstance::init(&f2);
-            let admin = AdminClient::new(Arc::clone(&margo));
-            let client = ColzaClient::new(Arc::clone(&margo));
+    let coverage = area
+        .client("sim", 10, move |s| {
+            let (admin, client) = (&s.admin, &s.client);
             let members = client.view_from(contact).unwrap();
             let script = catalyst::PipelineScript::mandelbulb(32, 32).to_json();
             admin
@@ -115,33 +98,25 @@ fn catalyst_pipeline_renders_across_servers() {
             handle.execute(0).unwrap();
             let img_bytes = handle.fetch_result().unwrap().expect("root image");
             handle.deactivate(0).unwrap();
-            margo.finalize();
             vizkit::Image::from_bytes(&img_bytes).coverage()
         })
         .join();
     assert!(coverage > 0.0, "composited image is empty");
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 #[test]
 fn scaling_up_mid_run_is_visible_to_the_client() {
-    let (cluster, fabric, cfg) = fresh_env("scaleup");
-    let mut daemons = launch_group(&cluster, &fabric, 2, 1, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = launched(2);
+    let contact = area.contact();
     let script = catalyst::PipelineScript::mandelbulb(24, 24).to_json();
 
     // Run iteration 0 on two servers, grow to three, run iteration 1.
-    let f2 = fabric.clone();
-    let cfg2 = cfg.clone();
     let (grow_tx, grow_rx) = crossbeam::channel::bounded::<()>(1);
     let (grown_tx, grown_rx) = crossbeam::channel::bounded::<()>(1);
 
-    let sim = cluster.spawn("sim", 10, move || {
-        let margo = MargoInstance::init(&f2);
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let client = ColzaClient::new(Arc::clone(&margo));
+    let sim = area.client("sim", 10, move |s| {
+        let (admin, client) = (&s.admin, &s.client);
         let members = client.view_from(contact).unwrap();
         admin
             .create_pipeline_on_all(&members, "catalyst", "viz", &script)
@@ -175,133 +150,87 @@ fn scaling_up_mid_run_is_visible_to_the_client() {
         assert_eq!(handle.members().len(), 3);
         handle.execute(1).unwrap();
         handle.deactivate(1).unwrap();
-        margo.finalize();
     });
 
     grow_rx.recv().unwrap();
-    let newcomer = colza::ColzaDaemon::spawn(&cluster, &fabric, 5, cfg2);
-    daemons.push(newcomer);
-    settle_views(&daemons, 3);
+    area.grow_on(&[5]);
+    area.settle();
     grown_tx.send(()).unwrap();
 
     sim.join();
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 #[test]
 fn activate_2pc_retries_through_view_change() {
-    let (cluster, fabric, cfg) = fresh_env("2pc");
-    let mut daemons = launch_group(&cluster, &fabric, 2, 1, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = launched(2);
+    let contact = area.contact();
 
     // Inject a joiner *between* view_from and activate: the handle's
     // member list is stale, so prepare sees mismatched views and must
     // retry with the refreshed one.
-    let f2 = fabric.clone();
-    let client_setup = cluster.spawn("sim-pre", 10, move || {
-        let margo = MargoInstance::init(&f2);
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let members = client.view_from(contact).unwrap();
-        admin
+    let client_setup = area.client("sim-pre", 10, move |s| {
+        let members = s.client.view_from(contact).unwrap();
+        s.admin
             .create_pipeline_on_all(&members, "null", "p", "")
             .unwrap();
-        margo.finalize();
         members.len()
     });
     assert_eq!(client_setup.join(), 2);
 
-    let newcomer = colza::ColzaDaemon::spawn(&cluster, &fabric, 5, cfg.clone());
+    let new_addr = area.grow_on(&[5])[0];
     // Deploy the pipeline on the newcomer too (it must be able to vote
     // and execute once the client's 2PC adopts the grown view).
-    let f3 = fabric.clone();
-    let new_addr = newcomer.address();
-    cluster
-        .spawn("admin2", 11, move || {
-            let margo = MargoInstance::init(&f3);
-            let admin = AdminClient::new(Arc::clone(&margo));
-            admin.create_pipeline(new_addr, "null", "p", "").unwrap();
-            margo.finalize();
-        })
-        .join();
-    daemons.push(newcomer);
-    settle_views(&daemons, 3);
+    area.client("admin2", 11, move |s| {
+        s.admin.create_pipeline(new_addr, "null", "p", "").unwrap();
+    })
+    .join();
+    area.settle();
 
-    let f4 = fabric.clone();
-    let final_members = cluster
-        .spawn("sim", 12, move || {
-            let margo = MargoInstance::init(&f4);
-            let client = ColzaClient::new(Arc::clone(&margo));
-            let handle = client.distributed_handle(contact, "p").unwrap();
+    let final_members = area
+        .client("sim", 12, move |s| {
+            let handle = s.client.distributed_handle(contact, "p").unwrap();
             handle.activate(0).unwrap();
             let n = handle.members().len();
             handle.execute(0).unwrap();
             handle.deactivate(0).unwrap();
-            margo.finalize();
             n
         })
         .join();
     assert_eq!(final_members, 3, "2PC must settle on the grown view");
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 #[test]
 fn admin_leave_shrinks_the_group() {
-    let (cluster, fabric, cfg) = fresh_env("leave");
-    let daemons = launch_group(&cluster, &fabric, 3, 1, 0, &cfg);
-    let victim = daemons[2].address();
-    let contact = daemons[0].address();
+    let mut area = launched(3);
+    let victim = area.daemons()[2].address();
 
-    let f2 = fabric.clone();
-    cluster
-        .spawn("admin", 10, move || {
-            let margo = MargoInstance::init(&f2);
-            let admin = AdminClient::new(Arc::clone(&margo));
-            admin.request_leave(victim).unwrap();
-            margo.finalize();
-        })
-        .join();
+    area.client("admin", 10, move |s| {
+        s.admin.request_leave(victim).unwrap();
+    })
+    .join();
 
     // The victim's daemon loop notices the flag, leaves, and exits.
-    let mut daemons = daemons;
-    let leaver = daemons.remove(2);
-    leaver.wait();
+    area.wait(2);
 
     // The survivors converge on a 2-member view.
-    for _ in 0..2000 {
-        if daemons.iter().all(|d| d.view().len() == 2) {
-            break;
-        }
-        for d in &daemons {
-            d.tick();
-        }
-        std::thread::sleep(std::time::Duration::from_micros(500));
-    }
-    for d in &daemons {
+    area.settle();
+    for d in area.daemons() {
         assert_eq!(d.view().len(), 2);
         assert!(!d.view().contains(&victim));
     }
-    let _ = contact;
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 #[test]
 fn admin_create_and_destroy_pipelines() {
-    let (cluster, fabric, cfg) = fresh_env("adminpipe");
-    let daemons = launch_group(&cluster, &fabric, 1, 1, 0, &cfg);
-    let server = daemons[0].address();
+    let mut area = launched(1);
+    let server = area.contact();
 
-    let f2 = fabric.clone();
-    cluster
-        .spawn("admin", 10, move || {
-            let margo = MargoInstance::init(&f2);
-            let admin = AdminClient::new(Arc::clone(&margo));
+    area
+        .client("admin", 10, move |s| {
+            let admin = &s.admin;
             admin.create_pipeline(server, "null", "a", "").unwrap();
             admin.create_pipeline(server, "null", "b", "").unwrap();
             assert_eq!(admin.list_pipelines(server).unwrap(), vec!["a", "b"]);
@@ -312,27 +241,21 @@ fn admin_create_and_destroy_pipelines() {
             assert!(admin
                 .create_pipeline(server, "libdoesnotexist.so", "c", "")
                 .is_err());
-            margo.finalize();
         })
         .join();
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 #[test]
 fn static_mpi_mode_runs_the_same_pipeline() {
-    let (cluster, fabric, mut cfg) = fresh_env("mpistatic");
-    cfg.comm = CommMode::MpiStatic(minimpi::Profile::Vendor);
-    let daemons = launch_group(&cluster, &fabric, 2, 1, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = StagingArea::new(hpcsim::ClusterConfig::default());
+    area.config_mut().comm = CommMode::MpiStatic(minimpi::Profile::Vendor);
+    area.launch(2, 1);
+    let contact = area.contact();
 
-    let f2 = fabric.clone();
-    let coverage = cluster
-        .spawn("sim", 10, move || {
-            let margo = MargoInstance::init(&f2);
-            let admin = AdminClient::new(Arc::clone(&margo));
-            let client = ColzaClient::new(Arc::clone(&margo));
+    let coverage = area
+        .client("sim", 10, move |s| {
+            let (admin, client) = (&s.admin, &s.client);
             let members = client.view_from(contact).unwrap();
             let script = catalyst::PipelineScript::mandelbulb(24, 24).to_json();
             admin
@@ -350,28 +273,21 @@ fn static_mpi_mode_runs_the_same_pipeline() {
             handle.execute(0).unwrap();
             let img = handle.fetch_result().unwrap().expect("image");
             handle.deactivate(0).unwrap();
-            margo.finalize();
             vizkit::Image::from_bytes(&img).coverage()
         })
         .join();
     assert!(coverage > 0.0);
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 #[test]
 fn nonblocking_stage_and_execute() {
-    let (cluster, fabric, cfg) = fresh_env("nonblocking");
-    let daemons = launch_group(&cluster, &fabric, 2, 1, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = launched(2);
+    let contact = area.contact();
 
-    let f2 = fabric.clone();
-    cluster
-        .spawn("sim", 10, move || {
-            let margo = MargoInstance::init(&f2);
-            let admin = AdminClient::new(Arc::clone(&margo));
-            let client = ColzaClient::new(Arc::clone(&margo));
+    area
+        .client("sim", 10, move |s| {
+            let (admin, client) = (&s.admin, &s.client);
             let members = client.view_from(contact).unwrap();
             admin
                 .create_pipeline_on_all(&members, "null", "p", "")
@@ -393,25 +309,18 @@ fn nonblocking_stage_and_execute() {
             let exec = handle.iexecute(0);
             exec.wait().unwrap();
             handle.deactivate(0).unwrap();
-            margo.finalize();
         })
         .join();
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 #[test]
 fn single_server_pipeline_handle_full_protocol() {
-    let (cluster, fabric, cfg) = fresh_env("single");
-    let daemons = launch_group(&cluster, &fabric, 2, 1, 0, &cfg);
-    let target = daemons[1].address();
-    let f2 = fabric.clone();
-    cluster
-        .spawn("sim", 10, move || {
-            let margo = MargoInstance::init(&f2);
-            let admin = AdminClient::new(Arc::clone(&margo));
-            let client = ColzaClient::new(Arc::clone(&margo));
+    let mut area = launched(2);
+    let target = area.daemons()[1].address();
+    area
+        .client("sim", 10, move |s| {
+            let (admin, client) = (&s.admin, &s.client);
             admin.create_pipeline(target, "null", "solo", "").unwrap();
             // The paper: a plain pipeline handle references one pipeline
             // instance on one server, with the same four calls.
@@ -428,10 +337,7 @@ fn single_server_pipeline_handle_full_protocol() {
             let staged = handle.fetch_result().unwrap().unwrap();
             assert_eq!(u64::from_le_bytes(staged.try_into().unwrap()), 256);
             handle.deactivate(0).unwrap();
-            margo.finalize();
         })
         .join();
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }

@@ -18,14 +18,12 @@ use margo::{CallCtx, MargoInstance, RetryConfig};
 use na::Fabric;
 
 fn main() {
-    let seed = std::env::var("COLZA_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42u64);
-    let plan = FaultPlan::seeded(seed)
-        .with_loss(0.20)
-        .with_delay(0.3, 10_000, 80_000)
-        .scope_tags(na::tags::RPC_BASE, na::tags::MONA_BASE - 1);
+    let seed = colza_repro::chaos_seed();
+    let plan = colza_repro::rpc_scoped(
+        FaultPlan::seeded(seed)
+            .with_loss(0.20)
+            .with_delay(0.3, 10_000, 80_000),
+    );
     let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig {
         faults: plan,
         ..hpcsim::ClusterConfig::aries()

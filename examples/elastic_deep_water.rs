@@ -5,12 +5,7 @@
 //!
 //! Run: `cargo run --release --example elastic_deep_water`
 
-use std::sync::Arc;
-
-use colza_repro::colza::daemon::{launch_group, settle_views};
-use colza_repro::colza::{AdminClient, BlockMeta, ColzaClient, ColzaDaemon, DaemonConfig};
-use colza_repro::margo::MargoInstance;
-use colza_repro::na::Fabric;
+use colza_repro::colza::{BlockMeta, StagingArea};
 use colza_repro::sims::dwi::DwiSeries;
 
 fn main() {
@@ -18,23 +13,16 @@ fn main() {
     let iterations = 12u64;
     let grow_every = 3u64; // grow by one server every 3 iterations
 
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join("colza-elastic-dwi.addrs");
-    std::fs::remove_file(&conn).ok();
-    let cfg = DaemonConfig::new(&conn);
-    let mut daemons = launch_group(&cluster, &fabric, 1, 2, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = StagingArea::new(hpcsim::ClusterConfig::aries());
+    area.launch(1, 2);
+    let contact = area.contact();
     println!("starting with 1 staging server; data will outgrow it...");
 
     let (grow_tx, grow_rx) = crossbeam::channel::bounded::<u64>(4);
     let (grown_tx, grown_rx) = crossbeam::channel::bounded::<Vec<na::Address>>(4);
 
-    let f2 = fabric.clone();
-    let sim = cluster.spawn("dwi-proxy", 10, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
+    let sim = area.client("dwi-proxy", 10, move |s| {
+        let (client, admin) = (&s.client, &s.admin);
         let script = catalyst::PipelineScript::deep_water_impact(320, 240).to_json();
         let view = client.view_from(contact).expect("view");
         admin
@@ -42,7 +30,7 @@ fn main() {
             .expect("deploy");
         let handle = client.distributed_handle(contact, "dwi").expect("handle");
         let series = DwiSeries::scaled_down(blocks);
-        let ctx = hpcsim::current();
+        let ctx = &s.ctx;
 
         for iteration in 0..iterations {
             if iteration > 0 && iteration % grow_every == 0 {
@@ -86,7 +74,6 @@ fn main() {
             admin.request_leave(*addr).expect("leave request");
         }
         println!("asked {} server(s) to leave the staging area", view.len() - 1);
-        margo.finalize();
     });
 
     // Host side: serve growth requests.
@@ -94,12 +81,12 @@ fn main() {
         crossbeam::channel::select! {
             recv(grow_rx) -> msg => match msg {
                 Ok(iteration) => {
-                    let node = 1 + daemons.len() / 2;
-                    let d = ColzaDaemon::spawn(&cluster, &fabric, node, cfg.clone());
-                    let fresh = vec![d.address()];
-                    daemons.push(d);
-                    settle_views(&daemons, daemons.len());
-                    println!("  [host] +1 server before iteration {iteration} (now {})", daemons.len());
+                    let fresh = area.grow_on(&[1 + area.daemons().len() / 2]);
+                    area.settle();
+                    println!(
+                        "  [host] +1 server before iteration {iteration} (now {})",
+                        area.daemons().len()
+                    );
                     grown_tx.send(fresh).unwrap();
                 }
                 Err(_) => break,
@@ -108,10 +95,8 @@ fn main() {
     }
 
     sim.join();
-    // Daemons asked to leave exit by themselves; stop the rest.
-    for d in daemons.drain(..) {
-        d.stop();
-    }
-    std::fs::remove_file(&conn).ok();
+    // Daemons asked to leave exit by themselves; shutdown joins them and
+    // stops the rest.
+    area.shutdown();
     println!("done.");
 }

@@ -12,10 +12,9 @@
 
 use std::sync::Arc;
 
-use colza::daemon::launch_group;
-use colza::{AdminClient, BlockMeta, ColzaClient, DaemonConfig};
+use colza::daemon::Session;
+use colza::{BlockMeta, StagingArea};
 use margo::MargoInstance;
-use na::Fabric;
 use sims::gray_scott::{GrayScott, GrayScottParams};
 
 fn main() {
@@ -26,22 +25,18 @@ fn main() {
     let steps_per_output = 10usize;
     let outputs = 3u64;
 
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
+    let mut area = StagingArea::new(hpcsim::ClusterConfig::aries());
     let trace_path = std::env::var("COLZA_TRACE").ok();
     if trace_path.is_some() {
-        cluster.shared().tracer().set_enabled(true);
+        area.shared().tracer().set_enabled(true);
     }
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join("colza-grayscott.addrs");
-    std::fs::remove_file(&conn).ok();
-    let cfg = DaemonConfig::new(&conn);
-    let daemons = launch_group(&cluster, &fabric, servers, 2, 0, &cfg);
-    let contact = daemons[0].address();
+    area.launch(servers, 2);
+    let contact = area.contact();
     println!("{servers} staging servers up; running Gray-Scott {grid}^3 on {clients} ranks");
 
     let out = minimpi::MpiWorld::launch(
-        &cluster,
-        &fabric,
+        area.cluster(),
+        area.fabric(),
         clients,
         4,
         servers,
@@ -49,14 +44,13 @@ fn main() {
         move |comm| {
             // The simulation's own MPI usage is untouched; Colza's client
             // just shares the endpoint.
-            let margo = MargoInstance::from_endpoint(Arc::clone(comm.endpoint()));
-            let client = ColzaClient::new(Arc::clone(&margo));
+            let s = Session::new(MargoInstance::from_endpoint(Arc::clone(comm.endpoint())));
+            let client = &s.client;
             let rank = comm.rank();
             if rank == 0 {
-                let admin = AdminClient::new(Arc::clone(&margo));
                 let script = catalyst::PipelineScript::gray_scott(320, 240).to_json();
                 let view = client.view_from(contact).expect("view");
-                admin
+                s.admin
                     .create_pipeline_on_all(&view, "catalyst", "gs", &script)
                     .expect("deploy");
             }
@@ -64,7 +58,7 @@ fn main() {
             let handle = client.distributed_handle(contact, "gs").expect("handle");
 
             let mut sim = GrayScott::new(grid, rank, comm.size(), GrayScottParams::default());
-            let ctx = hpcsim::current();
+            let ctx = &s.ctx;
             for iteration in 0..outputs {
                 // Simulate (with MPI halo exchange), then stage the slab.
                 sim.run(steps_per_output, Some(&comm)).expect("simulate");
@@ -101,15 +95,12 @@ fn main() {
                     println!("final frame -> {}", path.display());
                 }
             }
-            margo.finalize();
         },
     );
     drop(out);
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
     if let Some(path) = trace_path {
-        let snap = cluster.shared().trace_snapshot();
+        let snap = area.shared().trace_snapshot();
         match std::fs::write(&path, snap.to_chrome_json()) {
             Ok(()) => println!(
                 "timeline ({} spans) -> {path} (open at https://ui.perfetto.dev)",
@@ -118,5 +109,4 @@ fn main() {
             Err(e) => eprintln!("failed to write trace {path}: {e}"),
         }
     }
-    std::fs::remove_file(&conn).ok();
 }

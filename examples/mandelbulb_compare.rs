@@ -5,12 +5,7 @@
 //!
 //! Run: `cargo run --release --example mandelbulb_compare`
 
-use std::sync::Arc;
-
-use colza::daemon::launch_group;
-use colza::{AdminClient, BlockMeta, ColzaClient, CommMode, DaemonConfig};
-use margo::MargoInstance;
-use na::Fabric;
+use colza::{BlockMeta, CommMode, StagingArea};
 use sims::mandelbulb::Mandelbulb;
 
 fn main() {
@@ -37,21 +32,14 @@ fn main() {
 }
 
 fn run_once(mode: CommMode, servers: usize, blocks: usize, iterations: u64) -> Vec<u64> {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join(format!("colza-compare-{mode:?}.addrs"));
-    std::fs::remove_file(&conn).ok();
-    let mut cfg = DaemonConfig::new(&conn);
-    cfg.comm = mode;
-    let daemons = launch_group(&cluster, &fabric, servers, 2, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = StagingArea::new(hpcsim::ClusterConfig::aries());
+    area.config_mut().comm = mode;
+    area.launch(servers, 2);
+    let contact = area.contact();
 
-    let f2 = fabric.clone();
-    let times = cluster
-        .spawn("sim", 8, move || {
-            let margo = MargoInstance::init(&f2);
-            let client = ColzaClient::new(Arc::clone(&margo));
-            let admin = AdminClient::new(Arc::clone(&margo));
+    let times = area
+        .client("sim", 8, move |s| {
+            let (client, admin) = (&s.client, &s.admin);
             let script = catalyst::PipelineScript::mandelbulb(256, 192).to_json();
             let view = client.view_from(contact).expect("view");
             admin
@@ -62,7 +50,7 @@ fn run_once(mode: CommMode, servers: usize, blocks: usize, iterations: u64) -> V
                 dims: [24, 24, 4 * blocks],
                 ..Default::default()
             };
-            let ctx = hpcsim::current();
+            let ctx = &s.ctx;
             let mut times = Vec::new();
             for iteration in 0..iterations {
                 handle.activate(iteration).expect("activate");
@@ -81,13 +69,9 @@ fn run_once(mode: CommMode, servers: usize, blocks: usize, iterations: u64) -> V
                 times.push(ctx.now() - before);
                 handle.deactivate(iteration).expect("deactivate");
             }
-            margo.finalize();
             times
         })
         .join();
-    for d in daemons {
-        d.stop();
-    }
-    std::fs::remove_file(&conn).ok();
+    area.shutdown();
     times
 }

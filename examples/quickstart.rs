@@ -7,38 +7,26 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use std::sync::Arc;
-
-use colza::daemon::{launch_group, settle_views};
-use colza::{AdminClient, BlockMeta, ColzaClient, ColzaDaemon, DaemonConfig};
-use margo::MargoInstance;
-use na::Fabric;
+use colza::{BlockMeta, StagingArea};
 
 fn main() {
-    // 1. A simulated cluster (the hpcsim stand-in for a real machine)
-    //    and its network fabric.
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
+    // 1. A staging area on a simulated cluster (the hpcsim stand-in for
+    //    a real machine): two Colza daemons, one per node, bootstrapped
+    //    through a connection file exactly as the real deployment does.
+    let mut area = StagingArea::new(hpcsim::ClusterConfig::aries());
+    area.launch(2, 1);
+    let contact = area.contact();
+    println!(
+        "staging area up: {:?}",
+        area.daemons().iter().map(|d| d.address().to_string()).collect::<Vec<_>>()
+    );
 
-    // 2. A staging area of two Colza daemons, bootstrapped through a
-    //    connection file exactly as the real deployment does.
-    let conn = std::env::temp_dir().join("colza-quickstart.addrs");
-    std::fs::remove_file(&conn).ok();
-    let cfg = DaemonConfig::new(&conn);
-    let mut daemons = launch_group(&cluster, &fabric, 2, 1, 0, &cfg);
-    let contact = daemons[0].address();
-    println!("staging area up: {:?}", daemons.iter().map(|d| d.address().to_string()).collect::<Vec<_>>());
-
-    // 3. A simulation process: deploys the pipeline, stages a block,
+    // 2. A simulation process: deploys the pipeline, stages a block,
     //    executes, and pulls the rendered image back.
-    let f2 = fabric.clone();
-    let cfg2 = cfg.clone();
     let (grow_tx, grow_rx) = crossbeam::channel::bounded::<()>(1);
     let (grown_tx, grown_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("simulation", 10, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
+    let sim = area.client("simulation", 10, move |s| {
+        let (client, admin) = (&s.client, &s.admin);
 
         // Deploy a Mandelbulb isosurface pipeline on every server.
         let script = catalyst::PipelineScript::mandelbulb(320, 240).to_json();
@@ -92,21 +80,16 @@ fn main() {
                 path.display()
             );
         }
-        margo.finalize();
     });
 
-    // 4. The host grows the staging area when asked (the paper's job-
-    //    script trigger).
+    // 3. The host grows the staging area when asked (the paper's job-
+    //    script trigger): one more daemon on the next free node.
     grow_rx.recv().unwrap();
-    let newcomer = ColzaDaemon::spawn(&cluster, &fabric, 2, cfg2);
-    daemons.push(newcomer);
-    settle_views(&daemons, 3);
+    area.grow(1);
+    area.settle();
     grown_tx.send(()).unwrap();
 
     sim.join();
-    for d in daemons {
-        d.stop();
-    }
-    std::fs::remove_file(&conn).ok();
+    area.shutdown();
     println!("done.");
 }

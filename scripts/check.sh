@@ -1,8 +1,9 @@
 #!/bin/sh
-# Offline preflight: release build, clippy over every target, every test
-# in the workspace (unit, property and e2e suites, the chaos suite under
-# the pinned fault-injection seed), then the bench gates; the full tier
-# adds a seed matrix over the determinism scenario and a build with
+# Offline preflight: release build (workspace and the benchmark package),
+# clippy over every target, every test in the workspace (unit, property
+# and e2e suites, the chaos suite under the pinned fault-injection seed),
+# then the bench gates; the full tier adds the benchmark package's own
+# tests, a seed matrix over the determinism scenario and a build with
 # instrumentation compiled out. Everything runs with --offline (the
 # workspace vendors its dependencies as in-tree shims), so this works
 # with no network at all.
@@ -21,6 +22,10 @@ COLZA_CHAOS_SEED="${COLZA_CHAOS_SEED:-42}"
 export COLZA_CHAOS_SEED
 
 cargo build --release --offline --workspace
+# The benchmark package (BENCHMARK.json) is its own workspace compiled
+# against crates/: build it here so an API move that breaks it fails the
+# gate, not the benchmark driver.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 cargo test -q --offline --workspace
 
@@ -39,6 +44,8 @@ if [ "$1" = "--quick" ]; then
     echo "CHECK_OK quick (chaos seed $COLZA_CHAOS_SEED)"
     exit 0
 fi
+
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Determinism must hold for more than the pinned seed: replay the
 # virtual-time-trace scenario across a small seed matrix.

@@ -3,34 +3,22 @@
 //! growing DWI data pushes analysis time over target, the controller asks
 //! the host for more servers and the iteration time comes back down.
 
-use std::sync::Arc;
-
-use colza::daemon::{launch_group, settle_views};
 use colza::{
-    drain_aware_victims, AdminClient, AutoScaleConfig, AutoScaler, BlockMeta, ColzaClient,
-    ColzaDaemon, DaemonConfig, ScaleDecision,
+    drain_aware_victims, AutoScaleConfig, AutoScaler, BlockMeta, ScaleDecision, StagingArea,
 };
-use margo::MargoInstance;
-use na::Fabric;
+use hpcsim::ClusterConfig;
 
 #[test]
 fn autoscaler_grows_the_staging_area_under_load() {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join(format!("autoscale-e2e-{}.addrs", std::process::id()));
-    std::fs::remove_file(&conn).ok();
-    let cfg = DaemonConfig::new(&conn);
-    let mut daemons = launch_group(&cluster, &fabric, 1, 2, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = StagingArea::new(ClusterConfig::aries());
+    area.launch(1, 2);
+    let contact = area.contact();
 
     let (grow_tx, grow_rx) = crossbeam::channel::bounded::<usize>(4);
     let (grown_tx, grown_rx) = crossbeam::channel::bounded::<Vec<na::Address>>(4);
 
-    let f2 = fabric.clone();
-    let sim = cluster.spawn("sim", 10, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
+    let sim = area.client("sim", 10, move |s| {
+        let (client, admin) = (&s.client, &s.admin);
         let script = catalyst::PipelineScript::deep_water_impact(128, 96).to_json();
         let view = client.view_from(contact).unwrap();
         admin
@@ -42,7 +30,7 @@ fn autoscaler_grows_the_staging_area_under_load() {
             scale: 1.0 / 2048.0,
             iterations: 16,
         };
-        let ctx = hpcsim::current();
+        let ctx = &s.ctx;
         // Target far below what one server can deliver on the late, heavy
         // iterations: growth must trigger.
         let mut scaler = AutoScaler::new(AutoScaleConfig {
@@ -86,21 +74,17 @@ fn autoscaler_grows_the_staging_area_under_load() {
                 had_join = true;
             }
         }
-        margo.finalize();
         (grew, sizes)
     });
 
-    // Host: serve growth requests until the simulation finishes.
+    // Host: serve growth requests until the simulation finishes, each
+    // newcomer on a node of its own.
     let mut next_node = 1usize;
     while let Ok(n) = grow_rx.recv() {
-        let mut fresh = Vec::new();
-        for _ in 0..n {
-            let d = ColzaDaemon::spawn(&cluster, &fabric, next_node, cfg.clone());
-            next_node += 1;
-            fresh.push(d.address());
-            daemons.push(d);
-        }
-        settle_views(&daemons, daemons.len());
+        let nodes: Vec<usize> = (next_node..next_node + n).collect();
+        next_node += n;
+        let fresh = area.grow_on(&nodes);
+        area.settle();
         grown_tx.send(fresh).unwrap();
     }
 
@@ -111,10 +95,7 @@ fn autoscaler_grows_the_staging_area_under_load() {
         *sizes.last().unwrap() > 1,
         "staging area should have grown by the end: {sizes:?}"
     );
-    for d in daemons {
-        d.stop();
-    }
-    std::fs::remove_file(&conn).ok();
+    area.shutdown();
 }
 
 /// Shrink victim selection is drain-aware: with uneven staged load
@@ -123,26 +104,18 @@ fn autoscaler_grows_the_staging_area_under_load() {
 /// departure moves the fewest bytes.
 #[test]
 fn shrink_victims_are_chosen_by_staged_load() {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    cluster.shared().tracer().set_enabled(true);
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join(format!("autoscale-drain-{}.addrs", std::process::id()));
-    std::fs::remove_file(&conn).ok();
-    let cfg = DaemonConfig::new(&conn);
-    let daemons = launch_group(&cluster, &fabric, 3, 1, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = StagingArea::new(ClusterConfig::aries());
+    area.shared().tracer().set_enabled(true);
+    area.launch(3, 1);
+    let contact = area.contact();
 
-    let f2 = fabric.clone();
     let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
     let (victim_tx, victim_rx) = crossbeam::channel::bounded::<Vec<na::Address>>(1);
     let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
-        admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let handle = client.distributed_handle(contact, "p").unwrap();
+    let sim = area.client("sim", 8, move |s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
+        let handle = s.client.distributed_handle(contact, "p").unwrap();
         handle.activate(0).unwrap();
         // Enough blocks of varying size that the ring spreads a clearly
         // uneven byte load across the three servers.
@@ -157,31 +130,26 @@ fn shrink_victims_are_chosen_by_staged_load() {
         }
         staged_tx.send(()).unwrap();
         victim_tx
-            .send(drain_aware_victims(&admin, &view, 1))
+            .send(drain_aware_victims(&s.admin, &view, 1))
             .unwrap();
         done_rx.recv().unwrap();
         handle.deactivate(0).unwrap();
-        margo.finalize();
     });
 
     staged_rx.recv().unwrap();
     let victims = victim_rx.recv().unwrap();
     // Independent expectation, straight from the stores (not the metrics
     // RPC under test): least bytes wins; ties go to the later member.
-    let mut view: Vec<na::Address> = daemons.iter().map(|d| d.address()).collect();
-    view.sort_unstable();
-    let loads: Vec<(na::Address, u64)> = view
+    let mut loads: Vec<(na::Address, u64)> = area
+        .daemons()
         .iter()
-        .map(|&a| {
-            let d = daemons.iter().find(|d| d.address() == a).unwrap();
-            (a, d.provider().store().staged_bytes())
-        })
+        .map(|d| (d.address(), d.provider().store().staged_bytes()))
         .collect();
+    loads.sort_unstable_by_key(|&(addr, _)| addr);
     let expected = colza::select_victims(&loads, 1);
     assert_eq!(victims, expected, "victim must be the least-loaded server");
     assert_eq!(
-        cluster
-            .shared()
+        area.shared()
             .trace_snapshot()
             .counter_total("autoscale.victim.drain_aware"),
         1,
@@ -189,8 +157,5 @@ fn shrink_victims_are_chosen_by_staged_load() {
     );
     done_tx.send(()).unwrap();
     sim.join();
-    for d in daemons {
-        d.stop();
-    }
-    std::fs::remove_file(&conn).ok();
+    area.shutdown();
 }

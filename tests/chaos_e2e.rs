@@ -15,41 +15,79 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use colza::daemon::{launch_group, settle_views};
+use colza::daemon::wait_until;
 use colza::{
-    AdminClient, BlockMeta, ColzaClient, ColzaDaemon, ColzaError, DaemonConfig, PriorityClass,
-    TenancyConfig, TenantConfig,
+    BlockMeta, ColzaError, DistributedPipelineHandle, PriorityClass, StagingArea, TenancyConfig,
+    TenantConfig,
 };
-use hpcsim::FaultPlan;
+use colza_repro::{assert_each_block_fed_once, chaos_seed, rpc_scoped};
+use hpcsim::{ClusterConfig, FaultPlan};
 use margo::{MargoInstance, RetryConfig};
-use na::{Address, Fabric};
-use store::{BlockKey, HashRing, RingConfig};
+use na::Fabric;
 
-/// The pinned chaos seed (override with `COLZA_CHAOS_SEED`).
-fn chaos_seed() -> u64 {
-    std::env::var("COLZA_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
-/// A plan scoped to the retryable RPC plane (requests + responses).
-fn rpc_scoped(plan: FaultPlan) -> FaultPlan {
-    plan.scope_tags(na::tags::RPC_BASE, na::tags::MONA_BASE - 1)
-}
-
-fn env(name: &str, plan: FaultPlan) -> (hpcsim::Cluster, Fabric, DaemonConfig) {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig {
+/// The aries cluster with `plan` attached to its fabric.
+fn faulty(plan: FaultPlan) -> ClusterConfig {
+    ClusterConfig {
         faults: plan,
-        ..hpcsim::ClusterConfig::aries()
+        ..ClusterConfig::aries()
+    }
+}
+
+/// The boot every deterministic run shares: three harness-driven daemons
+/// (every SWIM round a serialized `tick_sync` from this thread, so the
+/// run is a pure function of the seed), tracer on, all migration pinned
+/// to the 2PC boundary, gossip converged by sixty fixed rounds.
+fn driven_trio(plan: FaultPlan, tune: impl FnOnce(&mut colza::DaemonConfig)) -> StagingArea {
+    let mut area = StagingArea::harness_driven(faulty(plan));
+    area.shared().tracer().set_enabled(true);
+    area.config_mut().auto_repair = false;
+    tune(area.config_mut());
+    area.launch(3, 1);
+    area.tick_rounds(60);
+    assert!(
+        area.daemons().iter().all(|d| d.view().len() == 3),
+        "serialized gossip failed to converge: {:?}",
+        area.daemons().iter().map(|d| d.view().len()).collect::<Vec<_>>()
+    );
+    area
+}
+
+/// Retries `op` through retryable failures (a draining refusal, a dead
+/// target, an aborted 2PC), refreshing the handle's view in between;
+/// any other failure is fatal.
+fn through_churn<T>(
+    what: &str,
+    handle: &DistributedPipelineHandle,
+    mut op: impl FnMut() -> Result<T, ColzaError>,
+) -> T {
+    let mut out = None;
+    wait_until(what, || match op() {
+        Ok(v) => {
+            out = Some(v);
+            true
+        }
+        Err(e) if e.is_retryable() => {
+            let _ = handle.refresh_view();
+            false
+        }
+        Err(e) => panic!("{what}: hard failure: {e}"),
     });
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join(format!(
-        "colza-chaos-{name}-{}.addrs",
-        std::process::id()
-    ));
-    std::fs::remove_file(&conn).ok();
-    (cluster, fabric, DaemonConfig::new(conn))
+    out.expect("wait_until returned")
+}
+
+/// The heavy-RPC policy of a client facing a fail-silent server. Short
+/// per-try: the victim's reply is swallowed, so the call to it must be
+/// re-probed (and fail `Unreachable` once the harness closes the
+/// endpoint) without a ten-second stall.
+fn crash_probe_retry() -> RetryConfig {
+    RetryConfig {
+        max_attempts: 0,
+        base_delay: Duration::from_millis(5),
+        max_delay: Duration::from_millis(100),
+        per_try_timeout: Duration::from_secs(2),
+        deadline: Some(Duration::from_secs(120)),
+        ..Default::default()
+    }
 }
 
 /// A provider crashes in the middle of the activate 2PC. The prepare
@@ -57,74 +95,44 @@ fn env(name: &str, plan: FaultPlan) -> (hpcsim::Cluster, Fabric, DaemonConfig) {
 /// client's retry loop adopts the survivor view once SWIM notices.
 #[test]
 fn activate_recovers_when_a_provider_crashes_mid_2pc() {
-    let (cluster, fabric, cfg) = env("crash2pc", FaultPlan::default());
-    let mut daemons = launch_group(&cluster, &fabric, 3, 1, 0, &cfg);
-    let contact = daemons[0].address();
-    let victim = daemons.remove(2);
-    let victim_addr = victim.address();
+    let mut area = StagingArea::new(faulty(FaultPlan::default()));
+    area.launch(3, 1);
+    let contact = area.contact();
 
-    let f2 = fabric.clone();
     let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
     let (ready_tx, ready_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
+    let sim = area.client("sim", 8, move |s| {
+        let view = s.client.view_from(contact).unwrap();
         assert_eq!(view.len(), 3);
-        admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let handle = client.distributed_handle(contact, "p").unwrap();
+        s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
+        let handle = s.client.distributed_handle(contact, "p").unwrap();
         handle.activate(0).unwrap();
         handle.execute(0).unwrap();
         handle.deactivate(0).unwrap();
 
         // The harness crashes a provider *now*; the next activate walks
-        // straight into the dead member mid-prepare.
+        // straight into the dead member mid-prepare. Abort-and-retry:
+        // each failure refreshes to whatever view the survivors have
+        // converged on by then.
         ready_tx.send(()).unwrap();
         killed_rx.recv().unwrap();
-        let mut members = 0;
-        let mut done = false;
-        for _ in 0..600 {
-            match handle.activate(1) {
-                Ok(()) => {
-                    members = handle.members().len();
-                    done = true;
-                    break;
-                }
-                Err(e) if e.is_retryable() => {
-                    // Abort-and-retry: refresh to whatever view the
-                    // survivors have converged on by now.
-                    let _ = handle.refresh_view();
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => panic!("non-retryable activate failure: {e}"),
-            }
-        }
-        assert!(done, "activate never recovered from the crash");
+        through_churn("activate never recovered from the crash", &handle, || {
+            handle.activate(1)
+        });
+        let members = handle.members().len();
         handle.execute(1).unwrap();
         handle.deactivate(1).unwrap();
-        margo.finalize();
         members
     });
 
     ready_rx.recv().unwrap();
-    victim.kill();
+    area.kill(2);
     killed_tx.send(()).unwrap();
     // Drive gossip so suspicion matures while the client keeps retrying.
-    for _ in 0..400 {
-        for d in &daemons {
-            d.tick();
-        }
-        if daemons.iter().all(|d| !d.view().contains(&victim_addr)) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    area.settle();
     let members = sim.join();
     assert_eq!(members, 2, "2PC must complete on the survivor view");
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 /// A full stage/execute pipeline runs to completion through 2% message
@@ -136,22 +144,18 @@ fn stage_and_execute_complete_through_message_loss() {
             .with_loss(0.02)
             .with_duplication(0.002),
     );
-    let (cluster, fabric, cfg) = env("loss", plan);
-    let daemons = launch_group(&cluster, &fabric, 2, 1, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = StagingArea::new(faulty(plan));
+    area.launch(2, 1);
+    let contact = area.contact();
     let script = catalyst::PipelineScript::mandelbulb(48, 48).to_json();
 
-    let f2 = fabric.clone();
-    let coverage = cluster
-        .spawn("sim", 8, move || {
-            let margo = MargoInstance::init(&f2);
-            let client = ColzaClient::new(Arc::clone(&margo));
-            let admin = AdminClient::new(Arc::clone(&margo));
-            let view = client.view_from(contact).unwrap();
-            admin
+    let coverage = area
+        .client("sim", 8, move |s| {
+            let view = s.client.view_from(contact).unwrap();
+            s.admin
                 .create_pipeline_on_all(&view, "catalyst", "m", &script)
                 .unwrap();
-            let handle = client.distributed_handle(contact, "m").unwrap();
+            let handle = s.client.distributed_handle(contact, "m").unwrap();
             let bulb = sims::mandelbulb::Mandelbulb {
                 dims: [12, 12, 12],
                 ..Default::default()
@@ -174,18 +178,15 @@ fn stage_and_execute_complete_through_message_loss() {
                 cov = vizkit::Image::from_bytes(&img).coverage();
                 handle.deactivate(iteration).unwrap();
             }
-            margo.finalize();
             cov
         })
         .join();
     assert!(
-        cluster.shared().faults().fault_count() > 0,
+        area.shared().faults().fault_count() > 0,
         "the plan injected nothing — the scenario tested a clean wire"
     );
     assert!(coverage > 0.0, "final image empty under loss: {coverage}");
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 /// A network partition opens while the staging area is growing: the
@@ -194,55 +195,43 @@ fn stage_and_execute_complete_through_message_loss() {
 /// all four daemons converge on one view and the protocol completes.
 #[test]
 fn elastic_grow_survives_a_partition_that_later_heals() {
-    let (cluster, fabric, mut cfg) = env("partition", FaultPlan::default());
+    let mut area = StagingArea::new(faulty(FaultPlan::default()));
     // Long suspicion budget: nobody may be declared dead (permanently in
     // this SWIM variant) over a partition we intend to heal; short probe
     // timeouts keep the partitioned rounds quick.
+    let cfg = area.config_mut();
     cfg.ssg.swim.suspect_rounds = 500;
     cfg.ssg.ping_timeout = Duration::from_millis(50);
     cfg.rpc_timeout = Duration::from_millis(100);
-    let mut daemons = launch_group(&cluster, &fabric, 3, 1, 0, &cfg);
-    let contact0 = daemons[0].address();
+    area.launch(3, 1);
+    let contact0 = area.contact();
 
     // Cut node 0 (the first daemon — and the joiner's first contact) off
     // from everyone else, then grow.
-    cluster.shared().faults().partition_now(&[0], &[1, 2, 3]);
-    let newcomer = ColzaDaemon::spawn(&cluster, &fabric, 3, cfg.clone());
-    daemons.push(newcomer);
+    area.shared().faults().partition_now(&[0], &[1, 2, 3]);
+    area.grow(1);
 
     // A few probe rounds inside the partition: failures surface as
     // suspicion, never as death.
-    for _ in 0..3 {
-        for d in &daemons {
-            d.tick();
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    area.tick_rounds(3);
 
-    cluster.shared().faults().heal_partitions();
-    settle_views(&daemons, 4);
+    area.shared().faults().heal_partitions();
+    area.settle();
 
-    let f2 = fabric.clone();
-    let members = cluster
-        .spawn("sim", 8, move || {
-            let margo = MargoInstance::init(&f2);
-            let client = ColzaClient::new(Arc::clone(&margo));
-            let admin = AdminClient::new(Arc::clone(&margo));
-            let view = client.view_from(contact0).unwrap();
-            admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-            let handle = client.distributed_handle(contact0, "p").unwrap();
+    let members = area
+        .client("sim", 8, move |s| {
+            let view = s.client.view_from(contact0).unwrap();
+            s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
+            let handle = s.client.distributed_handle(contact0, "p").unwrap();
             handle.activate(0).unwrap();
             let n = handle.members().len();
             handle.execute(0).unwrap();
             handle.deactivate(0).unwrap();
-            margo.finalize();
             n
         })
         .join();
     assert_eq!(members, 4, "healed group must serve with all four members");
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 /// One deterministic run of a sequential RPC workload under loss, delay,
@@ -401,62 +390,26 @@ struct RecoveryOutcome {
 /// client refreshes and re-activates the same iteration, and the
 /// commit-boundary sync re-replicates what is still missing. The client
 /// never re-stages a block.
-fn replica_recovery_run(seed: u64, tag: &str) -> RecoveryOutcome {
+fn replica_recovery_run(seed: u64) -> RecoveryOutcome {
     const BLOCKS: u64 = 4;
     let total_bytes: u64 = (0..BLOCKS).map(|b| 256 * (b + 1)).sum();
 
     let plan = rpc_scoped(FaultPlan::seeded(seed).with_loss(0.01));
-    let (cluster, fabric, mut cfg) = env(&format!("replica-{tag}"), plan);
-    cluster.shared().tracer().set_enabled(true);
-    cfg.tick_interval = Duration::from_secs(3600); // harness-driven only
-    cfg.auto_repair = false; // all migration at the 2PC boundary
-    let mut daemons: Vec<ColzaDaemon> = (0..3)
-        .map(|i| ColzaDaemon::spawn(&cluster, &fabric, i, cfg.clone()))
-        .collect();
-    // Serialized gossip until everyone sees everyone.
-    for _ in 0..60 {
-        for d in &daemons {
-            d.tick_sync();
-        }
-    }
-    assert!(
-        daemons.iter().all(|d| d.view().len() == 3),
-        "serialized gossip failed to converge: {:?}",
-        daemons.iter().map(|d| d.view().len()).collect::<Vec<_>>()
-    );
-    let contact = daemons[0].address();
+    let mut area = driven_trio(plan, |_| {});
+    let contact = area.contact();
 
     // The victim is block 0's primary under the ring the client and the
     // servers will both compute over the three-member view.
-    let members: Vec<Address> = {
-        let mut m: Vec<Address> = daemons.iter().map(|d| d.address()).collect();
-        m.sort_unstable();
-        m
-    };
-    let ring_cfg = RingConfig {
-        replication: 2,
-        ..RingConfig::default()
-    };
-    let shared = Arc::clone(cluster.shared());
-    let ring = HashRing::build(&members, |a| shared.node_of(a.pid()), ring_cfg);
-    let victim_addr = ring.primary(&BlockKey::new("p", 0)).unwrap();
-    let victim_idx = daemons
-        .iter()
-        .position(|d| d.address() == victim_addr)
-        .unwrap();
+    let victim_addr = area.primary_of("p", 0, 2);
 
-    let f2 = fabric.clone();
     let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
     let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
     let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
     let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
-        admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let mut handle = client.distributed_handle(contact, "p").unwrap();
+    let sim = area.client("sim", 8, move |s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
+        let mut handle = s.client.distributed_handle(contact, "p").unwrap();
         handle.set_replication(2);
         handle.activate(0).unwrap();
         for b in 0..BLOCKS {
@@ -487,77 +440,37 @@ fn replica_recovery_run(seed: u64, tag: &str) -> RecoveryOutcome {
         executed_tx.send(()).unwrap();
         done_rx.recv().unwrap();
         handle.deactivate(0).unwrap();
-        margo.finalize();
     });
 
     staged_rx.recv().unwrap();
-    // Quiesced crash point: client is blocked, daemons are idle.
-    daemons.remove(victim_idx).kill();
-    // Serialized SWIM rounds until both survivors declare the death.
-    let mut rounds = 0;
-    while daemons.iter().any(|d| d.view().contains(&victim_addr)) {
-        for d in &daemons {
-            d.tick_sync();
-        }
-        rounds += 1;
-        assert!(rounds < 500, "survivors never declared the victim dead");
-    }
-    // A few more rounds so both views/epochs fully converge.
-    for _ in 0..10 {
-        for d in &daemons {
-            d.tick_sync();
-        }
-    }
+    // Quiesced crash point: client is blocked, daemons are idle. Then
+    // serialized SWIM rounds until both survivors declare the death.
+    area.kill(area.index_of(victim_addr));
+    area.settle();
     killed_tx.send(()).unwrap();
 
     executed_rx.recv().unwrap();
     // Post-execute, pre-deactivate: with k = 2 over 2 survivors, every
     // survivor holds every block, and each block is fed exactly once
     // across the group.
-    for d in &daemons {
+    for d in area.daemons() {
         let s = d.provider().store();
         assert_eq!(s.len(), BLOCKS as usize, "every survivor holds every block");
         assert_eq!(s.staged_bytes(), total_bytes);
     }
-    for b in 0..BLOCKS {
-        let fed: usize = daemons
-            .iter()
-            .flat_map(|d| d.provider().store().snapshot())
-            .filter(|x| x.key.block_id == b && x.fed)
-            .count();
-        assert_eq!(fed, 1, "block {b} must feed exactly one backend");
-    }
+    assert_each_block_fed_once(&area, BLOCKS, 0);
     done_tx.send(()).unwrap();
     sim.join();
 
-    let snap = cluster.shared().trace_snapshot();
-    let mut survivors: Vec<(u64, usize, u64)> = daemons
-        .iter()
-        .map(|d| {
-            let s = d.provider().store();
-            (d.address().0, s.len(), s.staged_bytes())
-        })
-        .collect();
-    survivors.sort_unstable();
-    let mut trace = cluster.shared().faults().trace();
-    // Canonical export: concurrent links append racily, but each record
-    // (link, seq, kind) is deterministic — sort before serializing.
-    trace.sort_unstable();
-    let trace_export = trace
-        .iter()
-        .map(|r| format!("{r:?}"))
-        .collect::<Vec<_>>()
-        .join("\n");
+    let snap = area.shared().trace_snapshot();
     let out = RecoveryOutcome {
-        trace_export,
+        trace_export: area.fault_trace_export(),
         promoted: snap.counter_total("colza.store.promoted.blocks")
             + snap.counter_total("colza.store.exec.promoted"),
         pushed: snap.counter_total("colza.store.recv.blocks"),
-        survivors,
+        survivors: area.holdings(),
     };
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
     out
 }
 
@@ -569,14 +482,14 @@ fn replica_recovery_run(seed: u64, tag: &str) -> RecoveryOutcome {
 #[test]
 fn crashed_primary_recovers_from_replicas_deterministically() {
     let seed = chaos_seed();
-    let a = replica_recovery_run(seed, "a");
+    let a = replica_recovery_run(seed);
     assert!(
         a.promoted >= 1,
         "the crashed primary's blocks must be promoted on a replica"
     );
     assert!(a.pushed >= 1, "re-replication must push blocks");
     assert!(!a.trace_export.is_empty(), "1% loss injected nothing");
-    let b = replica_recovery_run(seed, "b");
+    let b = replica_recovery_run(seed);
     assert_eq!(
         a.trace_export, b.trace_export,
         "fault-trace exports diverged for one seed"
@@ -618,87 +531,38 @@ struct CollectiveCrashOutcome {
 /// The randomized planes stay clean (no loss): the client's recovery
 /// spinning is wall-clock-paced, and seq-consuming randomization would
 /// couple the fault stream to host timing. The chaos here is the crash.
-fn collective_crash_run(seed: u64, tag: &str) -> CollectiveCrashOutcome {
+fn collective_crash_run(seed: u64) -> CollectiveCrashOutcome {
     const BLOCKS: u64 = 4;
     let plan = rpc_scoped(FaultPlan::seeded(seed));
-    let (cluster, fabric, mut cfg) = env(&format!("collcrash-{tag}"), plan);
-    cluster.shared().tracer().set_enabled(true);
-    cfg.tick_interval = Duration::from_secs(3600); // harness-driven only
-    cfg.auto_repair = false; // all migration at the 2PC boundary
     // The per-operation deadline backstop is armed but generous: SWIM
     // (harness-driven, fast) detects the death first; the deadline only
     // protects against a failure detector that never fires.
-    cfg.mona.fault.recv_deadline = Some(Duration::from_secs(5));
-    let mut daemons: Vec<ColzaDaemon> = (0..3)
-        .map(|i| ColzaDaemon::spawn(&cluster, &fabric, i, cfg.clone()))
-        .collect();
-    for _ in 0..60 {
-        for d in &daemons {
-            d.tick_sync();
-        }
-    }
-    assert!(
-        daemons.iter().all(|d| d.view().len() == 3),
-        "serialized gossip failed to converge"
-    );
-    let contact = daemons[0].address();
+    let mut area = driven_trio(plan, |cfg| {
+        cfg.mona.fault.recv_deadline = Some(Duration::from_secs(5));
+    });
+    let contact = area.contact();
 
     // The victim is block 0's primary under the ring the client and the
     // servers share, so its crash provably forces replica promotion.
-    let members: Vec<Address> = {
-        let mut m: Vec<Address> = daemons.iter().map(|d| d.address()).collect();
-        m.sort_unstable();
-        m
-    };
-    let ring_cfg = RingConfig {
-        replication: 2,
-        ..RingConfig::default()
-    };
-    let shared = Arc::clone(cluster.shared());
-    let ring = HashRing::build(&members, |a| shared.node_of(a.pid()), ring_cfg);
-    let victim_addr = ring.primary(&BlockKey::new("m", 0)).unwrap();
-    let victim_idx = daemons
-        .iter()
-        .position(|d| d.address() == victim_addr)
-        .unwrap();
-    let victim_node = shared.node_of(victim_addr.pid()).unwrap();
     // Arm the kill switch: the victim's 3rd MoNA-plane send — inside the
     // execute collectives (a 3-rank collective is send-light, so the
     // budget must be small to land mid-stream) — is the last thing it
     // ever produces.
-    cluster.shared().faults().crash_after_sends_now(
-        victim_node,
-        na::tags::MONA_BASE,
-        na::tags::MPI_BASE - 1,
-        2,
-    );
+    let victim_addr = area.primary_of("m", 0, 2);
+    area.crash_after_mona_sends(victim_addr, 2);
 
     let script = catalyst::PipelineScript::mandelbulb(48, 48).to_json();
-    let f2 = fabric.clone();
     let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
     let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
     let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
-        admin
+    let sim = area.client("sim", 8, move |s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin
             .create_pipeline_on_all(&view, "catalyst", "m", &script)
             .unwrap();
-        let mut handle = client.distributed_handle(contact, "m").unwrap();
+        let mut handle = s.client.distributed_handle(contact, "m").unwrap();
         handle.set_replication(2);
-        // Short per-try: the victim's reply is swallowed, so the call to
-        // it must be re-probed (and fail `Unreachable` once the harness
-        // closes the endpoint) without a ten-second stall.
-        handle.set_heavy_retry(RetryConfig {
-            max_attempts: 0,
-            base_delay: Duration::from_millis(5),
-            max_delay: Duration::from_millis(100),
-            per_try_timeout: Duration::from_secs(2),
-            deadline: Some(Duration::from_secs(120)),
-            ..Default::default()
-        });
+        handle.set_heavy_retry(crash_probe_retry());
         let bulb = sims::mandelbulb::Mandelbulb {
             dims: [12, 12, 12],
             ..Default::default()
@@ -725,64 +589,29 @@ fn collective_crash_run(seed: u64, tag: &str) -> CollectiveCrashOutcome {
         executed_tx.send(()).unwrap();
         done_rx.recv().unwrap();
         handle.deactivate(0).unwrap();
-        margo.finalize();
         img
     });
 
     staged_rx.recv().unwrap();
-    // Wait for the victim's send budget to trip mid-collective.
-    let mut tripped = false;
-    for _ in 0..30_000 {
-        if cluster.shared().faults().crash_tripped(victim_node) {
-            tripped = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert!(tripped, "the victim never hit its send-count crash budget");
-    // A real crash leaves no open mailbox: close the victim's endpoint so
-    // survivors' sends to it fail fast with `Unreachable` and the
-    // client's re-probe does too.
-    daemons.remove(victim_idx).kill();
-    // Serialized SWIM rounds until both survivors declare the death.
-    let mut rounds = 0;
-    while daemons.iter().any(|d| d.view().contains(&victim_addr)) {
-        for d in &daemons {
-            d.tick_sync();
-        }
-        rounds += 1;
-        assert!(rounds < 500, "survivors never declared the victim dead");
-    }
-    for _ in 0..10 {
-        for d in &daemons {
-            d.tick_sync();
-        }
-    }
+    // Wait for the victim's send budget to trip mid-collective, then
+    // make it a real crash — no open mailbox: killing the daemon closes
+    // its endpoint, so survivors' sends to it fail fast with
+    // `Unreachable` and the client's re-probe does too — and run
+    // serialized SWIM rounds until both survivors declare the death.
+    area.wait_crash_tripped(victim_addr);
+    area.kill(area.index_of(victim_addr));
+    area.settle();
 
     executed_rx.recv().unwrap();
     // Post-recovery, pre-deactivate: every block is fed exactly once
     // across the surviving group.
-    for b in 0..BLOCKS {
-        let fed: usize = daemons
-            .iter()
-            .flat_map(|d| d.provider().store().snapshot())
-            .filter(|x| x.key.block_id == b && x.fed)
-            .count();
-        assert_eq!(fed, 1, "block {b} must feed exactly one backend");
-    }
+    assert_each_block_fed_once(&area, BLOCKS, 0);
     done_tx.send(()).unwrap();
     let img = sim.join();
 
-    let snap = cluster.shared().trace_snapshot();
-    let mut trace = cluster.shared().faults().trace();
-    trace.sort_unstable();
-    let trace_export = trace
-        .iter()
-        .map(|r| format!("{r:?}"))
-        .collect::<Vec<_>>()
-        .join("\n");
+    let snap = area.shared().trace_snapshot();
     let out = CollectiveCrashOutcome {
-        trace_export,
+        trace_export: area.fault_trace_export(),
         image: img,
         aborted: snap.counter_total("colza.exec.aborted"),
         recoveries: snap.counter_total("colza.exec.recoveries"),
@@ -790,9 +619,7 @@ fn collective_crash_run(seed: u64, tag: &str) -> CollectiveCrashOutcome {
         promoted: snap.counter_total("colza.store.promoted.blocks")
             + snap.counter_total("colza.store.exec.promoted"),
     };
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
     out
 }
 
@@ -804,7 +631,7 @@ fn collective_crash_run(seed: u64, tag: &str) -> CollectiveCrashOutcome {
 #[test]
 fn mid_collective_crash_aborts_and_recovers_deterministically() {
     let seed = chaos_seed();
-    let a = collective_crash_run(seed, "a");
+    let a = collective_crash_run(seed);
     assert_eq!(a.aborted, 2, "both survivors must abort the iteration");
     assert!(a.recoveries >= 1, "the client must run abort-and-recover");
     assert!(a.revoke_sent >= 1, "survivors must exchange revoke notices");
@@ -817,7 +644,7 @@ fn mid_collective_crash_aborts_and_recovers_deterministically() {
         vizkit::Image::from_bytes(&a.image).coverage() > 0.0,
         "recovered iteration rendered an empty image"
     );
-    let b = collective_crash_run(seed, "b");
+    let b = collective_crash_run(seed);
     assert_eq!(a, b, "crash-recovery outcomes diverged for one seed");
 }
 
@@ -865,62 +692,28 @@ fn codec_block_payload(dim: usize, block: u64, iteration: u64) -> Bytes {
 /// plains) and re-replicates over server pushes that carry the diff frame
 /// plus the reconstructed plain, so the fresh owner never needs a base
 /// the survivor set lost. The recovered execute then renders the image.
-fn codec_crash_run(seed: u64, tag: &str) -> CodecCrashOutcome {
+fn codec_crash_run(seed: u64) -> CodecCrashOutcome {
     const BLOCKS: u64 = 4;
     const DIM: usize = 12;
 
     let plan = rpc_scoped(FaultPlan::seeded(seed).with_loss(0.01));
-    let (cluster, fabric, mut cfg) = env(&format!("codec-crash-{tag}"), plan);
-    cluster.shared().tracer().set_enabled(true);
-    cfg.tick_interval = Duration::from_secs(3600); // harness-driven only
-    cfg.auto_repair = false; // all migration at the 2PC boundary
-    let mut daemons: Vec<ColzaDaemon> = (0..3)
-        .map(|i| ColzaDaemon::spawn(&cluster, &fabric, i, cfg.clone()))
-        .collect();
-    for _ in 0..60 {
-        for d in &daemons {
-            d.tick_sync();
-        }
-    }
-    assert!(
-        daemons.iter().all(|d| d.view().len() == 3),
-        "serialized gossip failed to converge"
-    );
-    let contact = daemons[0].address();
+    let mut area = driven_trio(plan, |_| {});
+    let contact = area.contact();
 
     // The victim is block 0's primary under the shared ring.
-    let members: Vec<Address> = {
-        let mut m: Vec<Address> = daemons.iter().map(|d| d.address()).collect();
-        m.sort_unstable();
-        m
-    };
-    let ring_cfg = RingConfig {
-        replication: 2,
-        ..RingConfig::default()
-    };
-    let shared = Arc::clone(cluster.shared());
-    let ring = HashRing::build(&members, |a| shared.node_of(a.pid()), ring_cfg);
-    let victim_addr = ring.primary(&BlockKey::new("g", 0)).unwrap();
-    let victim_idx = daemons
-        .iter()
-        .position(|d| d.address() == victim_addr)
-        .unwrap();
+    let victim_addr = area.primary_of("g", 0, 2);
 
     let script = catalyst::PipelineScript::gray_scott(48, 48).to_json();
-    let f2 = fabric.clone();
     let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
     let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
     let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
     let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
-        admin
+    let sim = area.client("sim", 8, move |s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin
             .create_pipeline_on_all(&view, "catalyst", "g", &script)
             .unwrap();
-        let mut handle = client.distributed_handle(contact, "g").unwrap();
+        let mut handle = s.client.distributed_handle(contact, "g").unwrap();
         handle.set_replication(2);
         handle.set_codec(colza::CodecConfig::uniform(colza::CodecSpec::Delta));
 
@@ -960,79 +753,42 @@ fn codec_crash_run(seed: u64, tag: &str) -> CodecCrashOutcome {
         executed_tx.send(()).unwrap();
         done_rx.recv().unwrap();
         handle.deactivate(1).unwrap();
-        margo.finalize();
         img
     });
 
     staged_rx.recv().unwrap();
     // Quiesced crash point: client is blocked, daemons are idle.
-    daemons.remove(victim_idx).kill();
-    let mut rounds = 0;
-    while daemons.iter().any(|d| d.view().contains(&victim_addr)) {
-        for d in &daemons {
-            d.tick_sync();
-        }
-        rounds += 1;
-        assert!(rounds < 500, "survivors never declared the victim dead");
-    }
-    for _ in 0..10 {
-        for d in &daemons {
-            d.tick_sync();
-        }
-    }
+    area.kill(area.index_of(victim_addr));
+    area.settle();
     killed_tx.send(()).unwrap();
 
     executed_rx.recv().unwrap();
     // Post-recovery, pre-deactivate: both survivors hold every iteration-1
     // block and each block fed exactly one backend.
-    for d in &daemons {
+    for d in area.daemons() {
         assert_eq!(d.provider().store().len(), BLOCKS as usize);
     }
-    for b in 0..BLOCKS {
-        let fed: usize = daemons
-            .iter()
-            .flat_map(|d| d.provider().store().snapshot())
-            .filter(|x| x.key.block_id == b && x.fed)
-            .count();
-        assert_eq!(fed, 1, "block {b} must feed exactly one backend");
-    }
+    assert_each_block_fed_once(&area, BLOCKS, 1);
     done_tx.send(()).unwrap();
     let img = sim.join();
 
-    let snap = cluster.shared().trace_snapshot();
+    let snap = area.shared().trace_snapshot();
     // Every reconstructed plain a push carried was received in full.
     assert_eq!(
         snap.counter_total("colza.codec.push.plain_bytes"),
         snap.counter_total("colza.store.recv.plain_bytes"),
         "pushed and received plain-payload bytes disagree"
     );
-    let mut survivors: Vec<(u64, usize, u64)> = daemons
-        .iter()
-        .map(|d| {
-            let s = d.provider().store();
-            (d.address().0, s.len(), s.staged_bytes())
-        })
-        .collect();
-    survivors.sort_unstable();
-    let mut trace = cluster.shared().faults().trace();
-    trace.sort_unstable();
-    let trace_export = trace
-        .iter()
-        .map(|r| format!("{r:?}"))
-        .collect::<Vec<_>>()
-        .join("\n");
     let out = CodecCrashOutcome {
-        trace_export,
+        trace_export: area.fault_trace_export(),
         image: img,
         promoted: snap.counter_total("colza.store.promoted.blocks")
             + snap.counter_total("colza.store.exec.promoted"),
         pushed: snap.counter_total("colza.store.recv.blocks"),
         delta_frames: snap.counter_total("colza.codec.enc.delta_diff.frames"),
-        survivors,
+        survivors: area.holdings(),
     };
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
     out
 }
 
@@ -1042,7 +798,7 @@ fn codec_crash_run(seed: u64, tag: &str) -> CodecCrashOutcome {
 #[test]
 fn crashed_primary_with_delta_blocks_repairs_and_renders_deterministically() {
     let seed = chaos_seed();
-    let a = codec_crash_run(seed, "a");
+    let a = codec_crash_run(seed);
     assert!(
         a.delta_frames >= 1,
         "iteration 1 must have staged delta-diff frames"
@@ -1053,7 +809,7 @@ fn crashed_primary_with_delta_blocks_repairs_and_renders_deterministically() {
         vizkit::Image::from_bytes(&a.image).coverage() > 0.0,
         "recovered iteration rendered an empty image"
     );
-    let b = codec_crash_run(seed, "b");
+    let b = codec_crash_run(seed);
     assert_eq!(
         a.trace_export, b.trace_export,
         "fault-trace exports diverged for one seed"
@@ -1072,120 +828,71 @@ fn request_leave_during_staging_loses_no_block() {
     const BLOCKS: u64 = 6;
     let total_bytes: u64 = (0..BLOCKS).map(|b| 256 * (b + 1)).sum();
     let plan = rpc_scoped(FaultPlan::seeded(chaos_seed()).with_loss(0.01));
-    let (cluster, fabric, cfg) = env("leave-stage", plan);
-    let daemons = launch_group(&cluster, &fabric, 3, 1, 0, &cfg);
-    let contact = daemons[0].address();
-    let members: Vec<Address> = {
-        let mut m: Vec<Address> = daemons.iter().map(|d| d.address()).collect();
-        m.sort_unstable();
-        m
-    };
+    let mut area = StagingArea::new(faulty(plan));
+    area.launch(3, 1);
+    let contact = area.contact();
     // Leave the server that owns block 0, so at least one staged block
     // must provably survive the departure.
-    let shared = Arc::clone(cluster.shared());
-    let ring = HashRing::build(&members, |a| shared.node_of(a.pid()), RingConfig::default());
-    let victim_addr = ring.primary(&BlockKey::new("p", 0)).unwrap();
+    let victim_addr = area.primary_of("p", 0, 1);
 
-    let f2 = fabric.clone();
     let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
     let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
-        admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let handle = client.distributed_handle(contact, "p").unwrap();
+    let sim = area.client("sim", 8, move |s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
+        let handle = s.client.distributed_handle(contact, "p").unwrap();
         handle.activate(0).unwrap();
         for b in 0..BLOCKS {
             if b == 2 {
                 // Mid-staging shrink trigger: the victim starts draining
                 // while blocks are still arriving.
-                admin.request_leave(victim_addr).unwrap();
+                s.admin.request_leave(victim_addr).unwrap();
             }
             let payload = Bytes::from(vec![b as u8 + 1; 256 * (b as usize + 1)]);
             let meta = BlockMeta::new("x", b, 0, payload.len());
-            let mut ok = false;
-            for _ in 0..600 {
-                match handle.stage(meta.clone(), &payload) {
-                    Ok(()) => {
-                        ok = true;
-                        break;
-                    }
-                    Err(e) if e.is_retryable() => {
-                        // Draining refusal or dead target: wait out the
-                        // view change and re-route.
-                        let _ = handle.refresh_view();
-                        std::thread::sleep(Duration::from_millis(3));
-                    }
-                    Err(e) => panic!("stage hard-failed: {e}"),
-                }
-            }
-            assert!(ok, "block {b} was never staged");
+            // Draining refusal or dead target: wait out the view change
+            // and re-route.
+            through_churn(&format!("block {b} was never staged"), &handle, || {
+                handle.stage(meta.clone(), &payload)
+            });
         }
-        let mut done = false;
-        for _ in 0..600 {
-            match handle.execute(0) {
-                Ok(_) => {
-                    done = true;
-                    break;
-                }
-                Err(e) if e.is_retryable() => {
-                    std::thread::sleep(Duration::from_millis(3));
-                    let _ = handle.refresh_view();
-                    // Re-commit the iteration on the fresh view; the
-                    // commit sync re-feeds drained blocks' new primaries.
-                    let _ = handle.activate(0);
-                }
-                Err(e) => panic!("execute hard-failed: {e}"),
+        let mut attempts = 0;
+        through_churn("execute never completed after the leave", &handle, || {
+            // After a failed attempt, re-commit the iteration on the
+            // fresh view; the commit sync re-feeds drained blocks' new
+            // primaries.
+            attempts += 1;
+            if attempts > 1 {
+                let _ = handle.activate(0);
             }
-        }
-        assert!(done, "execute never completed after the leave");
+            handle.execute(0)
+        });
         executed_tx.send(()).unwrap();
         done_rx.recv().unwrap();
-        for _ in 0..600 {
-            match handle.deactivate(0) {
-                Ok(()) => break,
-                Err(e) if e.is_retryable() => {
-                    let _ = handle.refresh_view();
-                    std::thread::sleep(Duration::from_millis(3));
-                }
-                Err(e) => panic!("deactivate hard-failed: {e}"),
-            }
-        }
-        margo.finalize();
+        through_churn("deactivate never completed", &handle, || {
+            handle.deactivate(0)
+        });
     });
 
     executed_rx.recv().unwrap();
     // Wait for the departure to fully settle — drain finished (the
     // leaver's store is empty) and the survivors no longer list it — so
     // holdings are quiescent before asserting on them.
-    let victim = daemons
-        .iter()
-        .position(|d| d.address() == victim_addr)
-        .unwrap();
-    let mut settled = false;
-    for _ in 0..5000 {
-        let gone = daemons
+    let victim = area.index_of(victim_addr);
+    wait_until("the leave never completed", || {
+        let gone = area
+            .daemons()
             .iter()
             .enumerate()
             .all(|(i, d)| i == victim || !d.view().contains(&victim_addr));
-        if gone && daemons[victim].provider().store().is_empty() {
-            settled = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    assert!(settled, "the leave never completed");
+        gone && area.daemons()[victim].provider().store().is_empty()
+    });
     // Post-execute, pre-deactivate: every block exists somewhere, is fed
     // exactly once across the whole group, and no byte went missing.
+    let held = area.held();
     let mut held_bytes = 0u64;
     for b in 0..BLOCKS {
-        let copies: Vec<_> = daemons
-            .iter()
-            .flat_map(|d| d.provider().store().snapshot())
-            .filter(|x| x.key.block_id == b)
-            .collect();
+        let copies: Vec<_> = held.iter().filter(|x| x.key.block_id == b).collect();
         assert!(!copies.is_empty(), "block {b} was lost in the leave");
         assert_eq!(
             copies.iter().filter(|x| x.fed).count(),
@@ -1198,11 +905,9 @@ fn request_leave_during_staging_loses_no_block() {
     done_tx.send(()).unwrap();
     sim.join();
 
-    for d in daemons {
-        // The leaver may have already shut down on its own; `stop` on the
-        // survivors, `wait` is implicit in stop's join.
-        d.stop();
-    }
+    // The leaver may have already shut down on its own; stopping an
+    // exited daemon just joins it.
+    area.shutdown();
 }
 
 /// The original end-to-end failure scenario, now with 1% message loss on
@@ -1211,61 +916,42 @@ fn request_leave_during_staging_loses_no_block() {
 #[test]
 fn killed_server_is_detected_under_one_percent_loss() {
     let plan = rpc_scoped(FaultPlan::seeded(chaos_seed()).with_loss(0.01));
-    let (cluster, fabric, cfg) = env("killloss", plan);
-    let mut daemons = launch_group(&cluster, &fabric, 3, 1, 0, &cfg);
-    let contact = daemons[0].address();
-    let victim = daemons.remove(2);
-    let victim_addr = victim.address();
+    let mut area = StagingArea::new(faulty(plan));
+    area.launch(3, 1);
+    let contact = area.contact();
+    let victim_addr = area.daemons()[2].address();
 
-    let f2 = fabric.clone();
     let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
     let (ready_tx, ready_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
+    let sim = area.client("sim", 8, move |s| {
+        let view = s.client.view_from(contact).unwrap();
         assert_eq!(view.len(), 3);
-        admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let handle = client.distributed_handle(contact, "p").unwrap();
+        s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
+        let handle = s.client.distributed_handle(contact, "p").unwrap();
         handle.activate(0).unwrap();
         handle.execute(0).unwrap();
         handle.deactivate(0).unwrap();
 
         ready_tx.send(()).unwrap();
         killed_rx.recv().unwrap();
-        for _ in 0..600 {
-            if client.view_from(contact).map(|v| !v.contains(&victim_addr)) == Ok(true) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_until("the contact dropped the victim", || {
+            s.client.view_from(contact).map(|v| !v.contains(&victim_addr)) == Ok(true)
+        });
         handle.refresh_view().unwrap();
         handle.activate(1).unwrap();
         let n = handle.members().len();
         handle.execute(1).unwrap();
         handle.deactivate(1).unwrap();
-        margo.finalize();
         n
     });
 
     ready_rx.recv().unwrap();
-    victim.kill();
-    for _ in 0..400 {
-        for d in &daemons {
-            d.tick();
-        }
-        if daemons.iter().all(|d| !d.view().contains(&victim_addr)) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    area.kill(2);
+    area.settle();
     killed_tx.send(()).unwrap();
     let n = sim.join();
     assert_eq!(n, 2, "protocol must continue on the survivors despite loss");
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 /// Everything one run of the noisy-tenant crash scenario produced that
@@ -1320,7 +1006,7 @@ fn tenant_crash_policy(block: usize) -> TenancyConfig {
 /// tenant's data comes through fully replicated. After release, the
 /// noisy tenant's backed-off stage goes through: crash repair and quota
 /// backpressure compose.
-fn tenant_crash_run(seed: u64, tag: &str) -> TenantCrashOutcome {
+fn tenant_crash_run(seed: u64) -> TenantCrashOutcome {
     const WB_BLOCKS: u64 = 4;
     const NOISY_BLOCK: usize = 1024;
     /// Flood size: 6 blocks × 2 copies over 3 servers lands ≥ 4 KiB on
@@ -1329,53 +1015,21 @@ fn tenant_crash_run(seed: u64, tag: &str) -> TenantCrashOutcome {
     let wb_total: u64 = (0..WB_BLOCKS).map(|b| 256 * (b + 1)).sum();
 
     let plan = rpc_scoped(FaultPlan::seeded(seed).with_loss(0.01));
-    let (cluster, fabric, mut cfg) = env(&format!("tenant-crash-{tag}"), plan);
-    cluster.shared().tracer().set_enabled(true);
-    cfg.tick_interval = Duration::from_secs(3600); // harness-driven only
-    cfg.auto_repair = false; // all migration at the 2PC boundary
-    cfg.tenancy = tenant_crash_policy(NOISY_BLOCK);
-    let mut daemons: Vec<ColzaDaemon> = (0..3)
-        .map(|i| ColzaDaemon::spawn(&cluster, &fabric, i, cfg.clone()))
-        .collect();
-    for _ in 0..60 {
-        for d in &daemons {
-            d.tick_sync();
-        }
-    }
-    assert!(
-        daemons.iter().all(|d| d.view().len() == 3),
-        "serialized gossip failed to converge"
-    );
-    let contact = daemons[0].address();
+    let mut area = driven_trio(plan, |cfg| {
+        cfg.tenancy = tenant_crash_policy(NOISY_BLOCK);
+    });
+    let contact = area.contact();
 
     // The victim is the noisy pipeline's block-0 primary under the ring
     // the client and the servers share.
-    let members: Vec<Address> = {
-        let mut m: Vec<Address> = daemons.iter().map(|d| d.address()).collect();
-        m.sort_unstable();
-        m
-    };
-    let ring_cfg = RingConfig {
-        replication: 2,
-        ..RingConfig::default()
-    };
-    let shared = Arc::clone(cluster.shared());
-    let ring = HashRing::build(&members, |a| shared.node_of(a.pid()), ring_cfg);
-    let victim_addr = ring.primary(&BlockKey::new("noisy", 0)).unwrap();
-    let victim_idx = daemons
-        .iter()
-        .position(|d| d.address() == victim_addr)
-        .unwrap();
+    let victim_addr = area.primary_of("noisy", 0, 2);
 
-    let f2 = fabric.clone();
     let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
     let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
     let (recovered_tx, recovered_rx) = crossbeam::channel::bounded::<()>(1);
     let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
+    let sim = area.client("sim", 8, move |s| {
+        let (client, admin) = (&s.client, &s.admin);
         let view = client.view_from(contact).unwrap();
         admin.create_pipeline_on_all(&view, "null", "wb", "").unwrap();
         admin
@@ -1442,27 +1096,14 @@ fn tenant_crash_run(seed: u64, tag: &str) -> TenantCrashOutcome {
             .expect("post-release stage must ride through");
         noisy.execute(1).unwrap();
         noisy.deactivate(1).unwrap();
-        margo.finalize();
         refusals
     });
 
     staged_rx.recv().unwrap();
-    // Quiesced crash point: client is blocked, daemons are idle.
-    daemons.remove(victim_idx).kill();
-    // Serialized SWIM rounds until both survivors declare the death.
-    let mut rounds = 0;
-    while daemons.iter().any(|d| d.view().contains(&victim_addr)) {
-        for d in &daemons {
-            d.tick_sync();
-        }
-        rounds += 1;
-        assert!(rounds < 500, "survivors never declared the victim dead");
-    }
-    for _ in 0..10 {
-        for d in &daemons {
-            d.tick_sync();
-        }
-    }
+    // Quiesced crash point: client is blocked, daemons are idle. Then
+    // serialized SWIM rounds until both survivors declare the death.
+    area.kill(area.index_of(victim_addr));
+    area.settle();
     killed_tx.send(()).unwrap();
 
     recovered_rx.recv().unwrap();
@@ -1470,7 +1111,8 @@ fn tenant_crash_run(seed: u64, tag: &str) -> TenantCrashOutcome {
     // well-behaved tenant's blocks are fully replicated — every survivor
     // holds all of them — regardless of what the noisy flood did.
     let survivors: Vec<(u64, u64, u64)> = {
-        let mut v: Vec<(u64, u64, u64)> = daemons
+        let mut v: Vec<(u64, u64, u64)> = area
+            .daemons()
             .iter()
             .map(|d| {
                 let s = d.provider().store();
@@ -1504,16 +1146,9 @@ fn tenant_crash_run(seed: u64, tag: &str) -> TenantCrashOutcome {
     done_tx.send(()).unwrap();
     let client_refusals = sim.join();
 
-    let snap = cluster.shared().trace_snapshot();
-    let mut trace = cluster.shared().faults().trace();
-    trace.sort_unstable();
-    let trace_export = trace
-        .iter()
-        .map(|r| format!("{r:?}"))
-        .collect::<Vec<_>>()
-        .join("\n");
+    let snap = area.shared().trace_snapshot();
     let out = TenantCrashOutcome {
-        trace_export,
+        trace_export: area.fault_trace_export(),
         client_refusals,
         refused: snap.counter_total("colza.qos.quota.refused"),
         promoted: snap.counter_total("colza.store.promoted.blocks")
@@ -1521,9 +1156,7 @@ fn tenant_crash_run(seed: u64, tag: &str) -> TenantCrashOutcome {
         pushed: snap.counter_total("colza.store.recv.blocks"),
         survivors,
     };
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
     out
 }
 
@@ -1535,7 +1168,7 @@ fn tenant_crash_run(seed: u64, tag: &str) -> TenantCrashOutcome {
 #[test]
 fn noisy_tenant_crash_repairs_without_losing_the_well_behaved_tenant() {
     let seed = chaos_seed();
-    let a = tenant_crash_run(seed, "a");
+    let a = tenant_crash_run(seed);
     assert!(a.client_refusals >= 1, "the flood never bounced off quota");
     assert!(
         a.refused >= a.client_refusals,
@@ -1546,7 +1179,7 @@ fn noisy_tenant_crash_repairs_without_losing_the_well_behaved_tenant() {
     assert!(a.promoted >= 1, "the victim's primaries must be promoted");
     assert!(a.pushed >= 1, "re-replication must push blocks");
     assert!(!a.trace_export.is_empty(), "1% loss injected nothing");
-    let b = tenant_crash_run(seed, "b");
+    let b = tenant_crash_run(seed);
     assert_eq!(
         a.trace_export, b.trace_export,
         "fault-trace exports diverged for one seed"
@@ -1578,51 +1211,16 @@ struct TriggeredCrashOutcome {
 /// re-evaluate the trigger from scratch on the shrunk view: the
 /// surviving ranks rebuild identical global stats from store replicas
 /// and reach the same `run` decision.
-fn triggered_crash_run(seed: u64, tag: &str) -> TriggeredCrashOutcome {
+fn triggered_crash_run(seed: u64) -> TriggeredCrashOutcome {
     const BLOCKS: u64 = 4;
     let plan = rpc_scoped(FaultPlan::seeded(seed));
-    let (cluster, fabric, mut cfg) = env(&format!("trigcrash-{tag}"), plan);
-    cluster.shared().tracer().set_enabled(true);
-    cfg.tick_interval = Duration::from_secs(3600); // harness-driven only
-    cfg.auto_repair = false; // all migration at the 2PC boundary
-    cfg.mona.fault.recv_deadline = Some(Duration::from_secs(5));
-    let mut daemons: Vec<ColzaDaemon> = (0..3)
-        .map(|i| ColzaDaemon::spawn(&cluster, &fabric, i, cfg.clone()))
-        .collect();
-    for _ in 0..60 {
-        for d in &daemons {
-            d.tick_sync();
-        }
-    }
-    assert!(
-        daemons.iter().all(|d| d.view().len() == 3),
-        "serialized gossip failed to converge"
-    );
-    let contact = daemons[0].address();
+    let mut area = driven_trio(plan, |cfg| {
+        cfg.mona.fault.recv_deadline = Some(Duration::from_secs(5));
+    });
+    let contact = area.contact();
 
-    let members: Vec<Address> = {
-        let mut m: Vec<Address> = daemons.iter().map(|d| d.address()).collect();
-        m.sort_unstable();
-        m
-    };
-    let ring_cfg = RingConfig {
-        replication: 2,
-        ..RingConfig::default()
-    };
-    let shared = Arc::clone(cluster.shared());
-    let ring = HashRing::build(&members, |a| shared.node_of(a.pid()), ring_cfg);
-    let victim_addr = ring.primary(&BlockKey::new("t", 0)).unwrap();
-    let victim_idx = daemons
-        .iter()
-        .position(|d| d.address() == victim_addr)
-        .unwrap();
-    let victim_node = shared.node_of(victim_addr.pid()).unwrap();
-    cluster.shared().faults().crash_after_sends_now(
-        victim_node,
-        na::tags::MONA_BASE,
-        na::tags::MPI_BASE - 1,
-        2,
-    );
+    let victim_addr = area.primary_of("t", 0, 2);
+    area.crash_after_mona_sends(victim_addr, 2);
 
     // A triggered mandelbulb: the escape field tops out near 30, so the
     // gate fires on this iteration's data, and the reparam keeps the
@@ -1637,28 +1235,17 @@ fn triggered_crash_run(seed: u64, tag: &str) -> TriggeredCrashOutcome {
     ];
     let script = s.to_json();
 
-    let f2 = fabric.clone();
     let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
     let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
     let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
-        admin
+    let sim = area.client("sim", 8, move |s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin
             .create_pipeline_on_all(&view, "catalyst", "t", &script)
             .unwrap();
-        let mut handle = client.distributed_handle(contact, "t").unwrap();
+        let mut handle = s.client.distributed_handle(contact, "t").unwrap();
         handle.set_replication(2);
-        handle.set_heavy_retry(RetryConfig {
-            max_attempts: 0,
-            base_delay: Duration::from_millis(5),
-            max_delay: Duration::from_millis(100),
-            per_try_timeout: Duration::from_secs(2),
-            deadline: Some(Duration::from_secs(120)),
-            ..Default::default()
-        });
+        handle.set_heavy_retry(crash_probe_retry());
         let bulb = sims::mandelbulb::Mandelbulb {
             dims: [12, 12, 12],
             ..Default::default()
@@ -1681,58 +1268,28 @@ fn triggered_crash_run(seed: u64, tag: &str) -> TriggeredCrashOutcome {
         executed_tx.send(()).unwrap();
         done_rx.recv().unwrap();
         handle.deactivate(0).unwrap();
-        margo.finalize();
         (outcome, img)
     });
 
     staged_rx.recv().unwrap();
-    let mut tripped = false;
-    for _ in 0..30_000 {
-        if cluster.shared().faults().crash_tripped(victim_node) {
-            tripped = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert!(tripped, "the victim never hit its send-count crash budget");
-    daemons.remove(victim_idx).kill();
-    let mut rounds = 0;
-    while daemons.iter().any(|d| d.view().contains(&victim_addr)) {
-        for d in &daemons {
-            d.tick_sync();
-        }
-        rounds += 1;
-        assert!(rounds < 500, "survivors never declared the victim dead");
-    }
-    for _ in 0..10 {
-        for d in &daemons {
-            d.tick_sync();
-        }
-    }
+    area.wait_crash_tripped(victim_addr);
+    area.kill(area.index_of(victim_addr));
+    area.settle();
 
     executed_rx.recv().unwrap();
     done_tx.send(()).unwrap();
     let (outcome, img) = sim.join();
 
-    let snap = cluster.shared().trace_snapshot();
-    let mut trace = cluster.shared().faults().trace();
-    trace.sort_unstable();
-    let trace_export = trace
-        .iter()
-        .map(|r| format!("{r:?}"))
-        .collect::<Vec<_>>()
-        .join("\n");
+    let snap = area.shared().trace_snapshot();
     let out = TriggeredCrashOutcome {
-        trace_export,
+        trace_export: area.fault_trace_export(),
         image: img,
         outcome,
         aborted: snap.counter_total("colza.exec.aborted"),
         recoveries: snap.counter_total("colza.exec.recoveries"),
         skipped: snap.counter_total("colza.trigger.skipped"),
     };
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
     out
 }
 
@@ -1745,7 +1302,7 @@ fn triggered_crash_run(seed: u64, tag: &str) -> TriggeredCrashOutcome {
 #[test]
 fn mid_iteration_crash_on_triggered_iteration_recovers_same_decision() {
     let seed = chaos_seed();
-    let a = triggered_crash_run(seed, "a");
+    let a = triggered_crash_run(seed);
     assert_eq!(
         a.outcome,
         colza::ExecOutcome::Ran,
@@ -1758,6 +1315,6 @@ fn mid_iteration_crash_on_triggered_iteration_recovers_same_decision() {
         vizkit::Image::from_bytes(&a.image).coverage() > 0.0,
         "recovered triggered iteration rendered an empty image"
     );
-    let b = triggered_crash_run(seed, "b");
+    let b = triggered_crash_run(seed);
     assert_eq!(a, b, "triggered-crash outcomes diverged for one seed");
 }

@@ -4,44 +4,35 @@
 
 use std::sync::Arc;
 
-use colza::daemon::{launch_group, settle_views};
-use colza::{AdminClient, BlockMeta, ColzaClient, ColzaDaemon, DaemonConfig};
+use colza::daemon::{wait_until, Session};
+use colza::{BlockMeta, StagingArea};
+use hpcsim::ClusterConfig;
 use margo::MargoInstance;
 use na::Fabric;
 
-fn env(name: &str) -> (hpcsim::Cluster, Fabric, DaemonConfig) {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join(format!("colza-e2e-{name}-{}.addrs", std::process::id()));
-    std::fs::remove_file(&conn).ok();
-    (cluster, fabric, DaemonConfig::new(conn))
-}
-
 #[test]
 fn gray_scott_through_colza_produces_an_image() {
-    let (cluster, fabric, cfg) = env("gs");
-    let daemons = launch_group(&cluster, &fabric, 2, 1, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = StagingArea::new(ClusterConfig::aries());
+    area.launch(2, 1);
+    let contact = area.contact();
     let coverage = minimpi::MpiWorld::launch(
-        &cluster,
-        &fabric,
+        area.cluster(),
+        area.fabric(),
         2,
         2,
         2,
         minimpi::Profile::Vendor,
         move |comm| {
-            let margo = MargoInstance::from_endpoint(Arc::clone(comm.endpoint()));
-            let client = ColzaClient::new(Arc::clone(&margo));
+            let s = Session::new(MargoInstance::from_endpoint(Arc::clone(comm.endpoint())));
             if comm.rank() == 0 {
-                let admin = AdminClient::new(Arc::clone(&margo));
                 let script = catalyst::PipelineScript::gray_scott(96, 96).to_json();
-                let view = client.view_from(contact).unwrap();
-                admin
+                let view = s.client.view_from(contact).unwrap();
+                s.admin
                     .create_pipeline_on_all(&view, "catalyst", "gs", &script)
                     .unwrap();
             }
             comm.barrier().unwrap();
-            let handle = client.distributed_handle(contact, "gs").unwrap();
+            let handle = s.client.distributed_handle(contact, "gs").unwrap();
             let mut sim = sims::gray_scott::GrayScott::new(
                 24,
                 comm.rank(),
@@ -70,36 +61,30 @@ fn gray_scott_through_colza_produces_an_image() {
                 -1.0
             };
             comm.barrier().unwrap();
-            margo.finalize();
             out
         },
     );
     assert!(coverage[0] > 0.0, "root coverage {}", coverage[0]);
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 #[test]
 fn elastic_grow_and_admin_shrink_under_load() {
-    let (cluster, fabric, cfg) = env("elastic");
-    let mut daemons = launch_group(&cluster, &fabric, 2, 1, 0, &cfg);
-    let contact = daemons[0].address();
+    let mut area = StagingArea::new(ClusterConfig::aries());
+    area.launch(2, 1);
+    let contact = area.contact();
     let script = catalyst::PipelineScript::mandelbulb(48, 48).to_json();
 
     let (grow_tx, grow_rx) = crossbeam::channel::bounded::<()>(1);
     let (grown_tx, grown_rx) = crossbeam::channel::bounded::<na::Address>(1);
 
-    let f2 = fabric.clone();
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
+    let sim = area.client("sim", 8, move |s| {
+        let admin = &s.admin;
+        let view = s.client.view_from(contact).unwrap();
         admin
             .create_pipeline_on_all(&view, "catalyst", "m", &script)
             .unwrap();
-        let handle = client.distributed_handle(contact, "m").unwrap();
+        let handle = s.client.distributed_handle(contact, "m").unwrap();
         let bulb = sims::mandelbulb::Mandelbulb {
             dims: [12, 12, 12],
             ..Default::default()
@@ -120,12 +105,9 @@ fn elastic_grow_and_admin_shrink_under_load() {
                 // view to shrink, then keep iterating.
                 let view = handle.refresh_view().unwrap();
                 admin.request_leave(*view.last().unwrap()).unwrap();
-                for _ in 0..400 {
-                    if handle.refresh_view().map(|v| v.len()) == Ok(view.len() - 1) {
-                        break;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
+                wait_until("the leaver left the client's view", || {
+                    handle.refresh_view().map(|v| v.len()) == Ok(view.len() - 1)
+                });
             }
             handle.activate(iteration).unwrap();
             server_counts.push(handle.members().len());
@@ -142,16 +124,13 @@ fn elastic_grow_and_admin_shrink_under_load() {
             handle.execute(iteration).unwrap();
             handle.deactivate(iteration).unwrap();
         }
-        margo.finalize();
         server_counts
     });
 
     grow_rx.recv().unwrap();
-    let newcomer = ColzaDaemon::spawn(&cluster, &fabric, 4, cfg.clone());
-    let fresh_addr = newcomer.address();
-    daemons.push(newcomer);
-    settle_views(&daemons, 3);
-    grown_tx.send(fresh_addr).unwrap();
+    let fresh = area.grow_on(&[4]);
+    area.settle();
+    grown_tx.send(fresh[0]).unwrap();
 
     let counts = sim.join();
     assert_eq!(counts[0], 2);
@@ -159,24 +138,18 @@ fn elastic_grow_and_admin_shrink_under_load() {
     assert_eq!(counts[3], 2, "shrank before iteration 3");
 
     // The leaver exits by itself; collect it before stopping the rest.
-    let leaver = daemons.pop().unwrap();
-    leaver.wait();
-    for d in daemons {
-        d.stop();
-    }
+    area.wait(2);
+    area.shutdown();
 }
 
 #[test]
 fn all_three_pipelines_render_through_the_catalyst_backend() {
-    let (cluster, fabric, cfg) = env("allpipes");
-    let daemons = launch_group(&cluster, &fabric, 1, 1, 0, &cfg);
-    let contact = daemons[0].address();
-    let f2 = fabric.clone();
-    let coverages = cluster
-        .spawn("sim", 8, move || {
-            let margo = MargoInstance::init(&f2);
-            let client = ColzaClient::new(Arc::clone(&margo));
-            let admin = AdminClient::new(Arc::clone(&margo));
+    let mut area = StagingArea::new(ClusterConfig::aries());
+    area.launch(1, 1);
+    let contact = area.contact();
+    let coverages = area
+        .client("sim", 8, move |s| {
+            let (client, admin) = (&s.client, &s.admin);
             let view = client.view_from(contact).unwrap();
             let mut out = Vec::new();
 
@@ -231,39 +204,31 @@ fn all_three_pipelines_render_through_the_catalyst_backend() {
                 handle.deactivate(0).unwrap();
                 out.push((name, vizkit::Image::from_bytes(&img).coverage()));
             }
-            margo.finalize();
             out
         })
         .join();
     for (name, cov) in coverages {
         assert!(cov > 0.0, "{name} rendered an empty image");
     }
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 #[test]
 fn killed_server_is_detected_and_protocol_recovers() {
-    let (cluster, fabric, cfg) = env("failure");
-    let mut daemons = launch_group(&cluster, &fabric, 3, 1, 0, &cfg);
-    let contact = daemons[0].address();
-    let victim = daemons.remove(2);
-    let victim_addr = victim.address();
+    let mut area = StagingArea::new(ClusterConfig::aries());
+    area.launch(3, 1);
+    let contact = area.contact();
+    let victim_addr = area.daemons()[2].address();
 
-    let f2 = fabric.clone();
     let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
     let (ready_tx, ready_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
+    let sim = area.client("sim", 8, move |s| {
+        let view = s.client.view_from(contact).unwrap();
         assert_eq!(view.len(), 3);
-        admin
+        s.admin
             .create_pipeline_on_all(&view, "null", "p", "")
             .unwrap();
-        let handle = client.distributed_handle(contact, "p").unwrap();
+        let handle = s.client.distributed_handle(contact, "p").unwrap();
         handle.activate(0).unwrap();
         handle.execute(0).unwrap();
         handle.deactivate(0).unwrap();
@@ -271,12 +236,9 @@ fn killed_server_is_detected_and_protocol_recovers() {
         // Wait for the harness to crash a server and SWIM to notice.
         ready_tx.send(()).unwrap();
         killed_rx.recv().unwrap();
-        for _ in 0..600 {
-            if client.view_from(contact).map(|v| !v.contains(&victim_addr)) == Ok(true) {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
+        wait_until("the contact dropped the victim", || {
+            s.client.view_from(contact).map(|v| !v.contains(&victim_addr)) == Ok(true)
+        });
         // The 2PC in activate adopts the survivor view; the protocol keeps
         // working on 2 servers.
         handle.refresh_view().unwrap();
@@ -284,28 +246,17 @@ fn killed_server_is_detected_and_protocol_recovers() {
         let n = handle.members().len();
         handle.execute(1).unwrap();
         handle.deactivate(1).unwrap();
-        margo.finalize();
         n
     });
 
     ready_rx.recv().unwrap();
-    victim.kill();
+    area.kill(2);
     // Drive gossip so suspicion matures (ticks also advance rounds).
-    for _ in 0..400 {
-        for d in &daemons {
-            d.tick();
-        }
-        if daemons.iter().all(|d| !d.view().contains(&victim_addr)) {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
+    area.settle();
     killed_tx.send(()).unwrap();
     let n = sim.join();
     assert_eq!(n, 2, "protocol must continue on the survivors");
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }
 
 #[test]

@@ -11,90 +11,29 @@
 //! thread, and two same-seed runs must produce byte-identical outcomes.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
 use colza::{
-    AdminClient, BlockMeta, ColzaClient, ColzaDaemon, DaemonConfig, ScrubReport, ServerLifecycle,
-    Supervisor, SupervisorAction, TenancyConfig, TenantConfig,
+    BlockMeta, ScrubReport, ServerLifecycle, StagingArea, Supervisor, SupervisorAction,
+    TenancyConfig, TenantConfig,
 };
-use hpcsim::FaultPlan;
-use margo::MargoInstance;
-use na::{Address, Fabric};
-use store::{BlockKey, HashRing, RingConfig};
+use colza_repro::{assert_each_block_fed_once, chaos_seed, rpc_scoped};
+use hpcsim::{ClusterConfig, FaultPlan};
+use na::Address;
 
-/// The pinned chaos seed (override with `COLZA_CHAOS_SEED`).
-fn chaos_seed() -> u64 {
-    std::env::var("COLZA_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
-/// A plan scoped to the retryable RPC plane (requests + responses).
-fn rpc_scoped(plan: FaultPlan) -> FaultPlan {
-    plan.scope_tags(na::tags::RPC_BASE, na::tags::MONA_BASE - 1)
-}
-
-fn env(name: &str, plan: FaultPlan) -> (hpcsim::Cluster, Fabric, DaemonConfig) {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig {
+/// A harness-driven area (no daemon ever ticks on its own) under `plan`,
+/// tracer on, with `n` daemons — one per node — settled by serialized
+/// SWIM rounds.
+fn driven_area(plan: FaultPlan, auto_repair: bool, n: usize) -> StagingArea {
+    let mut area = StagingArea::harness_driven(ClusterConfig {
         faults: plan,
-        ..hpcsim::ClusterConfig::aries()
+        ..ClusterConfig::aries()
     });
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join(format!("colza-heal-{name}-{}.addrs", std::process::id()));
-    std::fs::remove_file(&conn).ok();
-    (cluster, fabric, DaemonConfig::new(conn))
-}
-
-/// Serialized SWIM rounds until every daemon's view has exactly `expect`
-/// members (bounded; panics if convergence never happens).
-fn settle_sync(daemons: &[ColzaDaemon], expect: usize) {
-    for _ in 0..500 {
-        if daemons.iter().all(|d| d.view().len() == expect) {
-            // A few extra rounds so epochs converge too.
-            for _ in 0..10 {
-                for d in daemons {
-                    d.tick_sync();
-                }
-            }
-            return;
-        }
-        for d in daemons {
-            d.tick_sync();
-        }
-    }
-    panic!(
-        "serialized gossip failed to converge at {expect}: {:?}",
-        daemons.iter().map(|d| d.view().len()).collect::<Vec<_>>()
-    );
-}
-
-/// Runs serialized scrub passes over all daemons until a steady pass —
-/// one where nobody pushed, reclaimed, refused, failed, or measured any
-/// residue — and returns the per-pass reports. The bound is the
-/// convergence guarantee: a scrubber that keeps finding work past it is
-/// failing to converge, and the test dies loudly.
-fn scrub_until_steady(daemons: &[ColzaDaemon], max_passes: usize) -> Vec<Vec<ScrubReport>> {
-    let mut all = Vec::new();
-    for _ in 0..max_passes {
-        let reports: Vec<ScrubReport> = daemons.iter().map(|d| d.scrub_sync()).collect();
-        let steady = reports.iter().all(|r| {
-            r.pushed == 0
-                && r.reclaimed == 0
-                && r.refused == 0
-                && r.failed == 0
-                && r.unreachable == 0
-                && r.under_replicated == 0
-                && r.orphans == 0
-                && r.collected == 0
-        });
-        all.push(reports);
-        if steady {
-            return all;
-        }
-    }
-    panic!("scrub never reached a steady pass: {all:?}");
+    area.shared().tracer().set_enabled(true);
+    area.config_mut().auto_repair = auto_repair;
+    area.launch(n, 1);
+    area.settle();
+    area
 }
 
 /// Everything one run of the suppressed-departure scenario produced that
@@ -122,54 +61,26 @@ struct SuppressedHealOutcome {
 /// re-replicates everything the survivors lack, the next proves there is
 /// nothing left to do, and the client completes the iteration on the
 /// healed survivors.
-fn suppressed_heal_run(seed: u64, tag: &str) -> SuppressedHealOutcome {
+fn suppressed_heal_run(seed: u64) -> SuppressedHealOutcome {
     const BLOCKS: u64 = 4;
     let plan = rpc_scoped(FaultPlan::seeded(seed).with_loss(0.01));
-    let (cluster, fabric, mut cfg) = env(&format!("suppress-{tag}"), plan);
-    cluster.shared().tracer().set_enabled(true);
-    cfg.tick_interval = Duration::from_secs(3600); // harness-driven only
-    cfg.auto_repair = true; // reactive path armed — and provably silent
-    let mut daemons: Vec<ColzaDaemon> = (0..3)
-        .map(|i| ColzaDaemon::spawn(&cluster, &fabric, i, cfg.clone()))
-        .collect();
-    settle_sync(&daemons, 3);
-    let contact = daemons[0].address();
+    // Reactive path armed — and provably silent.
+    let mut area = driven_area(plan, true, 3);
+    let contact = area.contact();
 
     // The victim is block 0's primary under the shared three-member ring.
-    let members: Vec<Address> = {
-        let mut m: Vec<Address> = daemons.iter().map(|d| d.address()).collect();
-        m.sort_unstable();
-        m
-    };
-    let ring_cfg = RingConfig {
-        replication: 2,
-        ..RingConfig::default()
-    };
-    let shared = Arc::clone(cluster.shared());
-    let ring = HashRing::build(&members, |a| shared.node_of(a.pid()), ring_cfg);
-    let victim_addr = ring.primary(&BlockKey::new("p", 0)).unwrap();
-    let victim_idx = daemons
-        .iter()
-        .position(|d| d.address() == victim_addr)
-        .unwrap();
+    let victim_addr = area.primary_of("p", 0, 2);
     // Arm the chaos rule: this member's departure is never observed.
-    cluster
-        .shared()
-        .faults()
-        .suppress_departure_now(victim_addr.0);
+    area.shared().faults().suppress_departure_now(victim_addr.0);
 
-    let f2 = fabric.clone();
     let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
     let (healed_tx, healed_rx) = crossbeam::channel::bounded::<()>(1);
     let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
     let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
-        admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let mut handle = client.distributed_handle(contact, "p").unwrap();
+    let sim = area.client("sim", 8, move |s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
+        let mut handle = s.client.distributed_handle(contact, "p").unwrap();
         handle.set_replication(2);
         handle.activate(0).unwrap();
         for b in 0..BLOCKS {
@@ -196,16 +107,15 @@ fn suppressed_heal_run(seed: u64, tag: &str) -> SuppressedHealOutcome {
         executed_tx.send(()).unwrap();
         done_rx.recv().unwrap();
         handle.deactivate(0).unwrap();
-        margo.finalize();
     });
 
     staged_rx.recv().unwrap();
     // Quiesced crash point: client blocked, daemons idle.
-    daemons.remove(victim_idx).kill();
-    settle_sync(&daemons, 2);
+    area.kill(area.index_of(victim_addr));
+    area.settle();
     // The reactive path had every chance to fire by now — it must not
     // have: the only departure event was swallowed.
-    let scrub_reports = scrub_until_steady(&daemons, 8);
+    let scrub_reports = area.scrub_until_steady(8);
     // Convergence in bounded virtual time: the final pass measured zero
     // under-replication and zero orphans on every survivor.
     for r in scrub_reports.last().unwrap() {
@@ -213,7 +123,7 @@ fn suppressed_heal_run(seed: u64, tag: &str) -> SuppressedHealOutcome {
         assert_eq!(r.orphans, 0, "scrub left orphans");
     }
     // With k = 2 over 2 survivors, every survivor holds every block.
-    for d in &daemons {
+    for d in area.daemons() {
         assert_eq!(
             d.provider().store().len(),
             BLOCKS as usize,
@@ -224,43 +134,19 @@ fn suppressed_heal_run(seed: u64, tag: &str) -> SuppressedHealOutcome {
 
     executed_rx.recv().unwrap();
     // Post-execute, pre-deactivate: each block fed exactly one backend.
-    for b in 0..BLOCKS {
-        let fed: usize = daemons
-            .iter()
-            .flat_map(|d| d.provider().store().snapshot())
-            .filter(|x| x.key.block_id == b && x.fed)
-            .count();
-        assert_eq!(fed, 1, "block {b} must feed exactly one backend");
-    }
+    assert_each_block_fed_once(&area, BLOCKS, 0);
     done_tx.send(()).unwrap();
     sim.join();
 
-    let snap = cluster.shared().trace_snapshot();
-    let mut survivors: Vec<(u64, usize, u64)> = daemons
-        .iter()
-        .map(|d| {
-            let s = d.provider().store();
-            (d.address().0, s.len(), s.staged_bytes())
-        })
-        .collect();
-    survivors.sort_unstable();
-    let mut trace = cluster.shared().faults().trace();
-    trace.sort_unstable();
-    let trace_export = trace
-        .iter()
-        .map(|r| format!("{r:?}"))
-        .collect::<Vec<_>>()
-        .join("\n");
+    let snap = area.shared().trace_snapshot();
     let out = SuppressedHealOutcome {
-        trace_export,
+        trace_export: area.fault_trace_export(),
         scrub_reports,
         suppressed: snap.counter_total("ssg.event.suppressed"),
         repair_runs: snap.counter_total("colza.store.repair.runs"),
-        survivors,
+        survivors: area.holdings(),
     };
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
     out
 }
 
@@ -271,7 +157,7 @@ fn suppressed_heal_run(seed: u64, tag: &str) -> SuppressedHealOutcome {
 #[test]
 fn suppressed_departure_heals_via_scrub_deterministically() {
     let seed = chaos_seed();
-    let a = suppressed_heal_run(seed, "a");
+    let a = suppressed_heal_run(seed);
     assert!(a.suppressed >= 1, "the chaos rule never swallowed an event");
     assert_eq!(
         a.repair_runs, 0,
@@ -282,7 +168,7 @@ fn suppressed_departure_heals_via_scrub_deterministically() {
         "the first scrub pass must re-replicate the victim's blocks"
     );
     assert!(!a.trace_export.is_empty(), "1% loss injected nothing");
-    let b = suppressed_heal_run(seed, "b");
+    let b = suppressed_heal_run(seed);
     assert_eq!(
         a.trace_export, b.trace_export,
         "fault-trace exports diverged for one seed"
@@ -305,44 +191,22 @@ struct DoubleCrashOutcome {
 /// one survivor — mid-heal, with re-replication underway but not yet
 /// converged everywhere — a second server dies too. The scrubber must
 /// converge the remaining pair from that compound degradation.
-fn double_crash_run(seed: u64, tag: &str) -> DoubleCrashOutcome {
+fn double_crash_run(seed: u64) -> DoubleCrashOutcome {
     const BLOCKS: u64 = 6;
     let plan = rpc_scoped(FaultPlan::seeded(seed).with_loss(0.01));
-    let (cluster, fabric, mut cfg) = env(&format!("double-{tag}"), plan);
-    cluster.shared().tracer().set_enabled(true);
-    cfg.tick_interval = Duration::from_secs(3600); // harness-driven only
-    cfg.auto_repair = false; // scrub is the only repair path
-    let mut daemons: Vec<ColzaDaemon> = (0..4)
-        .map(|i| ColzaDaemon::spawn(&cluster, &fabric, i, cfg.clone()))
-        .collect();
-    settle_sync(&daemons, 4);
-    let contact = daemons[0].address();
+    // Reactive repair off: scrub is the only repair path.
+    let mut area = driven_area(plan, false, 4);
+    let contact = area.contact();
+    let first_victim = area.primary_of("p", 0, 2);
 
-    let members: Vec<Address> = {
-        let mut m: Vec<Address> = daemons.iter().map(|d| d.address()).collect();
-        m.sort_unstable();
-        m
-    };
-    let ring_cfg = RingConfig {
-        replication: 2,
-        ..RingConfig::default()
-    };
-    let shared = Arc::clone(cluster.shared());
-    let ring = HashRing::build(&members, |a| shared.node_of(a.pid()), ring_cfg);
-    let first_victim = ring.primary(&BlockKey::new("p", 0)).unwrap();
-
-    let f2 = fabric.clone();
     let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
     let (healed_tx, healed_rx) = crossbeam::channel::bounded::<()>(1);
     let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
     let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
-        admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let mut handle = client.distributed_handle(contact, "p").unwrap();
+    let sim = area.client("sim", 8, move |s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
+        let mut handle = s.client.distributed_handle(contact, "p").unwrap();
         handle.set_replication(2);
         handle.activate(0).unwrap();
         for b in 0..BLOCKS {
@@ -365,16 +229,11 @@ fn double_crash_run(seed: u64, tag: &str) -> DoubleCrashOutcome {
         executed_tx.send(()).unwrap();
         done_rx.recv().unwrap();
         handle.deactivate(0).unwrap();
-        margo.finalize();
     });
 
     staged_rx.recv().unwrap();
-    let idx = daemons
-        .iter()
-        .position(|d| d.address() == first_victim)
-        .unwrap();
-    daemons.remove(idx).kill();
-    settle_sync(&daemons, 3);
+    area.kill(area.index_of(first_victim));
+    area.settle();
 
     // One scrub pass on each survivor: the heal of crash #1 is underway
     // (every holder has pushed its under-replicated copies to their new
@@ -385,26 +244,15 @@ fn double_crash_run(seed: u64, tag: &str) -> DoubleCrashOutcome {
     // survivor must get its one pass in first: anti-entropy pushes from
     // holders, so a holder that dies without ever scrubbing takes any
     // sole copy down with it — that is lost data, not residue.)
-    let mut first_reports = vec![daemons.iter().map(|d| d.scrub_sync()).collect::<Vec<_>>()];
-    let survivors3: Vec<Address> = {
-        let mut m: Vec<Address> = daemons.iter().map(|d| d.address()).collect();
-        m.sort_unstable();
-        m
-    };
-    let shared2 = Arc::clone(cluster.shared());
-    let ring3 = HashRing::build(&survivors3, |a| shared2.node_of(a.pid()), ring_cfg);
-    let second_victim = ring3.primary(&BlockKey::new("p", 1)).unwrap();
-    let idx2 = daemons
-        .iter()
-        .position(|d| d.address() == second_victim)
-        .unwrap();
-    daemons.remove(idx2).kill();
-    settle_sync(&daemons, 2);
+    let first_pass: Vec<ScrubReport> = area.daemons().iter().map(|d| d.scrub_sync()).collect();
+    let mut scrub_reports = vec![first_pass];
+    let second_victim = area.primary_of("p", 1, 2);
+    area.kill(area.index_of(second_victim));
+    area.settle();
 
-    let mut rest = scrub_until_steady(&daemons, 10);
-    first_reports.append(&mut rest);
+    scrub_reports.append(&mut area.scrub_until_steady(10));
     // With k = 2 over 2 survivors, every survivor holds every block.
-    for d in &daemons {
+    for d in area.daemons() {
         assert_eq!(
             d.provider().store().len(),
             BLOCKS as usize,
@@ -414,40 +262,16 @@ fn double_crash_run(seed: u64, tag: &str) -> DoubleCrashOutcome {
     healed_tx.send(()).unwrap();
 
     executed_rx.recv().unwrap();
-    for b in 0..BLOCKS {
-        let fed: usize = daemons
-            .iter()
-            .flat_map(|d| d.provider().store().snapshot())
-            .filter(|x| x.key.block_id == b && x.fed)
-            .count();
-        assert_eq!(fed, 1, "block {b} must feed exactly one backend");
-    }
+    assert_each_block_fed_once(&area, BLOCKS, 0);
     done_tx.send(()).unwrap();
     sim.join();
 
-    let mut survivors: Vec<(u64, usize, u64)> = daemons
-        .iter()
-        .map(|d| {
-            let s = d.provider().store();
-            (d.address().0, s.len(), s.staged_bytes())
-        })
-        .collect();
-    survivors.sort_unstable();
-    let mut trace = cluster.shared().faults().trace();
-    trace.sort_unstable();
-    let trace_export = trace
-        .iter()
-        .map(|r| format!("{r:?}"))
-        .collect::<Vec<_>>()
-        .join("\n");
     let out = DoubleCrashOutcome {
-        trace_export,
-        scrub_reports: first_reports,
-        survivors,
+        trace_export: area.fault_trace_export(),
+        scrub_reports,
+        survivors: area.holdings(),
     };
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
     out
 }
 
@@ -457,12 +281,12 @@ fn double_crash_run(seed: u64, tag: &str) -> DoubleCrashOutcome {
 #[test]
 fn double_crash_mid_scrub_still_converges_deterministically() {
     let seed = chaos_seed();
-    let a = double_crash_run(seed, "a");
+    let a = double_crash_run(seed);
     assert!(
         a.scrub_reports.iter().flatten().any(|r| r.pushed > 0),
         "the scrub passes must have re-replicated something"
     );
-    let b = double_crash_run(seed, "b");
+    let b = double_crash_run(seed);
     assert_eq!(
         a.trace_export, b.trace_export,
         "fault-trace exports diverged for one seed"
@@ -479,15 +303,8 @@ fn double_crash_mid_scrub_still_converges_deterministically() {
 fn quota_refused_drain_parks_blocks_and_scrub_reclaims_them() {
     const BLOCKS: u64 = 6;
     const BLOCK_BYTES: usize = 256;
-    let (cluster, fabric, mut cfg) = env("handoff", FaultPlan::default());
-    cluster.shared().tracer().set_enabled(true);
-    cfg.tick_interval = Duration::from_secs(3600); // harness-driven only
-    cfg.auto_repair = false;
-    let daemons: Vec<ColzaDaemon> = (0..2)
-        .map(|i| ColzaDaemon::spawn(&cluster, &fabric, i, cfg.clone()))
-        .collect();
-    settle_sync(&daemons, 2);
-    let contact = daemons[0].address();
+    let mut area = driven_area(FaultPlan::default(), false, 2);
+    let contact = area.contact();
 
     // Tight quota: each server can hold up to five blocks of tenant "t"
     // — enough for its own staged share, never for the whole set — so
@@ -501,19 +318,16 @@ fn quota_refused_drain_parks_blocks_and_scrub_reclaims_them() {
     );
     let generous = TenancyConfig::enforcing().with_tenant("t", TenantConfig::default());
 
-    let f2 = fabric.clone();
     let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
     let (left_tx, left_rx) = crossbeam::channel::bounded::<()>(1);
     let (relaxed_tx, relaxed_rx) = crossbeam::channel::bounded::<()>(1);
     let (healed_tx, healed_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
+    let sim = area.client("sim", 8, move |s| {
+        let admin = &s.admin;
+        let view = s.client.view_from(contact).unwrap();
         admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
         admin.set_tenancy_on_all(&view, &tight).unwrap();
-        let mut handle = client.distributed_handle(contact, "p").unwrap();
+        let mut handle = s.client.distributed_handle(contact, "p").unwrap();
         handle.set_tenant("t");
         handle.activate(0).unwrap();
         for b in 0..BLOCKS {
@@ -538,29 +352,23 @@ fn quota_refused_drain_parks_blocks_and_scrub_reclaims_them() {
             Some(1),
             "healed single-survivor deployment must report healthy"
         );
-        margo.finalize();
     });
 
     staged_rx.recv().unwrap();
-    let mut rest = daemons.into_iter();
-    let survivor = rest.next().unwrap();
-    let leaver = rest.next().unwrap();
-    let leaver_held = leaver.provider().store().len();
+    let leaver_held = area.daemons()[1].provider().store().len();
     assert!(
         leaver_held >= 1,
         "the leaver must hold staged blocks for the scenario to bite"
     );
     // Stop = drain + (on refusal) handoff. The tight quota guarantees
     // the survivor cannot absorb the full set through the normal drain.
-    leaver.stop();
+    area.stop(1);
     // The goodbye may be refused while the iteration keeps the group
     // frozen; serialized probe rounds then mature suspicion into death.
-    let mut rounds = 0;
-    while survivor.view().len() > 1 {
-        survivor.tick_sync();
-        rounds += 1;
-        assert!(rounds < 500, "the leaver never left the view");
-    }
+    area.tick_until("the leaver never left the view", |a| {
+        a.daemons()[0].view().len() == 1
+    });
+    let survivor = &area.daemons()[0];
     assert!(
         survivor.provider().pending_handoff_len() >= 1,
         "the refused drain must have parked leftovers in the handoff set"
@@ -568,8 +376,7 @@ fn quota_refused_drain_parks_blocks_and_scrub_reclaims_them() {
     // The drain's refused pushes are booked as quota refusals (per
     // tenant), like every other pass's — not as transient failures.
     assert!(
-        cluster
-            .shared()
+        area.shared()
             .trace_snapshot()
             .counter_total("colza.tenant.t.push_refused")
             >= 1,
@@ -598,7 +405,7 @@ fn quota_refused_drain_parks_blocks_and_scrub_reclaims_them() {
         "every staged block must survive the refused drain"
     );
 
-    let snap = cluster.shared().trace_snapshot();
+    let snap = area.shared().trace_snapshot();
     assert_eq!(
         snap.counter_total("colza.store.drain.abandoned"),
         0,
@@ -612,7 +419,7 @@ fn quota_refused_drain_parks_blocks_and_scrub_reclaims_them() {
     );
     healed_tx.send(()).unwrap();
     sim.join();
-    survivor.stop();
+    area.shutdown();
 }
 
 /// Tentpole acceptance: the supervisor classifies a crash (vs. a
@@ -624,48 +431,25 @@ fn quota_refused_drain_parks_blocks_and_scrub_reclaims_them() {
 #[test]
 fn supervisor_replaces_crash_and_wait_healthy_converges() {
     const BLOCKS: u64 = 4;
-    let (cluster, fabric, mut cfg) = env("supervise", FaultPlan::default());
-    cluster.shared().tracer().set_enabled(true);
-    cfg.tick_interval = Duration::from_secs(3600); // harness-driven only
-    cfg.auto_repair = false;
-    let mut daemons: Vec<ColzaDaemon> = (0..3)
-        .map(|i| ColzaDaemon::spawn(&cluster, &fabric, i, cfg.clone()))
-        .collect();
-    settle_sync(&daemons, 3);
-
-    let members: Vec<Address> = {
-        let mut m: Vec<Address> = daemons.iter().map(|d| d.address()).collect();
-        m.sort_unstable();
-        m
-    };
-    let ring_cfg = RingConfig {
-        replication: 2,
-        ..RingConfig::default()
-    };
-    let shared = Arc::clone(cluster.shared());
-    let ring = HashRing::build(&members, |a| shared.node_of(a.pid()), ring_cfg);
-    let victim_addr = ring.primary(&BlockKey::new("p", 0)).unwrap();
-    // The client's contact must survive the crash: it keeps asking this
-    // address for fresh views after the kill.
-    let contact = daemons
+    let mut area = driven_area(FaultPlan::default(), false, 3);
+    let victim_addr = area.primary_of("p", 0, 2);
+    // The client's contact must survive the crash (it keeps asking this
+    // address for fresh views after the kill), and the supervisor must
+    // observe membership from a survivor: the first daemon that is
+    // definitely not the victim serves as both.
+    let watcher = area
+        .daemons()
         .iter()
-        .map(|d| d.address())
-        .find(|&a| a != victim_addr)
+        .find(|d| d.address() != victim_addr)
         .unwrap();
-    // Observe membership from a survivor that is definitely not the
-    // victim; its event stream drives the supervisor.
-    let watcher_idx = daemons
-        .iter()
-        .position(|d| d.address() != victim_addr)
-        .unwrap();
+    let contact = watcher.address();
     let events = Arc::new(std::sync::Mutex::new(Vec::new()));
     let ev2 = Arc::clone(&events);
-    daemons[watcher_idx]
+    watcher
         .provider()
         .group()
         .observe(move |e| ev2.lock().unwrap().push(e));
 
-    let f2 = fabric.clone();
     let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
     let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
     let (recovered_tx, recovered_rx) = crossbeam::channel::bounded::<()>(1);
@@ -674,10 +458,8 @@ fn supervisor_replaces_crash_and_wait_healthy_converges() {
     let (scrubbed_tx, scrubbed_rx) = crossbeam::channel::bounded::<()>(1);
     let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
     let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
+    let sim = area.client("sim", 8, move |s| {
+        let (client, admin) = (&s.client, &s.admin);
         let view = client.view_from(contact).unwrap();
         admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
         let mut handle = client.distributed_handle(contact, "p").unwrap();
@@ -738,17 +520,12 @@ fn supervisor_replaces_crash_and_wait_healthy_converges() {
         executed_tx.send(()).unwrap();
         done_rx.recv().unwrap();
         handle.deactivate(1).unwrap();
-        margo.finalize();
     });
 
     staged_rx.recv().unwrap();
     let mut supervisor = Supervisor::new();
-    let victim_idx = daemons
-        .iter()
-        .position(|d| d.address() == victim_addr)
-        .unwrap();
-    daemons.remove(victim_idx).kill();
-    settle_sync(&daemons, 2);
+    area.kill(area.index_of(victim_addr));
+    area.settle();
     killed_tx.send(()).unwrap();
     recovered_rx.recv().unwrap();
 
@@ -771,12 +548,10 @@ fn supervisor_replaces_crash_and_wait_healthy_converges() {
 
     // Spawn the replacement on a fresh node through the normal join path
     // (stale connection-file entries for the dead member are tolerated).
-    let replacement = ColzaDaemon::spawn(&cluster, &fabric, 3, cfg.clone());
-    let newcomer = replacement.address();
-    daemons.push(replacement);
-    settle_sync(&daemons, 3);
+    let newcomer = area.grow(1)[0];
+    area.settle();
     assert_eq!(
-        daemons.last().unwrap().provider().lifecycle(),
+        area.daemons().last().unwrap().provider().lifecycle(),
         ServerLifecycle::Joining,
         "a fresh replacement with no commit and no clean scrub is Joining"
     );
@@ -785,35 +560,27 @@ fn supervisor_replaces_crash_and_wait_healthy_converges() {
     staged2_rx.recv().unwrap();
     // Mid-iteration scrub over the trio verifies every holding against
     // the ring and gives each server the clean pass `healthy` demands.
-    scrub_until_steady(&daemons, 8);
+    area.scrub_until_steady(8);
     assert_eq!(
-        daemons.last().unwrap().provider().lifecycle(),
+        area.daemons().last().unwrap().provider().lifecycle(),
         ServerLifecycle::Ready,
         "a clean scrub pass flips the replacement to Ready"
     );
     scrubbed_tx.send(()).unwrap();
 
     executed_rx.recv().unwrap();
-    for b in 0..BLOCKS {
-        let fed: usize = daemons
-            .iter()
-            .flat_map(|d| d.provider().store().snapshot())
-            .filter(|x| x.key.block_id == b && x.iteration == 1 && x.fed)
-            .count();
-        assert_eq!(fed, 1, "block {b} must feed exactly one backend");
-    }
+    assert_each_block_fed_once(&area, BLOCKS, 1);
 
     // An *expected* departure must not trigger a second replacement.
-    supervisor.expect_leave(daemons[0].address());
+    let leaver = area.daemons()[0].address();
+    supervisor.expect_leave(leaver);
     assert_eq!(
-        supervisor.observe(&ssg::Event::Died(daemons[0].address())),
+        supervisor.observe(&ssg::Event::Died(leaver)),
         SupervisorAction::Ignore,
         "an expected shrink departure is voluntary, not a crash"
     );
 
     done_tx.send(()).unwrap();
     sim.join();
-    for d in daemons {
-        d.stop();
-    }
+    area.shutdown();
 }

@@ -8,16 +8,9 @@
 //! timestamp is a pure function of the protocol, so two runs with the
 //! same seed must export byte-identical timelines.
 
-use std::sync::Arc;
-
 use bytes::Bytes;
 
-use colza::provider::{ColzaProvider, ProviderComm};
-use colza::{AdminClient, BlockMeta, ColzaClient, MetricsReport};
-use margo::MargoInstance;
-use mona::{MonaConfig, MonaInstance};
-use na::Fabric;
-use ssg::{SsgConfig, SsgGroup};
+use colza::{BlockMeta, MetricsReport, StagingArea};
 
 const ITERATIONS: u64 = 3;
 const BLOCKS: u64 = 4;
@@ -50,42 +43,19 @@ fn run_scenario_with_codec(
     trace: bool,
     codec: Option<colza::CodecConfig>,
 ) -> RunOutput {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig {
+    let mut area = StagingArea::new(hpcsim::ClusterConfig {
         seed,
         compute_scale: 0.0,
         ..hpcsim::ClusterConfig::aries()
     });
-    cluster.shared().tracer().set_enabled(trace);
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
+    area.shared().tracer().set_enabled(trace);
+    // A bare server that never ticks: SWIM rounds are real-time driven
+    // and would perturb the virtual clocks nondeterministically.
+    let contact = area.launch_bare();
 
-    let (addr_tx, addr_rx) = crossbeam::channel::bounded(1);
-    let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
-    let f2 = fabric.clone();
-    let server = cluster.spawn("server", 0, move || {
-        let endpoint = Arc::new(f2.open());
-        let margo = MargoInstance::from_endpoint(Arc::clone(&endpoint));
-        let mona = MonaInstance::from_endpoint(Arc::clone(&endpoint), MonaConfig::default());
-        let group = SsgGroup::create(Arc::clone(&margo), "colza", SsgConfig::default());
-        let _provider = ColzaProvider::register(
-            Arc::clone(&margo),
-            mona,
-            Arc::clone(&group),
-            ProviderComm::Mona,
-        );
-        addr_tx.send(margo.address()).unwrap();
-        // Serve without ticking: SWIM rounds are real-time driven and
-        // would perturb the virtual clocks nondeterministically.
-        stop_rx.recv().ok();
-        margo.finalize();
-    });
-    let contact = addr_rx.recv().unwrap();
-
-    let f3 = fabric.clone();
-    let (report, client_end_ns) = cluster
-        .spawn("client", 1, move || {
-            let margo = MargoInstance::init(&f3);
-            let client = ColzaClient::new(Arc::clone(&margo));
-            let admin = AdminClient::new(Arc::clone(&margo));
+    let (report, client_end_ns) = area
+        .client("client", 1, move |s| {
+            let (client, admin) = (&s.client, &s.admin);
             let view = client.view_from(contact).unwrap();
             assert_eq!(view, vec![contact]);
             admin.create_pipeline(contact, "null", "p", "").unwrap();
@@ -111,16 +81,14 @@ fn run_scenario_with_codec(
             // the scrape's reply size depends on how many counters exist, so
             // its wire time legitimately differs between traced and dark
             // runs and must not count against the zero-cost property.
-            let now = hpcsim::current().now();
+            let now = s.ctx.now();
             let report = admin.metrics(contact).unwrap();
-            margo.finalize();
             (report, now)
         })
         .join();
-    stop_tx.send(()).unwrap();
-    server.join();
+    area.shutdown();
 
-    let snapshot = cluster.shared().trace_snapshot();
+    let snapshot = area.shared().trace_snapshot();
     RunOutput {
         chrome: snapshot.to_chrome_json(),
         jsonl: snapshot.to_metrics_jsonl(),
@@ -412,40 +380,19 @@ fn disabled_tracer_is_zero_cost_in_virtual_time() {
 /// changes nothing about what a plain deployment observes.
 #[test]
 fn per_tenant_usage_reconciles_with_codec_and_store_counters() {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig {
+    let mut area = StagingArea::new(hpcsim::ClusterConfig {
         seed: 17,
         compute_scale: 0.0,
         ..hpcsim::ClusterConfig::aries()
     });
-    cluster.shared().tracer().set_enabled(true);
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
+    area.shared().tracer().set_enabled(true);
+    // A bare server that never ticks: SWIM rounds are real-time driven
+    // and would perturb the virtual clocks nondeterministically.
+    let contact = area.launch_bare();
 
-    let (addr_tx, addr_rx) = crossbeam::channel::bounded(1);
-    let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
-    let f2 = fabric.clone();
-    let server = cluster.spawn("server", 0, move || {
-        let endpoint = Arc::new(f2.open());
-        let margo = MargoInstance::from_endpoint(Arc::clone(&endpoint));
-        let mona = MonaInstance::from_endpoint(Arc::clone(&endpoint), MonaConfig::default());
-        let group = SsgGroup::create(Arc::clone(&margo), "colza", SsgConfig::default());
-        let _provider = ColzaProvider::register(
-            Arc::clone(&margo),
-            mona,
-            Arc::clone(&group),
-            ProviderComm::Mona,
-        );
-        addr_tx.send(margo.address()).unwrap();
-        stop_rx.recv().ok();
-        margo.finalize();
-    });
-    let contact = addr_rx.recv().unwrap();
-
-    let f3 = fabric.clone();
-    let mid_report = cluster
-        .spawn("client", 1, move || {
-            let margo = MargoInstance::init(&f3);
-            let client = ColzaClient::new(Arc::clone(&margo));
-            let admin = AdminClient::new(Arc::clone(&margo));
+    let mid_report = area
+        .client("client", 1, move |s| {
+            let (client, admin) = (&s.client, &s.admin);
             client.view_from(contact).unwrap();
             admin.create_pipeline(contact, "null", "p", "").unwrap();
             let mut handle = client.distributed_handle(contact, "p").unwrap();
@@ -463,13 +410,11 @@ fn per_tenant_usage_reconciles_with_codec_and_store_counters() {
             let report = admin.metrics(contact).unwrap();
             handle.execute(0).unwrap();
             handle.deactivate(0).unwrap();
-            margo.finalize();
             report
         })
         .join();
-    stop_tx.send(()).unwrap();
-    server.join();
-    let snap = cluster.shared().trace_snapshot();
+    area.shutdown();
+    let snap = area.shared().trace_snapshot();
 
     // Exactly one tenant — the implicit default — holding every block.
     assert_eq!(mid_report.tenants.len(), 1, "{:?}", mid_report.tenants);
@@ -552,33 +497,15 @@ fn trigger_counters_and_fused_collective_reconcile() {
 
     const TRIG_ITERS: u64 = 6;
 
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig {
+    let mut area = StagingArea::new(hpcsim::ClusterConfig {
         seed: 23,
         compute_scale: 0.0,
         ..hpcsim::ClusterConfig::aries()
     });
-    cluster.shared().tracer().set_enabled(true);
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-
-    let (addr_tx, addr_rx) = crossbeam::channel::bounded(1);
-    let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
-    let f2 = fabric.clone();
-    let server = cluster.spawn("server", 0, move || {
-        let endpoint = Arc::new(f2.open());
-        let margo = MargoInstance::from_endpoint(Arc::clone(&endpoint));
-        let mona = MonaInstance::from_endpoint(Arc::clone(&endpoint), MonaConfig::default());
-        let group = SsgGroup::create(Arc::clone(&margo), "colza", SsgConfig::default());
-        let _provider = ColzaProvider::register(
-            Arc::clone(&margo),
-            mona,
-            Arc::clone(&group),
-            ProviderComm::Mona,
-        );
-        addr_tx.send(margo.address()).unwrap();
-        stop_rx.recv().ok();
-        margo.finalize();
-    });
-    let contact = addr_rx.recv().unwrap();
+    area.shared().tracer().set_enabled(true);
+    // A bare server that never ticks: SWIM rounds are real-time driven
+    // and would perturb the virtual clocks nondeterministically.
+    let contact = area.launch_bare();
 
     // One voxel cell carrying a `v02` value: even iterations stage a hot
     // 5.0 (fires `max(v02) > 3.0`), odd iterations a quiet 1.0 (skips).
@@ -596,12 +523,9 @@ fn trigger_counters_and_fused_collective_reconcile() {
         colza::codec::dataset_to_bytes(&vizkit::DataSet::UGrid(g))
     }
 
-    let f3 = fabric.clone();
-    let outcomes = cluster
-        .spawn("client", 1, move || {
-            let margo = MargoInstance::init(&f3);
-            let client = ColzaClient::new(Arc::clone(&margo));
-            let admin = AdminClient::new(Arc::clone(&margo));
+    let outcomes = area
+        .client("client", 1, move |s| {
+            let (client, admin) = (&s.client, &s.admin);
             client.view_from(contact).unwrap();
             let mut script = catalyst::PipelineScript::deep_water_impact(32, 24);
             script.triggers = vec![catalyst::TriggerSpec::new("max(v02) > 3.0", "run")];
@@ -619,13 +543,11 @@ fn trigger_counters_and_fused_collective_reconcile() {
                 outcomes.push(handle.execute(iteration).unwrap());
                 handle.deactivate(iteration).unwrap();
             }
-            margo.finalize();
             outcomes
         })
         .join();
-    stop_tx.send(()).unwrap();
-    server.join();
-    let snap = cluster.shared().trace_snapshot();
+    area.shutdown();
+    let snap = area.shared().trace_snapshot();
 
     // The decision schedule alternates with the staged data.
     let expected: Vec<colza::ExecOutcome> = (0..TRIG_ITERS)

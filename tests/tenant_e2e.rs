@@ -16,15 +16,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use colza::provider::{ColzaProvider, ProviderComm};
 use colza::{
-    AdminClient, BlockMeta, ColzaClient, ColzaError, PriorityClass, TenancyConfig, TenantConfig,
-    TenantUsage,
+    BlockMeta, ColzaError, PriorityClass, StagingArea, TenancyConfig, TenantConfig, TenantUsage,
 };
-use margo::MargoInstance;
-use mona::{MonaConfig, MonaInstance};
-use na::Fabric;
-use ssg::{SsgConfig, SsgGroup};
 
 const ITERATIONS: u64 = 3;
 /// Noisy-tenant block size (raw codec: encoded == plain).
@@ -87,41 +81,17 @@ struct RunOutput {
 /// epilogue probes `stage_with_backpressure` with no release coming
 /// (budget expiry) and right after one (immediate success).
 fn run_scenario(seed: u64) -> RunOutput {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig {
+    let mut area = StagingArea::new(hpcsim::ClusterConfig {
         seed,
         compute_scale: 0.0,
         ..hpcsim::ClusterConfig::aries()
     });
-    cluster.shared().tracer().set_enabled(true);
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
+    area.shared().tracer().set_enabled(true);
+    let contact = area.launch_bare();
 
-    let (addr_tx, addr_rx) = crossbeam::channel::bounded(1);
-    let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
-    let f2 = fabric.clone();
-    let server = cluster.spawn("server", 0, move || {
-        let endpoint = Arc::new(f2.open());
-        let margo = MargoInstance::from_endpoint(Arc::clone(&endpoint));
-        let mona = MonaInstance::from_endpoint(Arc::clone(&endpoint), MonaConfig::default());
-        let group = SsgGroup::create(Arc::clone(&margo), "colza", SsgConfig::default());
-        let _provider = ColzaProvider::register(
-            Arc::clone(&margo),
-            mona,
-            Arc::clone(&group),
-            ProviderComm::Mona,
-        );
-        addr_tx.send(margo.address()).unwrap();
-        stop_rx.recv().ok();
-        margo.finalize();
-    });
-    let contact = addr_rx.recv().unwrap();
-
-    let f3 = fabric.clone();
-    let (usage_mid, wb_latencies, backpressure_elapsed_ns, client_end_ns) = cluster
-        .spawn("client", 1, move || {
-            let ctx = hpcsim::process::current();
-            let margo = MargoInstance::init(&f3);
-            let client = ColzaClient::new(Arc::clone(&margo));
-            let admin = AdminClient::new(Arc::clone(&margo));
+    let (usage_mid, wb_latencies, backpressure_elapsed_ns, client_end_ns) = area
+        .client("client", 1, move |s| {
+            let (client, admin, ctx) = (&s.client, &s.admin, &s.ctx);
             let view = client.view_from(contact).unwrap();
             assert_eq!(view, vec![contact]);
             admin.create_pipeline(contact, "null", "wb", "").unwrap();
@@ -215,15 +185,12 @@ fn run_scenario(seed: u64) -> RunOutput {
             noisy.execute(it + 1).unwrap();
             noisy.deactivate(it + 1).unwrap();
 
-            let end = ctx.now();
-            margo.finalize();
-            (usage_mid, wb_latencies, backpressure_elapsed_ns, end)
+            (usage_mid, wb_latencies, backpressure_elapsed_ns, ctx.now())
         })
         .join();
-    stop_tx.send(()).unwrap();
-    server.join();
+    area.shutdown();
 
-    let snapshot = cluster.shared().trace_snapshot();
+    let snapshot = area.shared().trace_snapshot();
     RunOutput {
         chrome: snapshot.to_chrome_json(),
         jsonl: snapshot.to_metrics_jsonl(),
@@ -351,39 +318,16 @@ fn same_seed_tenant_runs_export_byte_identical_traces() {
 /// process (the `istage` pattern) while the main thread deactivates.
 #[test]
 fn backpressure_succeeds_once_a_release_frees_quota() {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig {
+    let mut area = StagingArea::new(hpcsim::ClusterConfig {
         seed: 99,
         compute_scale: 0.0,
         ..hpcsim::ClusterConfig::aries()
     });
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
+    let contact = area.launch_bare();
 
-    let (addr_tx, addr_rx) = crossbeam::channel::bounded(1);
-    let (stop_tx, stop_rx) = crossbeam::channel::bounded::<()>(1);
-    let f2 = fabric.clone();
-    let server = cluster.spawn("server", 0, move || {
-        let endpoint = Arc::new(f2.open());
-        let margo = MargoInstance::from_endpoint(Arc::clone(&endpoint));
-        let mona = MonaInstance::from_endpoint(Arc::clone(&endpoint), MonaConfig::default());
-        let group = SsgGroup::create(Arc::clone(&margo), "colza", SsgConfig::default());
-        let _provider = ColzaProvider::register(
-            Arc::clone(&margo),
-            mona,
-            Arc::clone(&group),
-            ProviderComm::Mona,
-        );
-        addr_tx.send(margo.address()).unwrap();
-        stop_rx.recv().ok();
-        margo.finalize();
-    });
-    let contact = addr_rx.recv().unwrap();
-
-    let f3 = fabric.clone();
-    cluster
-        .spawn("client", 1, move || {
-            let margo = MargoInstance::init(&f3);
-            let client = ColzaClient::new(Arc::clone(&margo));
-            let admin = AdminClient::new(Arc::clone(&margo));
+    area
+        .client("client", 1, move |s| {
+            let (client, admin) = (&s.client, &s.admin);
             client.view_from(contact).unwrap();
             admin.create_pipeline(contact, "null", "noisy", "").unwrap();
             admin.set_tenancy(contact, &policy()).unwrap();
@@ -404,7 +348,7 @@ fn backpressure_succeeds_once_a_release_frees_quota() {
             // A next-iteration block backs off on the full quota while
             // this thread finishes iteration 0; the release frees the
             // bytes and the blocked stage completes within its budget.
-            let ctx = hpcsim::process::current();
+            let ctx = Arc::clone(&s.ctx);
             let h2 = Arc::clone(&handle);
             let p2 = payload.clone();
             let blocked = std::thread::Builder::new()
@@ -433,9 +377,7 @@ fn backpressure_succeeds_once_a_release_frees_quota() {
             let noisy = usage.iter().find(|u| u.tenant == "noisy").unwrap();
             assert_eq!(noisy.staged_bytes, NOISY_BLOCK as u64);
             assert_eq!(noisy.blocks, 1);
-            margo.finalize();
         })
         .join();
-    stop_tx.send(()).unwrap();
-    server.join();
+    area.shutdown();
 }

@@ -3,63 +3,39 @@
 //! the same decision (the client's divergence check makes disagreement a
 //! hard error), and the whole schedule is a pure function of the seed.
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use colza::{AdminClient, BlockMeta, ColzaClient, ColzaDaemon, DaemonConfig, ExecOutcome};
-use margo::MargoInstance;
-use na::Fabric;
+use colza::{BlockMeta, ExecOutcome, StagingArea};
 
 /// Runs a DWI pipeline with the given script on two servers and returns
 /// the per-iteration decisions and `execute` spans.
 ///
-/// Gossip is harness-driven (`tick_interval` pinned far out, serialized
-/// `tick_sync`) so SWIM's real-time rounds can't perturb the virtual
-/// clocks — the same discipline the chaos suite uses for byte-identical
-/// replay.
-fn dwi_run(seed: u64, tag: &str, script: String) -> (Vec<ExecOutcome>, Vec<u64>) {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig {
+/// Gossip is harness-driven (serialized `tick_sync`, no daemon timer) so
+/// SWIM's real-time rounds can't perturb the virtual clocks — the same
+/// discipline the chaos suite uses for byte-identical replay.
+fn dwi_run(seed: u64, script: String) -> (Vec<ExecOutcome>, Vec<u64>) {
+    let mut area = StagingArea::harness_driven(hpcsim::ClusterConfig {
         seed,
         ..hpcsim::ClusterConfig::aries()
     });
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let conn = std::env::temp_dir().join(format!(
-        "trigger-e2e-{tag}-{seed}-{}.addrs",
-        std::process::id()
-    ));
-    std::fs::remove_file(&conn).ok();
-    let mut cfg = DaemonConfig::new(&conn);
-    cfg.tick_interval = Duration::from_secs(3600); // harness-driven only
-    let daemons: Vec<ColzaDaemon> = (0..2)
-        .map(|i| ColzaDaemon::spawn(&cluster, &fabric, i, cfg.clone()))
-        .collect();
-    for _ in 0..60 {
-        for d in &daemons {
-            d.tick_sync();
-        }
-    }
+    area.launch(2, 1);
+    area.tick_rounds(60);
     assert!(
-        daemons.iter().all(|d| d.view().len() == 2),
+        area.daemons().iter().all(|d| d.view().len() == 2),
         "serialized gossip failed to converge"
     );
-    let contact = daemons[0].address();
+    let contact = area.contact();
 
-    let f2 = fabric.clone();
-    let sim = cluster.spawn("sim", 8, move || {
-        let margo = MargoInstance::init(&f2);
-        let client = ColzaClient::new(Arc::clone(&margo));
-        let admin = AdminClient::new(Arc::clone(&margo));
-        let view = client.view_from(contact).unwrap();
-        admin
+    let sim = area.client("sim", 8, move |s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin
             .create_pipeline_on_all(&view, "catalyst", "dwi", &script)
             .unwrap();
-        let handle = client.distributed_handle(contact, "dwi").unwrap();
+        let handle = s.client.distributed_handle(contact, "dwi").unwrap();
         let series = sims::dwi::DwiSeries {
             total_blocks: 4,
             scale: 1.0 / 2048.0,
             iterations: 10,
         };
-        let ctx = hpcsim::current();
+        let ctx = &s.ctx;
         let mut outcomes = Vec::new();
         let mut execute_ns = Vec::new();
         for iteration in 0..10u64 {
@@ -82,15 +58,11 @@ fn dwi_run(seed: u64, tag: &str, script: String) -> (Vec<ExecOutcome>, Vec<u64>)
             execute_ns.push(ctx.now() - before);
             handle.deactivate(iteration).unwrap();
         }
-        margo.finalize();
         (outcomes, execute_ns)
     });
 
     let out = sim.join();
-    for d in daemons {
-        d.stop();
-    }
-    std::fs::remove_file(&conn).ok();
+    area.shutdown();
     out
 }
 
@@ -107,7 +79,7 @@ fn triggered_script() -> String {
 /// ties by host-thread arrival, as the chaos suite documents.)
 #[test]
 fn triggered_pipeline_skips_and_runs_deterministically() {
-    let (outcomes_a, _spans_a) = dwi_run(42, "a", triggered_script());
+    let (outcomes_a, _spans_a) = dwi_run(42, triggered_script());
 
     assert_eq!(outcomes_a.len(), 10);
     assert_eq!(
@@ -126,7 +98,7 @@ fn triggered_pipeline_skips_and_runs_deterministically() {
         "quiet early iterations should be skipped: {outcomes_a:?}"
     );
 
-    let (outcomes_b, _spans_b) = dwi_run(42, "b", triggered_script());
+    let (outcomes_b, _spans_b) = dwi_run(42, triggered_script());
     assert_eq!(outcomes_a, outcomes_b, "same seed, different skip schedule");
 }
 
@@ -139,14 +111,14 @@ fn triggered_pipeline_skips_and_runs_deterministically() {
 /// reasoning as `bench_trigger`'s assert gates).
 #[test]
 fn skipped_iterations_cost_less_virtual_time() {
-    let (outcomes, spans) = dwi_run(7, "t", triggered_script());
+    let (outcomes, spans) = dwi_run(7, triggered_script());
     assert!(
         outcomes.iter().any(|o| o.is_skipped()),
         "no skips in {outcomes:?}"
     );
 
     let script = catalyst::PipelineScript::deep_water_impact(64, 48).to_json();
-    let (baseline, base_spans) = dwi_run(7, "base", script);
+    let (baseline, base_spans) = dwi_run(7, script);
     assert!(
         baseline.iter().all(|o| !o.is_skipped()),
         "untriggered script must run every iteration: {baseline:?}"
