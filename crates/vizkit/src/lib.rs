@@ -21,6 +21,8 @@
 //!   Concrete controllers live outside this crate (in `catalyst`), exactly
 //!   as `vtkMPIController` lives outside core VTK modules.
 
+#![forbid(unsafe_code)]
+
 pub mod controller;
 pub mod data;
 pub mod filters;

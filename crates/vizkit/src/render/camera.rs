@@ -74,22 +74,60 @@ impl Camera {
 
     /// The world-space ray through pixel `(x, y)`: `(origin, direction)`.
     pub fn pixel_ray(&self, x: f32, y: f32, width: usize, height: usize) -> (Vec3, Vec3) {
-        let aspect = width as f32 / height as f32;
-        let fov = self.fovy_deg.to_radians();
-        let forward = (self.focal_point - self.position).normalized();
-        let right = forward.cross(self.up).normalized();
-        let up = right.cross(forward);
-        let ndc_x = (x + 0.5) / width as f32 * 2.0 - 1.0;
-        let ndc_y = 1.0 - (y + 0.5) / height as f32 * 2.0;
-        let half_h = (fov / 2.0).tan();
-        let dir = (forward + right * (ndc_x * half_h * aspect) + up * (ndc_y * half_h)).normalized();
-        (self.position, dir)
+        let frame = RayFrame::new(self, width, height);
+        (frame.origin, frame.dir(x, frame.row(y)))
     }
 
     /// Distance from the eye to a world point along the view direction.
     pub fn view_depth(&self, p: Vec3) -> f32 {
         let forward = (self.focal_point - self.position).normalized();
         (p - self.position).dot(forward)
+    }
+}
+
+/// Everything about a camera's pixel rays that does not depend on the
+/// pixel: built once per image, then [`RayFrame::row`] once per scanline
+/// and [`RayFrame::dir`] once per pixel.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RayFrame {
+    /// Ray origin (the eye), shared by every pixel.
+    pub(crate) origin: Vec3,
+    forward: Vec3,
+    right: Vec3,
+    up: Vec3,
+    half_h: f32,
+    aspect: f32,
+    width: f32,
+    height: f32,
+}
+
+impl RayFrame {
+    pub(crate) fn new(camera: &Camera, width: usize, height: usize) -> Self {
+        let forward = (camera.focal_point - camera.position).normalized();
+        let right = forward.cross(camera.up).normalized();
+        Self {
+            origin: camera.position,
+            forward,
+            right,
+            up: right.cross(forward),
+            half_h: (camera.fovy_deg.to_radians() / 2.0).tan(),
+            aspect: width as f32 / height as f32,
+            width: width as f32,
+            height: height as f32,
+        }
+    }
+
+    /// The vertical term of every ray on scanline `y`.
+    pub(crate) fn row(&self, y: f32) -> Vec3 {
+        let ndc_y = 1.0 - (y + 0.5) / self.height * 2.0;
+        self.up * (ndc_y * self.half_h)
+    }
+
+    /// Unit direction of the ray through column `x` of the scanline whose
+    /// [`RayFrame::row`] term is `row`.
+    pub(crate) fn dir(&self, x: f32, row: Vec3) -> Vec3 {
+        let ndc_x = (x + 0.5) / self.width * 2.0 - 1.0;
+        (self.forward + self.right * (ndc_x * self.half_h * self.aspect) + row).normalized()
     }
 }
 
@@ -145,6 +183,57 @@ mod tests {
         // The central ray heads from +z toward the origin.
         assert!(dir.z < -0.9);
         assert!((dir.length() - 1.0).abs() < 1e-5);
+    }
+
+    /// `pixel_ray` as it was before `RayFrame` carried its formula.
+    fn pixel_ray_per_call(
+        cam: &Camera,
+        x: f32,
+        y: f32,
+        width: usize,
+        height: usize,
+    ) -> (Vec3, Vec3) {
+        let aspect = width as f32 / height as f32;
+        let fov = cam.fovy_deg.to_radians();
+        let forward = (cam.focal_point - cam.position).normalized();
+        let right = forward.cross(cam.up).normalized();
+        let up = right.cross(forward);
+        let ndc_x = (x + 0.5) / width as f32 * 2.0 - 1.0;
+        let ndc_y = 1.0 - (y + 0.5) / height as f32 * 2.0;
+        let half_h = (fov / 2.0).tan();
+        let dir =
+            (forward + right * (ndc_x * half_h * aspect) + up * (ndc_y * half_h)).normalized();
+        (cam.position, dir)
+    }
+
+    #[test]
+    fn pixel_ray_is_bit_for_bit_what_it_was() {
+        let cameras = [
+            Camera::default(),
+            Camera::fit_bounds(vec3(0.0, 0.0, 0.0), vec3(28.0, 28.0, 21.0)),
+            Camera {
+                position: vec3(-3.5, 7.25, 1.125),
+                focal_point: vec3(2.0, -1.0, 0.5),
+                up: vec3(0.1, 0.2, 1.0),
+                fovy_deg: 63.0,
+                ..Camera::default()
+            },
+        ];
+        let bits = |(o, d): (Vec3, Vec3)| [o, d].map(|v| v.to_array().map(f32::to_bits));
+        for cam in &cameras {
+            for (width, height) in [(512, 384), (64, 64), (37, 91)] {
+                for y in (0..height).step_by(7) {
+                    for x in (0..width).step_by(5) {
+                        let (x, y) = (x as f32, y as f32);
+                        assert_eq!(
+                            bits(cam.pixel_ray(x, y, width, height)),
+                            bits(pixel_ray_per_call(cam, x, y, width, height)),
+                            "pixel ({x}, {y}) of {width}x{height}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
