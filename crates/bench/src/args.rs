@@ -32,12 +32,26 @@ impl Args {
         Self { values, flags }
     }
 
-    /// A typed value with a default.
+    /// A typed value with a default. A value that does not parse ends
+    /// the process through [`crate::report::die`]: a harness that quietly
+    /// measured the default instead would report a wrong number.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.try_get(key, default)
+            .unwrap_or_else(|e| crate::report::die(&e))
+    }
+
+    /// [`Self::get`], with the unparsable value as an error naming the
+    /// flag and what was passed.
+    pub fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        self.values.get(key).map_or(Ok(default), |v| parse(key, v))
+    }
+
+    /// A comma-separated list of typed values (`--servers 2,4,8`).
+    pub fn get_list<T: std::str::FromStr>(&self, key: &str, default: &str) -> Vec<T> {
+        self.get_str(key, default)
+            .split(',')
+            .map(|v| parse(key, v.trim()).unwrap_or_else(|e| crate::report::die(&e)))
+            .collect()
     }
 
     /// A string value with a default.
@@ -52,6 +66,11 @@ impl Args {
     pub fn has(&self, flag: &str) -> bool {
         self.flags.iter().any(|f| f == flag)
     }
+}
+
+fn parse<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("--{key}: cannot parse {v:?}"))
 }
 
 #[cfg(test)]
@@ -79,8 +98,9 @@ mod tests {
     }
 
     #[test]
-    fn malformed_values_fall_back() {
+    fn malformed_values_are_named_not_defaulted() {
         let a = args("--servers lots");
-        assert_eq!(a.get("servers", 2usize), 2);
+        let err = a.try_get("servers", 2usize).unwrap_err();
+        assert!(err.contains("--servers") && err.contains("lots"), "{err}");
     }
 }

@@ -11,11 +11,11 @@
 //! Run: `cargo run --release -p colza-bench --bin ablation_2pc`
 
 use colza::StagingArea;
-use colza_bench::{table, Args};
+use colza_bench::{report, table};
 use hpcsim::stats::fmt_ns;
 
 fn main() {
-    let args = Args::parse();
+    let args = report::begin();
     let servers: usize = args.get("servers", 4);
     let iters: usize = args.get("iters", 20);
     table::banner(
@@ -47,6 +47,7 @@ fn main() {
     println!("order the paper reports for a changed group is dominated by gossip");
     println!("propagation (the sensitivity sweep above); the 2PC retry itself,");
     println!("measured here against an already-settled view, costs microseconds.");
+    report::finish();
 }
 
 /// A self-ticking area of `servers` daemons, four per node.

@@ -7,16 +7,15 @@
 //! iteration 13. Scaled default: 2 → 8, growing by 1 from iteration 12.
 //!
 //! Run: `cargo run --release -p colza-bench --bin fig10_elastic_dwi
-//!       [--small 2] [--large 8] [--blocks 16] [--clients 4] [--iters 30]`
-
-use std::sync::Arc;
+//!       [--small 2] [--large 8] [--blocks 16] [--clients 4] [--iters 30]
+//!       [--grow-from 12]`
 
 use colza::CommMode;
-use colza_bench::{run_pipeline_experiment, table, Args, PipelineExperiment};
+use colza_bench::{report, run_pipeline_experiment, table, workloads, PipelineExperiment};
 use sims::dwi::DwiSeries;
 
 fn main() {
-    let args = Args::parse();
+    let args = report::begin();
     let small: usize = args.get("small", 2);
     let large: usize = args.get("large", 8);
     let blocks: usize = args.get("blocks", 16);
@@ -32,42 +31,30 @@ fn main() {
     );
 
     let series = DwiSeries::scaled_down(blocks);
-    let maker = || -> colza_bench::MakeBlocks {
-        Arc::new(move |rank, iter, n_clients| {
-            (0..blocks)
-                .filter(|b| b % n_clients == rank)
-                .map(|b| {
-                    (
-                        b as u64,
-                        vizkit::DataSet::UGrid(series.generate_block(iter + 1, b)),
-                    )
-                })
-                .collect()
-        })
+    let run = |servers: usize, grow_at: Vec<(u64, usize)>| {
+        let script = catalyst::PipelineScript::deep_water_impact(256, 192);
+        let mut exp = PipelineExperiment::new(servers, clients, CommMode::Mona, script, iters);
+        exp.grow_at = grow_at;
+        run_pipeline_experiment(exp, workloads::dwi(series, 1))
     };
-    let script = catalyst::PipelineScript::deep_water_impact(256, 192);
-
     // Elastic: +1 server every other iteration from `grow_from`.
-    let mut elastic = PipelineExperiment::new(small, clients, CommMode::Mona, script.clone(), iters);
-    elastic.grow_at = (0..(large - small))
-        .map(|i| (grow_from + 2 * i as u64, 1))
-        .filter(|&(at, _)| at < iters)
-        .collect();
-    let elastic_times = run_pipeline_experiment(elastic, maker());
-
-    // Static small and static large.
-    let static_small = run_pipeline_experiment(
-        PipelineExperiment::new(small, clients, CommMode::Mona, script.clone(), iters),
-        maker(),
+    let elastic_times = run(
+        small,
+        (0..(large - small))
+            .map(|i| (grow_from + 2 * i as u64, 1))
+            .filter(|&(at, _)| at < iters)
+            .collect(),
     );
-    let static_large = run_pipeline_experiment(
-        PipelineExperiment::new(large, clients, CommMode::Mona, script, iters),
-        maker(),
-    );
+    let static_small = run(small, Vec::new());
+    let static_large = run(large, Vec::new());
 
     println!(
         "{:>10} {:>9} {:>18} {:>18} {:>18}",
-        "iteration", "servers", "elastic", format!("static {small}"), format!("static {large}")
+        "iteration",
+        "servers",
+        "elastic",
+        format!("static {small}"),
+        format!("static {large}")
     );
     for i in 0..iters as usize {
         println!(
@@ -84,4 +71,5 @@ fn main() {
     println!("unboundedly with the data; the elastic deployment keeps it bounded");
     println!("(spikes on join iterations from pipeline init); the large static");
     println!("deployment is the floor but wastes resources early in the run.");
+    report::finish();
 }

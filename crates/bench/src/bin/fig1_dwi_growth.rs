@@ -5,13 +5,13 @@
 //! Run: `cargo run --release -p colza-bench --bin fig1_dwi_growth
 //!       [--blocks 8] [--render] [--out /tmp]`
 
-use colza_bench::{table, Args};
+use colza_bench::{report, table};
 use hpcsim::stats::fmt_bytes;
 use sims::dwi::DwiSeries;
 use vizkit::Controller;
 
 fn main() {
-    let args = Args::parse();
+    let args = report::begin();
     let blocks: usize = args.get("blocks", 8);
     table::banner(
         "Figure 1a: Deep Water Impact data growth over iterations",
@@ -65,4 +65,5 @@ fn main() {
             );
         }
     }
+    report::finish();
 }

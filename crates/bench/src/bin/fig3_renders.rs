@@ -6,13 +6,13 @@
 
 use std::sync::Arc;
 
-use colza_bench::{table, Args};
+use colza_bench::{report, table};
 use sims::gray_scott::{GrayScott, GrayScottParams};
 use sims::mandelbulb::Mandelbulb;
 use vizkit::Controller;
 
 fn main() {
-    let args = Args::parse();
+    let args = report::begin();
     let grid: usize = args.get("grid", 48);
     let steps: usize = args.get("steps", 400);
     let out_dir = std::path::PathBuf::from(args.get_str("out", "/tmp"));
@@ -56,4 +56,5 @@ fn main() {
         img.coverage() * 100.0,
         path.display()
     );
+    report::finish();
 }

@@ -7,12 +7,12 @@
 //!       [--max-n 12] [--trials 3]`
 
 use colza::StagingArea;
-use colza_bench::{table, Args};
+use colza_bench::{report, table};
 use hpcsim::stats::{fmt_ns, Summary};
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    let args = Args::parse();
+    let args = report::begin();
     let max_n: usize = args.get("max-n", 12);
     let trials: usize = args.get("trials", 3);
     table::banner(
@@ -64,6 +64,7 @@ fn main() {
     println!();
     println!("Paper shape: elastic stable around ~5 s; static larger (5-40 s),");
     println!("unpredictable, averaging ~16 s.");
+    report::finish();
 }
 
 /// Elastic: group of n exists; spawn one more daemon and measure virtual

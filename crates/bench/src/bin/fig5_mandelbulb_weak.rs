@@ -8,15 +8,12 @@
 //! Run: `cargo run --release -p colza-bench --bin fig5_mandelbulb_weak
 //!       [--max-servers 8] [--grid 24] [--iters 6]`
 
-use std::sync::Arc;
-
 use colza::CommMode;
-use colza_bench::{run_pipeline_experiment, table, Args, PipelineExperiment};
+use colza_bench::{report, table, workloads, PipelineExperiment};
 use hpcsim::stats::fmt_ns;
-use sims::mandelbulb::Mandelbulb;
 
 fn main() {
-    let args = Args::parse();
+    let args = report::begin();
     let max_servers: usize = args.get("max-servers", 8);
     let grid: usize = args.get("grid", 24);
     let iters: u64 = args.get("iters", 6);
@@ -27,34 +24,30 @@ fn main() {
              paper runs 4-128 servers with 8 MB blocks)"
         ),
     );
-    println!("{:>8} {:>8} {:>16} {:>16}", "servers", "clients", "MPI", "MoNA");
+    println!(
+        "{:>8} {:>8} {:>16} {:>16}",
+        "servers", "clients", "MPI", "MoNA"
+    );
 
     let mut servers = 1;
     while servers <= max_servers {
         let clients = servers; // weak scaling: data grows with servers
-        let blocks_per_client = 4;
-        let total_blocks = clients * blocks_per_client;
-        let make = block_maker(grid, blocks_per_client, total_blocks);
-        let mpi = average_execute(
-            PipelineExperiment::new(
-                servers,
-                clients,
-                CommMode::MpiStatic(minimpi::Profile::Vendor),
-                catalyst::PipelineScript::mandelbulb(256, 256),
-                iters,
-            ),
-            Arc::clone(&make),
-        );
-        let mona_t = average_execute(
-            PipelineExperiment::new(
-                servers,
-                clients,
-                CommMode::Mona,
-                catalyst::PipelineScript::mandelbulb(256, 256),
-                iters,
-            ),
-            make,
-        );
+        let [mpi, mona_t] = [
+            CommMode::MpiStatic(minimpi::Profile::Vendor),
+            CommMode::Mona,
+        ]
+        .map(|comm| {
+            workloads::mean_execute(
+                PipelineExperiment::new(
+                    servers,
+                    clients,
+                    comm,
+                    catalyst::PipelineScript::mandelbulb(256, 256),
+                    iters,
+                ),
+                workloads::mandelbulb(grid, 4),
+            )
+        });
         println!(
             "{servers:>8} {clients:>8} {:>16} {:>16}",
             fmt_ns(mpi),
@@ -65,28 +58,5 @@ fn main() {
     println!();
     println!("Paper shape: MoNA within noise of MPI at every scale (the pipeline");
     println!("is compute-bound; communication is only the final compositing).");
-}
-
-type Maker = colza_bench::MakeBlocks;
-
-fn block_maker(grid: usize, blocks_per_client: usize, total_blocks: usize) -> Maker {
-    Arc::new(move |rank, _iter, _clients| {
-        let m = Mandelbulb {
-            dims: [grid, grid, 4 * total_blocks],
-            ..Default::default()
-        };
-        (0..blocks_per_client)
-            .map(|b| {
-                let id = rank * blocks_per_client + b;
-                (id as u64, m.generate_block(id, total_blocks))
-            })
-            .collect()
-    })
-}
-
-fn average_execute(exp: PipelineExperiment, make: Maker) -> u64 {
-    let times = run_pipeline_experiment(exp, make);
-    // Discard the first iteration (library loading / interpreter start).
-    let rest: Vec<u64> = times.iter().skip(1).map(|t| t.execute_ns).collect();
-    (rest.iter().sum::<u64>() / rest.len().max(1) as u64).max(1)
+    report::finish();
 }

@@ -6,18 +6,14 @@
 //! partitioned across a fixed client count, servers swept.
 //!
 //! Run: `cargo run --release -p colza-bench --bin fig6_grayscott_strong
-//!       [--max-servers 8] [--grid 32] [--clients 4] [--iters 5]`
-
-use std::sync::Arc;
+//!       [--max-servers 8] [--grid 32] [--clients 4] [--iters 5] [--steps 5]`
 
 use colza::CommMode;
-use colza_bench::{run_pipeline_experiment, table, Args, PipelineExperiment};
+use colza_bench::{report, table, workloads, PipelineExperiment};
 use hpcsim::stats::fmt_ns;
-use parking_lot::Mutex;
-use sims::gray_scott::{GrayScott, GrayScottParams};
 
 fn main() {
-    let args = Args::parse();
+    let args = report::begin();
     let max_servers: usize = args.get("max-servers", 8);
     let grid: usize = args.get("grid", 32);
     let clients: usize = args.get("clients", 4);
@@ -34,58 +30,26 @@ fn main() {
 
     let mut servers = 1;
     while servers <= max_servers {
-        let mpi = average_execute(
-            servers,
-            clients,
+        let [mpi, mona_t] = [
             CommMode::MpiStatic(minimpi::Profile::Vendor),
-            grid,
-            iters,
-            steps_per_iter,
-        );
-        let mona_t = average_execute(servers, clients, CommMode::Mona, grid, iters, steps_per_iter);
+            CommMode::Mona,
+        ]
+        .map(|comm| {
+            let mut exp = PipelineExperiment::new(
+                servers,
+                clients,
+                comm,
+                catalyst::PipelineScript::gray_scott(256, 256),
+                iters + 1,
+            );
+            exp.clients_per_node = 32.min(clients.max(1));
+            workloads::mean_execute(exp, workloads::gray_scott(grid, steps_per_iter))
+        });
         println!("{servers:>8} {:>16} {:>16}", fmt_ns(mpi), fmt_ns(mona_t));
         servers *= 2;
     }
     println!();
     println!("Paper shape: execution time falls with server count (strong scaling);");
     println!("MoNA tracks MPI closely at every size.");
-}
-
-fn average_execute(
-    servers: usize,
-    clients: usize,
-    comm: CommMode,
-    grid: usize,
-    iters: u64,
-    steps: usize,
-) -> u64 {
-    // Persistent simulation state per client rank across iterations.
-    let sims: Arc<Mutex<Vec<Option<GrayScott>>>> =
-        Arc::new(Mutex::new((0..clients).map(|_| None).collect()));
-    let make: colza_bench::MakeBlocks =
-        Arc::new(move |rank, _iter, n_clients| {
-            let mut sims = sims.lock();
-            let sim = sims[rank].get_or_insert_with(|| {
-                GrayScott::new(grid, rank, n_clients, GrayScottParams::default())
-            });
-            // Advance the simulation serially (the ghost planes wrap within
-            // the slab; physics fidelity across slabs is not what this
-            // figure measures - data volume and pipeline cost are).
-            for _ in 0..steps {
-                sim.exchange_ghosts(None).expect("ghosts");
-                sim.step();
-            }
-            vec![(rank as u64, sim.to_dataset())]
-        });
-    let mut exp = PipelineExperiment::new(
-        servers,
-        clients,
-        comm,
-        catalyst::PipelineScript::gray_scott(256, 256),
-        iters + 1,
-    );
-    exp.clients_per_node = 32.min(clients.max(1));
-    let times = run_pipeline_experiment(exp, make);
-    let rest: Vec<u64> = times.iter().skip(1).map(|t| t.execute_ns).collect();
-    (rest.iter().sum::<u64>() / rest.len().max(1) as u64).max(1)
+    report::finish();
 }

@@ -8,19 +8,13 @@
 //! Run: `cargo run --release -p colza-bench --bin fig7_dwi_scaling
 //!       [--servers 2,4,8] [--blocks 16] [--clients 4] [--iters 30]`
 
-use std::sync::Arc;
-
 use colza::CommMode;
-use colza_bench::{run_pipeline_experiment, table, Args, PipelineExperiment};
+use colza_bench::{report, run_pipeline_experiment, table, workloads, PipelineExperiment};
 use sims::dwi::DwiSeries;
 
 fn main() {
-    let args = Args::parse();
-    let server_list: Vec<usize> = args
-        .get_str("servers", "2,4,8")
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
+    let args = report::begin();
+    let server_list: Vec<usize> = args.get_list("servers", "2,4,8");
     let blocks: usize = args.get("blocks", 16);
     let clients: usize = args.get("clients", 4);
     let iters: u64 = args.get("iters", 30);
@@ -34,60 +28,30 @@ fn main() {
 
     let series = DwiSeries::scaled_down(blocks);
     let mut columns = Vec::new();
-    let mut data: Vec<Vec<Option<u64>>> = vec![Vec::new(); iters as usize];
+    let mut data: Vec<Vec<u64>> = vec![Vec::new(); iters as usize];
     for &servers in &server_list {
         for (mode, label) in [
             (CommMode::MpiStatic(minimpi::Profile::Vendor), "MPI"),
             (CommMode::Mona, "MoNA"),
         ] {
             columns.push(format!("{label}({servers})"));
-            let times = run_experiment(servers, clients, mode, series, iters, blocks);
+            let exp = PipelineExperiment::new(
+                servers,
+                clients,
+                mode,
+                catalyst::PipelineScript::deep_water_impact(256, 192),
+                iters,
+            );
+            let times = run_pipeline_experiment(exp, workloads::dwi(series, 1));
             for (i, t) in times.iter().enumerate() {
-                data[i].push(Some(t.execute_ns));
+                data[i].push(t.execute_ns);
             }
         }
     }
-    let col_refs: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
-    let rows: Vec<(u64, Vec<Option<u64>>)> = data
-        .into_iter()
-        .enumerate()
-        .map(|(i, vals)| (i as u64 + 1, vals))
-        .collect();
-    colza_bench::table::print_series("iteration", &col_refs, &rows);
+    table::print_series("iteration", &columns, &data);
     println!();
     println!("Paper shape: rendering time grows with the iteration number;");
     println!("more Colza processes keep it lower; MoNA is on par with MPI");
     println!("(occasionally faster at small scales thanks to shared memory).");
-}
-
-fn run_experiment(
-    servers: usize,
-    clients: usize,
-    comm: CommMode,
-    series: DwiSeries,
-    iters: u64,
-    blocks: usize,
-) -> Vec<colza_bench::IterationTimes> {
-    let make: colza_bench::MakeBlocks =
-        Arc::new(move |rank, iter, n_clients| {
-            // Blocks are distributed evenly across clients (as the proxy
-            // distributes its VTU files).
-            (0..blocks)
-                .filter(|b| b % n_clients == rank)
-                .map(|b| {
-                    (
-                        b as u64,
-                        vizkit::DataSet::UGrid(series.generate_block(iter + 1, b)),
-                    )
-                })
-                .collect()
-        });
-    let exp = PipelineExperiment::new(
-        servers,
-        clients,
-        comm,
-        catalyst::PipelineScript::deep_water_impact(256, 192),
-        iters,
-    );
-    run_pipeline_experiment(exp, make)
+    report::finish();
 }

@@ -6,19 +6,20 @@
 //! client. Scaled defaults keep the topology's proportions.
 //!
 //! Run: `cargo run --release -p colza-bench --bin fig8_frameworks
-//!       [--clients 8] [--servers 8] [--blocks-per-client 4] [--iters 4]`
+//!       [--clients 8] [--servers 8] [--blocks-per-client 4] [--iters 4]
+//!       [--grid 16]`
 
 use std::sync::Arc;
 
 use baselines::damaris::{run_damaris, DamarisConfig};
 use baselines::dataspaces::{DataSpacesDeployment, DsClient};
 use colza::CommMode;
-use colza_bench::{run_pipeline_experiment, table, Args, PipelineExperiment};
+use colza_bench::workloads::{self, mean_after_warmup};
+use colza_bench::{report, table, MakeBlocks, PipelineExperiment};
 use hpcsim::stats::fmt_ns;
-use sims::mandelbulb::Mandelbulb;
 
 fn main() {
-    let args = Args::parse();
+    let args = report::begin();
     let clients: usize = args.get("clients", 8);
     let servers: usize = args.get("servers", 8);
     let blocks_per_client: usize = args.get("blocks-per-client", 4);
@@ -32,27 +33,21 @@ fn main() {
         ),
     );
 
-    let total_blocks = clients * blocks_per_client;
     let script = catalyst::PipelineScript::mandelbulb(256, 256);
+    // Every framework stages the same per-client blocks.
+    let make = workloads::mandelbulb(grid, blocks_per_client);
 
     // --- Colza (MoNA and MPI) through the shared experiment runner.
-    let make = colza_maker(grid, blocks_per_client, total_blocks);
-    let colza_mona = avg(&colza_times(
-        servers,
-        clients,
+    let [colza_mona, colza_mpi] = [
         CommMode::Mona,
-        &script,
-        iters,
-        Arc::clone(&make),
-    ));
-    let colza_mpi = avg(&colza_times(
-        servers,
-        clients,
         CommMode::MpiStatic(minimpi::Profile::Vendor),
-        &script,
-        iters,
-        make,
-    ));
+    ]
+    .map(|comm| {
+        workloads::mean_execute(
+            PipelineExperiment::new(servers, clients, comm, script.clone(), iters),
+            Arc::clone(&make),
+        )
+    });
 
     // --- Damaris: same world size, dedicated cores.
     let damaris = {
@@ -65,21 +60,18 @@ fn main() {
             script: script.clone(),
             iterations: iters,
         };
-        let m = Mandelbulb {
-            dims: [grid, grid, 4 * total_blocks],
-            ..Default::default()
-        };
-        let times = run_damaris(&cluster, &fabric, cfg, move |rank, _iter| {
-            // The same per-client blocks Colza's clients stage.
-            (0..blocks_per_client)
-                .map(|b| m.generate_block(rank * blocks_per_client + b, total_blocks))
+        let make = Arc::clone(&make);
+        let times = run_damaris(&cluster, &fabric, cfg, move |rank, iter| {
+            make(rank, iter, clients)
+                .into_iter()
+                .map(|(_, ds)| ds)
                 .collect()
         });
-        avg_skip_first(&times)
+        mean_after_warmup(&times)
     };
 
     // --- DataSpaces: put/exec over margo.
-    let dataspaces = run_dataspaces(clients, servers, blocks_per_client, grid, iters, &script);
+    let dataspaces = run_dataspaces(clients, servers, make, iters, &script);
 
     println!("{:>14} {:>16}", "framework", "avg exec time");
     for (name, t) in [
@@ -94,45 +86,13 @@ fn main() {
     println!("Paper shape: Colza+MPI <= DataSpaces <= Colza+MoNA < Damaris");
     println!("(Damaris pays per-client trigger skew; DataSpaces matches Colza+MPI's");
     println!("pipeline but pays put-indexing overhead; MoNA adds its layer cost).");
-}
-
-type Maker = colza_bench::MakeBlocks;
-
-fn colza_maker(grid: usize, blocks_per_client: usize, total_blocks: usize) -> Maker {
-    Arc::new(move |rank, _iter, _clients| {
-        let m = Mandelbulb {
-            dims: [grid, grid, 4 * total_blocks],
-            ..Default::default()
-        };
-        (0..blocks_per_client)
-            .map(|b| {
-                let id = rank * blocks_per_client + b;
-                (id as u64, m.generate_block(id, total_blocks))
-            })
-            .collect()
-    })
-}
-
-fn colza_times(
-    servers: usize,
-    clients: usize,
-    comm: CommMode,
-    script: &catalyst::PipelineScript,
-    iters: u64,
-    make: Maker,
-) -> Vec<u64> {
-    let exp = PipelineExperiment::new(servers, clients, comm, script.clone(), iters);
-    run_pipeline_experiment(exp, make)
-        .iter()
-        .map(|t| t.execute_ns)
-        .collect()
+    report::finish();
 }
 
 fn run_dataspaces(
     clients: usize,
     servers: usize,
-    blocks_per_client: usize,
-    grid: usize,
+    make: MakeBlocks,
     iters: u64,
     script: &catalyst::PipelineScript,
 ) -> u64 {
@@ -148,7 +108,6 @@ fn run_dataspaces(
         script.clone(),
     );
     let server_addrs = deployment.addrs().to_vec();
-    let total_blocks = clients * blocks_per_client;
     // Clients form their own MPI world (the simulation side).
     let out = minimpi::MpiWorld::launch(
         &cluster,
@@ -160,18 +119,12 @@ fn run_dataspaces(
         move |comm| {
             let margo = margo::MargoInstance::from_endpoint(Arc::clone(comm.endpoint()));
             let client = DsClient::new(Arc::clone(&margo), server_addrs.clone());
-            let m = Mandelbulb {
-                dims: [grid, grid, 4 * total_blocks],
-                ..Default::default()
-            };
             let ctx = hpcsim::current();
             let mut times = Vec::new();
             for iter in 0..iters {
-                for b in 0..blocks_per_client {
-                    let id = comm.rank() * blocks_per_client + b;
-                    let ds = m.generate_block(id, total_blocks);
+                for (id, ds) in make(comm.rank(), iter, clients) {
                     let payload = colza::codec::dataset_to_bytes(&ds);
-                    client.put("mandelbulb", iter, id as u64, &payload).unwrap();
+                    client.put("mandelbulb", iter, id, &payload).unwrap();
                 }
                 comm.barrier().unwrap();
                 if comm.rank() == 0 {
@@ -187,14 +140,5 @@ fn run_dataspaces(
     );
     deployment.stop();
     let times: Vec<u64> = out.into_iter().flatten().collect();
-    avg_skip_first(&times)
-}
-
-fn avg(times: &[u64]) -> u64 {
-    avg_skip_first(times)
-}
-
-fn avg_skip_first(times: &[u64]) -> u64 {
-    let rest = &times[1.min(times.len().saturating_sub(1))..];
-    (rest.iter().sum::<u64>() / rest.len().max(1) as u64).max(1)
+    mean_after_warmup(&times)
 }

@@ -7,16 +7,14 @@
 //! Fig. 10 protocol), which exercises exactly the same machinery.
 //!
 //! Run: `cargo run --release -p colza-bench --bin fig9_elastic_mandelbulb
-//!       [--start 2] [--end 8] [--clients 4] [--grid 16]`
-
-use std::sync::Arc;
+//!       [--start 2] [--end 8] [--clients 4] [--grid 16]
+//!       [--blocks-per-client 4]`
 
 use colza::CommMode;
-use colza_bench::{run_pipeline_experiment, table, Args, PipelineExperiment};
-use sims::mandelbulb::Mandelbulb;
+use colza_bench::{report, run_pipeline_experiment, table, workloads, PipelineExperiment};
 
 fn main() {
-    let args = Args::parse();
+    let args = report::begin();
     let start: usize = args.get("start", 2);
     let end: usize = args.get("end", 8);
     let clients: usize = args.get("clients", 4);
@@ -38,21 +36,6 @@ fn main() {
         ),
     );
 
-    let total_blocks = clients * blocks_per_client;
-    let make: colza_bench::MakeBlocks =
-        Arc::new(move |rank, _iter, _clients| {
-            let m = Mandelbulb {
-                dims: [grid, grid, 4 * total_blocks],
-                ..Default::default()
-            };
-            (0..blocks_per_client)
-                .map(|b| {
-                    let id = rank * blocks_per_client + b;
-                    (id as u64, m.generate_block(id, total_blocks))
-                })
-                .collect()
-        });
-
     let mut exp = PipelineExperiment::new(
         start,
         clients,
@@ -61,31 +44,16 @@ fn main() {
         iterations,
     );
     exp.grow_at = grow_at;
-    let times = run_pipeline_experiment(exp, make);
+    let times = run_pipeline_experiment(exp, workloads::mandelbulb(grid, blocks_per_client));
 
-    let rows: Vec<(u64, Vec<Option<u64>>)> = times
-        .iter()
-        .map(|t| {
-            (
-                t.iteration,
-                vec![
-                    Some(t.servers as u64),
-                    Some(t.activate_ns),
-                    Some(t.stage_ns),
-                    Some(t.execute_ns),
-                    Some(t.deactivate_ns),
-                ],
-            )
-        })
-        .collect();
     println!(
         "{:>10} {:>18} {:>18} {:>18} {:>18} {:>18}",
         "iteration", "servers", "activate", "stage", "execute", "deactivate"
     );
-    for (iter, vals) in &rows {
-        print!("{iter:>10} {:>18}", vals[0].unwrap());
-        for v in &vals[1..] {
-            print!(" {:>18}", hpcsim::stats::fmt_ns(v.unwrap()));
+    for t in &times {
+        print!("{:>10} {:>18}", t.iteration, t.servers);
+        for ns in [t.activate_ns, t.stage_ns, t.execute_ns, t.deactivate_ns] {
+            print!(" {:>18}", hpcsim::stats::fmt_ns(ns));
         }
         println!();
     }
@@ -93,4 +61,5 @@ fn main() {
     println!("Paper shape: execute time falls as servers are added, spiking on");
     println!("join iterations (pipeline init on the new node); activate/stage/");
     println!("deactivate are negligible (ms-scale; paper: 4 ms / 100 ms / 0.6 ms).");
+    report::finish();
 }

@@ -9,12 +9,28 @@
 
 use std::sync::Arc;
 
-use colza_bench::{table, Args, TraceOut};
+use colza_bench::{report, table, trace_out};
 use na::Fabric;
 
+/// `ops` ping-pong pairs between ranks 0 and 1 of a MoNA or minimpi
+/// communicator (the two expose the same calls but share no trait).
+macro_rules! pingpong {
+    ($comm:expr, $size:expr, $ops:expr) => {{
+        let data = vec![0u8; $size];
+        for _ in 0..$ops {
+            if $comm.rank() == 0 {
+                $comm.send(&data, 1, 0).unwrap();
+                $comm.recv(1, 1).unwrap();
+            } else {
+                $comm.recv(0, 0).unwrap();
+                $comm.send(&data, 0, 1).unwrap();
+            }
+        }
+    }};
+}
+
 fn main() {
-    let args = Args::parse();
-    let trace = TraceOut::from_args(&args);
+    let args = report::begin();
     let ops: usize = args.get("ops", 1000);
     let sizes: &[(usize, &str)] = &[
         (8, "8 bytes"),
@@ -33,9 +49,10 @@ fn main() {
     for &(size, label) in sizes {
         let cray = mpi_pingpong(minimpi::Profile::Vendor, size, ops);
         let open = mpi_pingpong(minimpi::Profile::Open, size, ops);
-        let mona_t = mona_pingpong(mona::MonaConfig::default(), size, ops);
+        let mona_t = mona_pingpong(&aries(), mona::MonaConfig::default(), size, ops);
         let na_t = (size <= 2 * 1024).then(|| {
             mona_pingpong(
+                &aries(),
                 mona::MonaConfig {
                     // Raw NA: no pooling, eager only.
                     rdma_threshold: usize::MAX,
@@ -69,74 +86,40 @@ fn main() {
 
     // One extra traced capture run — the measured rows above are always
     // dark, so exporting a timeline cannot perturb the table.
-    if trace.wanted() {
-        export_timeline(&trace, 2 * 1024, ops.min(100));
-    }
+    trace_out::capture(&args, |cluster| {
+        mona_pingpong(cluster, mona::MonaConfig::default(), 2 * 1024, ops.min(100));
+    });
+    report::finish();
 }
 
-/// A traced MoNA ping-pong capture exported as a Perfetto timeline.
-fn export_timeline(trace: &TraceOut, size: usize, ops: usize) {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    trace.arm(&cluster);
-    mona::testing::run_ranks(
-        &cluster,
-        2,
-        1,
-        mona::MonaConfig::default(),
-        move |comm| {
-            let data = vec![0u8; size];
-            for _ in 0..ops {
-                if comm.rank() == 0 {
-                    comm.send(&data, 1, 0).unwrap();
-                    comm.recv(1, 1).unwrap();
-                } else {
-                    comm.recv(0, 0).unwrap();
-                    comm.send(&data, 0, 1).unwrap();
-                }
-            }
-        },
-    );
-    trace.export(&cluster);
+fn aries() -> hpcsim::Cluster {
+    hpcsim::Cluster::new(hpcsim::ClusterConfig::aries())
 }
 
 /// Virtual ns for `ops` ping-pong pairs under a minimpi profile.
 fn mpi_pingpong(profile: minimpi::Profile, size: usize, ops: usize) -> u64 {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
+    let cluster = aries();
     let fabric = Fabric::new(Arc::clone(cluster.shared()));
     let out = minimpi::MpiWorld::launch(&cluster, &fabric, 2, 1, 0, profile, move |comm| {
-        let data = vec![0u8; size];
         let ctx = hpcsim::current();
         let before = ctx.now();
-        for _ in 0..ops {
-            if comm.rank() == 0 {
-                comm.send(&data, 1, 0).unwrap();
-                comm.recv(1, 1).unwrap();
-            } else {
-                comm.recv(0, 0).unwrap();
-                comm.send(&data, 0, 1).unwrap();
-            }
-        }
+        pingpong!(comm, size, ops);
         ctx.now() - before
     });
     out[0]
 }
 
 /// Virtual ns for `ops` ping-pong pairs under a MoNA configuration.
-fn mona_pingpong(config: mona::MonaConfig, size: usize, ops: usize) -> u64 {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    let out = mona::testing::run_ranks(&cluster, 2, 1, config, move |comm| {
-        let data = vec![0u8; size];
+fn mona_pingpong(
+    cluster: &hpcsim::Cluster,
+    config: mona::MonaConfig,
+    size: usize,
+    ops: usize,
+) -> u64 {
+    let out = mona::testing::run_ranks(cluster, 2, 1, config, move |comm| {
         let ctx = hpcsim::current();
         let before = ctx.now();
-        for _ in 0..ops {
-            if comm.rank() == 0 {
-                comm.send(&data, 1, 0).unwrap();
-                comm.recv(1, 1).unwrap();
-            } else {
-                comm.recv(0, 0).unwrap();
-                comm.send(&data, 0, 1).unwrap();
-            }
-        }
+        pingpong!(comm, size, ops);
         ctx.now() - before
     });
     out[0]

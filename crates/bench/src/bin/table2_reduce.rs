@@ -1,9 +1,7 @@
 //! **Table II** — time to complete 1000 binary-xor reduce operations as a
-//! function of payload size, for the two MPI profiles and MoNA.
-//!
-//! The paper runs 512 processes (32 nodes × 16); that many OS threads is
-//! past a small host's budget, so the default here is 64 ranks and the
-//! `--procs`/`--ops` flags rescale. Virtual times are scale-faithful.
+//! function of payload size, for the two MPI profiles and MoNA; the
+//! measurement and its shape check live in
+//! [`colza_bench::scenarios::table2`].
 //!
 //! Run: `cargo run --release -p colza-bench --bin table2_reduce
 //!       [--procs 64] [--ops 200] [--per-node 16] [--check-shape]
@@ -12,27 +10,16 @@
 //! `--check-shape` re-verifies the paper's Table II shape numerically and
 //! exits nonzero on violation: Cray-mpich fastest at every size, the
 //! OpenMPI collapse (>= 50x Cray at >= 16 KiB), and MoNA within a small
-//! factor of Cray-mpich (<= 8x, and <= 15 ms absolute at >= 16 KiB now
-//! that large reduces are pipelined).
+//! factor of Cray-mpich (`tests/gates.rs` runs the same check).
 
-use std::sync::Arc;
-
-use colza_bench::{table, Args, TraceOut};
-use na::Fabric;
+use colza_bench::scenarios::table2;
+use colza_bench::{report, table, trace_out};
 
 fn main() {
-    let args = Args::parse();
-    let trace = TraceOut::from_args(&args);
+    let args = report::begin();
     let procs: usize = args.get("procs", 64);
     let ops: usize = args.get("ops", 200);
     let per_node: usize = args.get("per-node", 16);
-    let sizes: &[(usize, &str)] = &[
-        (8, "8 B"),
-        (128, "128 B"),
-        (2 * 1024, "2 KiB"),
-        (16 * 1024, "16 KiB"),
-        (32 * 1024, "32 KiB"),
-    ];
     table::banner(
         "Table II: time (ms) to complete 1000 binary-xor reduce operations",
         &format!(
@@ -41,20 +28,15 @@ fn main() {
         ),
     );
 
-    let mut rows = Vec::new();
-    for &(size, label) in sizes {
-        let cray = mpi_reduce(minimpi::Profile::Vendor, procs, per_node, size, ops);
-        let open = mpi_reduce(minimpi::Profile::Open, procs, per_node, size, ops);
-        let mona_t = mona_reduce(procs, per_node, size, ops);
-        rows.push((
-            label.to_string(),
-            vec![to_ms(cray, ops), to_ms(open, ops), to_ms(mona_t, ops)],
-        ));
-    }
+    let rows = table2::run(procs, ops, per_node);
+    let cells: Vec<(String, Vec<f64>)> = rows
+        .iter()
+        .map(|r| (r.label.to_string(), vec![r.cray_ms, r.open_ms, r.mona_ms]))
+        .collect();
     table::print_table(
         "Message size",
         &["Cray-mpich", "OpenMPI", "MoNA"],
-        &rows,
+        &cells,
         "milliseconds per 1000 operations",
     );
     println!();
@@ -65,124 +47,9 @@ fn main() {
     println!("  - MoNA stays within a small factor of Cray-mpich");
 
     // Separate traced capture run so the table rows stay dark.
-    if trace.wanted() {
-        export_timeline(&trace, procs.min(16), per_node, 2 * 1024, ops.min(20));
-    }
-
-    if args.has("check-shape") {
-        let mut violations = Vec::new();
-        for ((size, label), row) in sizes.iter().zip(&rows) {
-            let (cray, open, mona_ms) = (row.1[0], row.1[1], row.1[2]);
-            if cray > open || cray > mona_ms {
-                violations.push(format!("{label}: Cray-mpich is not fastest"));
-            }
-            if mona_ms / cray > 8.0 {
-                violations.push(format!(
-                    "{label}: MoNA is {:.1}x Cray-mpich (limit 8x)",
-                    mona_ms / cray
-                ));
-            }
-            if *size >= 16 * 1024 {
-                if open / cray < 50.0 {
-                    violations.push(format!(
-                        "{label}: OpenMPI collapse missing ({:.1}x Cray-mpich, expected >= 50x)",
-                        open / cray
-                    ));
-                }
-                if mona_ms > 15.0 {
-                    violations.push(format!(
-                        "{label}: MoNA at {mona_ms:.3} ms (pipelined target <= 15 ms)"
-                    ));
-                }
-            }
-        }
-        if violations.is_empty() {
-            println!();
-            println!("Shape check: OK ({} sizes verified)", sizes.len());
-        } else {
-            eprintln!();
-            eprintln!("Shape check FAILED:");
-            for v in &violations {
-                eprintln!("  - {v}");
-            }
-            std::process::exit(1);
-        }
-    }
-}
-
-/// A traced MoNA reduce capture exported as a Perfetto timeline.
-fn export_timeline(trace: &TraceOut, procs: usize, per_node: usize, size: usize, ops: usize) {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    trace.arm(&cluster);
-    mona::testing::run_ranks(
-        &cluster,
-        procs,
-        per_node,
-        mona::MonaConfig::default(),
-        move |comm| {
-            let data = vec![(comm.rank() % 251) as u8; size];
-            comm.barrier().unwrap();
-            for _ in 0..ops {
-                comm.reduce(&data, &mona::ops::bxor_u8, 0).unwrap();
-            }
-            comm.barrier().unwrap();
-        },
-    );
-    trace.export(&cluster);
-}
-
-fn mpi_reduce(
-    profile: minimpi::Profile,
-    procs: usize,
-    per_node: usize,
-    size: usize,
-    ops: usize,
-) -> u64 {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    let fabric = Fabric::new(Arc::clone(cluster.shared()));
-    let out = minimpi::MpiWorld::launch(&cluster, &fabric, procs, per_node, 0, profile, move |comm| {
-        let data = vec![(comm.rank() % 251) as u8; size];
-        let ctx = hpcsim::current();
-        comm.barrier().unwrap();
-        let before = ctx.now();
-        for _ in 0..ops {
-            comm.reduce(&data, &xor_op, 0).unwrap();
-        }
-        // Synchronize so the root's completion time is what we report.
-        comm.barrier().unwrap();
-        ctx.now() - before
+    trace_out::capture(&args, |cluster| {
+        table2::mona_reduce(cluster, procs.min(16), per_node, 2 * 1024, ops.min(20));
     });
-    *out.iter().max().unwrap()
-}
-
-fn mona_reduce(procs: usize, per_node: usize, size: usize, ops: usize) -> u64 {
-    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
-    let out = mona::testing::run_ranks(
-        &cluster,
-        procs,
-        per_node,
-        mona::MonaConfig::default(),
-        move |comm| {
-            let data = vec![(comm.rank() % 251) as u8; size];
-            let ctx = hpcsim::current();
-            comm.barrier().unwrap();
-            let before = ctx.now();
-            for _ in 0..ops {
-                comm.reduce(&data, &mona::ops::bxor_u8, 0).unwrap();
-            }
-            comm.barrier().unwrap();
-            ctx.now() - before
-        },
-    );
-    *out.iter().max().unwrap()
-}
-
-fn xor_op(acc: &mut [u8], other: &[u8]) {
-    for (a, b) in acc.iter_mut().zip(other) {
-        *a ^= b;
-    }
-}
-
-fn to_ms(total_ns: u64, ops: usize) -> f64 {
-    total_ns as f64 / 1e6 * (1000.0 / ops as f64)
+    println!();
+    report::finish_gated(&args, "check-shape", table2::HOLDS, || table2::check(&rows));
 }

@@ -9,7 +9,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 
 use colza::daemon::Session;
-use colza::{AdminClient, BlockMeta, CommMode, StagingArea};
+use colza::{BlockMeta, CommMode, StagingArea};
 use margo::MargoInstance;
 use na::Address;
 use vizkit::DataSet;
@@ -61,7 +61,7 @@ impl PipelineExperiment {
 }
 
 /// Client-observed virtual durations of one iteration's four calls.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct IterationTimes {
     /// Iteration number.
     pub iteration: u64,
@@ -191,13 +191,11 @@ fn client_body(
     let script_json = exp.script.to_json();
 
     // Rank 0 deploys the pipeline everywhere before anyone proceeds.
-    let mut known: Vec<Address> = Vec::new();
     if rank == 0 {
         let view = client.view_from(contact).expect("staging area reachable");
         admin
             .create_pipeline_on_all(&view, "catalyst", PIPELINE_NAME, &script_json)
             .expect("pipeline deploys");
-        known = view;
     }
     sim_comm.barrier().unwrap();
 
@@ -217,16 +215,11 @@ fn client_body(
         if growth > 0 {
             if rank == 0 {
                 req_tx.send(HarnessReq::Grow { count: growth }).unwrap();
-                let fresh = ack_rx.recv().expect("harness grew the group");
-                deploy_pipeline_on_new(
-                    admin,
-                    &mut known,
-                    &fresh,
-                    "catalyst",
-                    PIPELINE_NAME,
-                    &script_json,
-                )
-                .expect("deploy on new servers");
+                for addr in ack_rx.recv().expect("harness grew the group") {
+                    admin
+                        .create_pipeline(addr, "catalyst", PIPELINE_NAME, &script_json)
+                        .expect("deploy on new servers");
+                }
             }
             sim_comm.barrier().unwrap();
             handle.refresh_view().expect("refreshed view");
@@ -234,12 +227,7 @@ fn client_body(
 
         let mut t = IterationTimes {
             iteration: iter,
-            servers: 0,
-            activate_ns: 0,
-            stage_ns: 0,
-            execute_ns: 0,
-            deactivate_ns: 0,
-            skipped: false,
+            ..Default::default()
         };
         if rank == 0 {
             let before = ctx.now();
@@ -288,24 +276,6 @@ pub fn stage_blocks(
             BlockMeta::new("block".to_string(), *block_id, iteration, payload.len()),
             &payload,
         )?;
-    }
-    Ok(())
-}
-
-/// Deploys a pipeline on servers that do not have it yet.
-pub fn deploy_pipeline_on_new(
-    admin: &AdminClient,
-    known: &mut Vec<Address>,
-    fresh: &[Address],
-    library: &str,
-    name: &str,
-    config: &str,
-) -> Result<(), colza::ColzaError> {
-    for &addr in fresh {
-        if !known.contains(&addr) {
-            admin.create_pipeline(addr, library, name, config)?;
-            known.push(addr);
-        }
     }
     Ok(())
 }

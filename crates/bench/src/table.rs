@@ -1,5 +1,4 @@
-//! Plain-text table/series output matching the paper's presentation, and
-//! the JSON result files the bench mains leave under `results/`.
+//! Plain-text table/series output matching the paper's presentation.
 
 use hpcsim::stats::fmt_ns;
 
@@ -11,17 +10,6 @@ pub fn banner(title: &str, detail: &str) {
         println!("{detail}");
     }
     println!("==================================================================");
-}
-
-/// Writes `value` as one line of JSON to `path`, creating the parent
-/// directory first. A bench whose result cannot be recorded has failed:
-/// this panics rather than report success without an output file.
-pub fn write_json<T: serde::Serialize + ?Sized>(path: &str, value: &T) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    let body = serde_json::to_string(value).expect("serialize bench output");
-    std::fs::write(path, body + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
 /// Prints one table with a left label column and value columns.
@@ -46,20 +34,18 @@ pub fn print_table(label_header: &str, columns: &[&str], rows: &[(String, Vec<f6
     println!("(values in {unit})");
 }
 
-/// Prints a per-iteration series, one line each, with named columns.
-pub fn print_series(x_header: &str, columns: &[&str], rows: &[(u64, Vec<Option<u64>>)]) {
+/// Prints a per-iteration series of spans, one line per iteration
+/// (numbered from 1), with named columns.
+pub fn print_series(x_header: &str, columns: &[String], rows: &[Vec<u64>]) {
     print!("{x_header:>10}");
     for c in columns {
         print!(" {c:>18}");
     }
     println!();
-    for (x, vals) in rows {
-        print!("{x:>10}");
-        for v in vals {
-            match v {
-                Some(ns) => print!(" {:>18}", fmt_ns(*ns)),
-                None => print!(" {:>18}", "-"),
-            }
+    for (i, vals) in rows.iter().enumerate() {
+        print!("{:>10}", i + 1);
+        for &ns in vals {
+            print!(" {:>18}", fmt_ns(ns));
         }
         println!();
     }

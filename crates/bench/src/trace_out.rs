@@ -9,47 +9,27 @@
 
 use crate::Args;
 
-/// Where (and whether) a harness should export a timeline.
-pub struct TraceOut {
-    path: Option<String>,
-}
-
-impl TraceOut {
-    /// Reads the `--trace <path>` argument; absent means no export.
-    pub fn from_args(args: &Args) -> Self {
-        let p = args.get_str("trace", "");
-        Self {
-            path: (!p.is_empty()).then_some(p),
-        }
+/// When `--trace <path>` was passed: runs `scenario` on a fresh recording
+/// cluster and writes its timeline as Chrome-trace JSON to the path, plus
+/// the counter/histogram dump as JSONL next to it (`<path>.metrics.jsonl`).
+pub fn capture(args: &Args, scenario: impl FnOnce(&hpcsim::Cluster)) {
+    let path = args.get_str("trace", "");
+    if path.is_empty() {
+        return;
     }
-
-    /// Whether a capture run should happen at all.
-    pub fn wanted(&self) -> bool {
-        self.path.is_some()
+    let cluster = hpcsim::Cluster::new(hpcsim::ClusterConfig::aries());
+    cluster.shared().tracer().set_enabled(true);
+    scenario(&cluster);
+    let snap = cluster.shared().trace_snapshot();
+    match std::fs::write(&path, snap.to_chrome_json()) {
+        Ok(()) => println!(
+            "trace: wrote {} spans to {path} (open at https://ui.perfetto.dev)",
+            snap.spans.len()
+        ),
+        Err(e) => eprintln!("trace: failed to write {path}: {e}"),
     }
-
-    /// Enables recording on a capture cluster.
-    pub fn arm(&self, cluster: &hpcsim::Cluster) {
-        if self.wanted() {
-            cluster.shared().tracer().set_enabled(true);
-        }
-    }
-
-    /// Writes the cluster's timeline as Chrome-trace JSON, plus the
-    /// counter/histogram dump as JSONL next to it (`<path>.metrics.jsonl`).
-    pub fn export(&self, cluster: &hpcsim::Cluster) {
-        let Some(path) = &self.path else { return };
-        let snap = cluster.shared().trace_snapshot();
-        match std::fs::write(path, snap.to_chrome_json()) {
-            Ok(()) => println!(
-                "trace: wrote {} spans to {path} (open at https://ui.perfetto.dev)",
-                snap.spans.len()
-            ),
-            Err(e) => eprintln!("trace: failed to write {path}: {e}"),
-        }
-        let metrics_path = format!("{path}.metrics.jsonl");
-        if let Err(e) = std::fs::write(&metrics_path, snap.to_metrics_jsonl()) {
-            eprintln!("trace: failed to write {metrics_path}: {e}");
-        }
+    let metrics_path = format!("{path}.metrics.jsonl");
+    if let Err(e) = std::fs::write(&metrics_path, snap.to_metrics_jsonl()) {
+        eprintln!("trace: failed to write {metrics_path}: {e}");
     }
 }

@@ -1,29 +1,9 @@
 //! Smoke tests for the shared experiment runner (static, static-MPI, and
 //! elastic configurations at tiny scales).
 
-use std::sync::Arc;
-
 use colza::CommMode;
-use colza_bench::{run_pipeline_experiment, PipelineExperiment};
-use sims::mandelbulb::Mandelbulb;
-
-type BlockGen = Arc<dyn Fn(usize, u64, usize) -> Vec<(u64, vizkit::DataSet)> + Send + Sync>;
-
-fn mandelbulb_blocks(blocks_per_client: usize) -> BlockGen {
-    Arc::new(move |rank, _iter, clients| {
-        let total = clients * blocks_per_client;
-        let m = Mandelbulb {
-            dims: [12, 12, total.next_power_of_two().max(4) * 3],
-            ..Default::default()
-        };
-        (0..blocks_per_client)
-            .map(|b| {
-                let id = rank * blocks_per_client + b;
-                (id as u64, m.generate_block(id, total))
-            })
-            .collect()
-    })
-}
+use colza_bench::{run_pipeline_experiment, workloads, PipelineExperiment};
+use sims::dwi::DwiSeries;
 
 #[test]
 fn static_mona_experiment_completes() {
@@ -34,7 +14,7 @@ fn static_mona_experiment_completes() {
         catalyst::PipelineScript::mandelbulb(24, 24),
         2,
     );
-    let times = run_pipeline_experiment(exp, mandelbulb_blocks(2));
+    let times = run_pipeline_experiment(exp, workloads::mandelbulb(12, 2));
     assert_eq!(times.len(), 2);
     for t in &times {
         assert_eq!(t.servers, 2);
@@ -54,7 +34,7 @@ fn static_mpi_experiment_completes() {
         catalyst::PipelineScript::mandelbulb(24, 24),
         2,
     );
-    let times = run_pipeline_experiment(exp, mandelbulb_blocks(1));
+    let times = run_pipeline_experiment(exp, workloads::mandelbulb(12, 1));
     assert_eq!(times.len(), 2);
     assert!(times.iter().all(|t| t.execute_ns > 0));
 }
@@ -69,10 +49,26 @@ fn elastic_growth_changes_server_count() {
         4,
     );
     exp.grow_at = vec![(2, 1)];
-    let times = run_pipeline_experiment(exp, mandelbulb_blocks(2));
+    let times = run_pipeline_experiment(exp, workloads::mandelbulb(12, 2));
     assert_eq!(times.len(), 4);
     assert_eq!(times[0].servers, 1);
     assert_eq!(times[1].servers, 1);
     assert_eq!(times[2].servers, 2, "growth before iteration 2");
     assert_eq!(times[3].servers, 2);
+}
+
+/// More servers than blocks: a server the ring hands nothing renders a
+/// transparent frame instead of resampling a field it does not have.
+#[test]
+fn dwi_with_more_servers_than_blocks_completes() {
+    let exp = PipelineExperiment::new(
+        4,
+        2,
+        CommMode::Mona,
+        catalyst::PipelineScript::deep_water_impact(64, 48),
+        2,
+    );
+    let times = run_pipeline_experiment(exp, workloads::dwi(DwiSeries::scaled_down(2), 1));
+    assert_eq!(times.len(), 2);
+    assert!(times.iter().all(|t| t.servers == 4 && t.execute_ns > 0));
 }

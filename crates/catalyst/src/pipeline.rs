@@ -317,7 +317,10 @@ impl CatalystPipeline {
         } else {
             spec.resample_dims
         };
-        let vol = filters::resample_to_image(&merged, field, dims, f32::NEG_INFINITY);
+        // A server that holds no block has no cell field to resample: it
+        // contributes a transparent frame.
+        let vol = (merged.num_cells() > 0)
+            .then(|| filters::resample_to_image(&merged, field, dims, f32::NEG_INFINITY));
 
         let stats = match precomputed {
             Some(s) => s.clone(),
@@ -347,10 +350,9 @@ impl CatalystPipeline {
             let (lo, hi) = stats.bounds;
             ((hi - lo).length() / dims[0].max(16) as f32).max(1e-3)
         };
-        let image = if merged.num_cells() == 0 {
-            Image::new(spec.width, spec.height)
-        } else {
-            render_volume(&vol, field, &camera, &tf, spec.width, spec.height, step)
+        let image = match &vol {
+            None => Image::new(spec.width, spec.height),
+            Some(vol) => render_volume(vol, field, &camera, &tf, spec.width, spec.height, step),
         };
         let center = merged
             .bounds()

@@ -2,7 +2,13 @@
 # Regenerates every table and figure of the paper into results/.
 # Preflight: build + full test suite + chaos suite must be green before
 # burning hours on experiment runs (and it produces target/release).
-sh "$(dirname "$0")/scripts/check.sh" || exit 1
+#
+# Every main ends through colza_bench::report: a panic on any thread or a
+# failed --assert / --check-shape gate is a non-zero exit, and `set -e`
+# stops the regeneration there instead of leaving a truncated
+# results/*.txt behind the next figure.
+set -e
+sh "$(dirname "$0")/scripts/check.sh"
 
 # A wired bench that silently produces no output file is a broken
 # harness, not a slow one: fail the whole run loudly.
@@ -35,8 +41,6 @@ $B/bench_store --out results/BENCH_store.json > results/bench_store.txt 2>&1
 require_out results/BENCH_store.json
 $B/bench_recovery --out results/BENCH_recovery.json > results/bench_recovery.txt 2>&1
 require_out results/BENCH_recovery.json
-$B/bench_codec --assert --out results/BENCH_codec.json > results/bench_codec.txt 2>&1
-require_out results/BENCH_codec.json
 $B/bench_tenant --assert --out results/BENCH_tenant.json > results/bench_tenant.txt 2>&1
 require_out results/BENCH_tenant.json
 $B/bench_trigger --assert --out results/BENCH_trigger.json > results/bench_trigger.txt 2>&1
