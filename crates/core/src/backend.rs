@@ -6,7 +6,10 @@
 //! reproduction replaces `dlopen` with a **process-wide factory registry**
 //! keyed by library name (DESIGN.md §2); everything else — instantiation
 //! on demand with a JSON configuration, one instance per server, the
-//! four-method lifecycle — matches the paper.
+//! activate/execute/deactivate lifecycle — matches the paper. Staged data
+//! is the one departure: the provider's store is its only holder, and a
+//! backend is handed its blocks when it executes instead of collecting
+//! them one `stage` at a time.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,12 +22,14 @@ use vizkit::Controller;
 use crate::error::{ColzaError, Result};
 use crate::protocol::{BlockMeta, ExecOutcome};
 
-/// A block staged on a server: metadata plus the pulled payload.
+/// A staged block as a backend receives it: metadata plus the decoded
+/// payload.
 #[derive(Debug, Clone)]
 pub struct StagedBlock {
     /// Block metadata from the client.
     pub meta: BlockMeta,
-    /// Raw payload pulled over RDMA (decode with [`crate::codec`]).
+    /// The serialized dataset (parse with
+    /// [`crate::codec::dataset_from_bytes`]).
     pub data: Bytes,
 }
 
@@ -38,30 +43,25 @@ pub struct BackendCtx {
 
 /// The pipeline interface (the paper's `colza::Backend`).
 ///
-/// Methods mirror the four RPCs; `execute` additionally receives the
-/// iteration's communicator controller, which is how parallel pipelines
-/// (Catalyst) do collective work.
+/// Methods mirror the protocol's RPCs, except that a backend never sees
+/// a `stage`: `execute` receives the blocks this server is primary for,
+/// in store key order, along with the iteration's communicator
+/// controller, which is how parallel pipelines (Catalyst) do collective
+/// work. Each call is handed its whole input, so a re-executed iteration
+/// renders exactly what the second call was given.
 pub trait Backend: Send + Sync {
     /// A new analysis iteration is starting.
     fn activate(&self, iteration: u64) -> std::result::Result<(), String>;
-    /// A block of data has been staged for this pipeline.
-    fn stage(&self, block: StagedBlock) -> std::result::Result<(), String>;
-    /// A previously staged block was demoted off this server (its primary
-    /// moved elsewhere during migration or repair) and must no longer be
-    /// part of this server's `execute`. Default: no-op, for backends that
-    /// never run under replication.
-    fn unstage(&self, _meta: &BlockMeta) -> std::result::Result<(), String> {
-        Ok(())
-    }
-    /// Run the analysis collectively over the staged data. Reactive
-    /// backends may report [`ExecOutcome::Skipped`] when a trigger
-    /// decided against running this iteration (DESIGN.md §15).
+    /// Run the analysis collectively over `blocks`. Reactive backends may
+    /// report [`ExecOutcome::Skipped`] when a trigger decided against
+    /// running this iteration (DESIGN.md §15).
     fn execute(
         &self,
         iteration: u64,
+        blocks: &[StagedBlock],
         ctrl: &Controller,
     ) -> std::result::Result<ExecOutcome, String>;
-    /// The iteration is complete; staged data may be released.
+    /// The iteration is complete.
     fn deactivate(&self, iteration: u64) -> std::result::Result<(), String>;
     /// Optional: the latest result produced by this pipeline (e.g. a
     /// rendered image), for retrieval by tools.
@@ -117,13 +117,27 @@ fn ensure_builtins() {
     });
 }
 
-/// A no-op pipeline that only counts calls — the smallest useful backend,
-/// handy for protocol tests and overhead measurements.
+/// A no-op pipeline that only counts calls and records what it was last
+/// handed — the smallest useful backend, handy for protocol tests and
+/// overhead measurements.
 #[derive(Default)]
 pub struct NullBackend {
-    /// `(activates, stages, executes, deactivates)` counters.
-    pub calls: Mutex<(u64, u64, u64, u64)>,
-    staged_bytes: Mutex<u64>,
+    /// `(activates, executes, deactivates)` counters.
+    pub calls: Mutex<(u64, u64, u64)>,
+    /// `(payload bytes, block ids)` of the last `execute`'s blocks.
+    handed: Mutex<(u64, Vec<u64>)>,
+}
+
+impl NullBackend {
+    /// Reads a report fetched from a null backend (`fetch_result`) back
+    /// into `(payload bytes, block ids)` — the inverse of its
+    /// [`Backend::take_result`].
+    pub fn handed(report: &[u8]) -> (u64, Vec<u64>) {
+        let mut words = report
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        (words.next().unwrap_or(0), words.collect())
+    }
 }
 
 impl Backend for NullBackend {
@@ -132,42 +146,42 @@ impl Backend for NullBackend {
         Ok(())
     }
 
-    fn stage(&self, block: StagedBlock) -> std::result::Result<(), String> {
-        self.calls.lock().1 += 1;
-        *self.staged_bytes.lock() += block.data.len() as u64;
-        Ok(())
-    }
-
-    fn unstage(&self, meta: &BlockMeta) -> std::result::Result<(), String> {
-        let mut bytes = self.staged_bytes.lock();
-        *bytes = bytes.saturating_sub(meta.size as u64);
-        Ok(())
-    }
-
     fn execute(
         &self,
         _iteration: u64,
+        blocks: &[StagedBlock],
         _ctrl: &Controller,
     ) -> std::result::Result<ExecOutcome, String> {
-        self.calls.lock().2 += 1;
+        self.calls.lock().1 += 1;
+        *self.handed.lock() = (
+            blocks.iter().map(|b| b.data.len() as u64).sum(),
+            blocks.iter().map(|b| b.meta.block_id).collect(),
+        );
         Ok(ExecOutcome::Ran)
     }
 
     fn deactivate(&self, _iteration: u64) -> std::result::Result<(), String> {
-        self.calls.lock().3 += 1;
+        self.calls.lock().2 += 1;
         Ok(())
     }
 
+    /// Little-endian `u64` words: the byte total of the last `execute`'s
+    /// blocks, then the id of each block in hand-over order.
     fn take_result(&self) -> Option<Vec<u8>> {
-        Some(self.staged_bytes.lock().to_le_bytes().to_vec())
+        let (bytes, ids) = &*self.handed.lock();
+        Some(
+            std::iter::once(bytes)
+                .chain(ids)
+                .flat_map(|w| w.to_le_bytes())
+                .collect(),
+        )
     }
 }
 
-/// The Catalyst visualization pipeline backend: stages `vizkit` datasets
-/// and renders them with the configured script on `execute`.
+/// The Catalyst visualization pipeline backend: parses the `vizkit`
+/// datasets it is handed and renders them with the configured script.
 pub struct CatalystBackend {
     pipeline: catalyst::CatalystPipeline,
-    staged: Mutex<HashMap<u64, Vec<StagedBlock>>>,
     last_image: Mutex<Option<Vec<u8>>>,
 }
 
@@ -179,7 +193,6 @@ impl CatalystBackend {
                 config,
                 catalyst::CatalystConfig::default(),
             )?,
-            staged: Mutex::new(HashMap::new()),
             last_image: Mutex::new(None),
         })
     }
@@ -188,46 +201,22 @@ impl CatalystBackend {
     pub fn from_script(script: catalyst::PipelineScript) -> Self {
         Self {
             pipeline: catalyst::CatalystPipeline::new(script, catalyst::CatalystConfig::default()),
-            staged: Mutex::new(HashMap::new()),
             last_image: Mutex::new(None),
         }
     }
 }
 
 impl Backend for CatalystBackend {
-    fn activate(&self, iteration: u64) -> std::result::Result<(), String> {
-        self.staged.lock().entry(iteration).or_default();
-        Ok(())
-    }
-
-    fn stage(&self, block: StagedBlock) -> std::result::Result<(), String> {
-        self.staged
-            .lock()
-            .entry(block.meta.iteration)
-            .or_default()
-            .push(block);
-        Ok(())
-    }
-
-    fn unstage(&self, meta: &BlockMeta) -> std::result::Result<(), String> {
-        if let Some(blocks) = self.staged.lock().get_mut(&meta.iteration) {
-            blocks.retain(|b| b.meta.block_id != meta.block_id);
-        }
+    fn activate(&self, _iteration: u64) -> std::result::Result<(), String> {
         Ok(())
     }
 
     fn execute(
         &self,
         iteration: u64,
+        blocks: &[StagedBlock],
         ctrl: &Controller,
     ) -> std::result::Result<ExecOutcome, String> {
-        let mut blocks = self
-            .staged
-            .lock()
-            .get(&iteration)
-            .cloned()
-            .unwrap_or_default();
-        blocks.sort_by_key(|b| b.meta.block_id);
         let datasets: Vec<vizkit::DataSet> = blocks
             .iter()
             .map(|b| crate::codec::dataset_from_bytes(&b.data).map_err(|e| e.to_string()))
@@ -243,8 +232,7 @@ impl Backend for CatalystBackend {
         })
     }
 
-    fn deactivate(&self, iteration: u64) -> std::result::Result<(), String> {
-        self.staged.lock().remove(&iteration);
+    fn deactivate(&self, _iteration: u64) -> std::result::Result<(), String> {
         Ok(())
     }
 
@@ -310,36 +298,37 @@ mod tests {
     }
 
     #[test]
-    fn null_backend_counts_lifecycle() {
+    fn null_backend_counts_lifecycle_and_reports_its_last_hand_over() {
         let b = NullBackend::default();
-        b.activate(1).unwrap();
-        b.stage(StagedBlock {
-            meta: BlockMeta::new("x".to_string(), 0, 1, 3),
-            data: Bytes::from_static(&[1, 2, 3]),
-        })
-        .unwrap();
+        let block = |id: u64, data: &'static [u8]| StagedBlock {
+            meta: BlockMeta::new("x".to_string(), id, 1, data.len()),
+            data: Bytes::from_static(data),
+        };
         let ctrl = Controller::new(Arc::new(vizkit::controller::DummyComm));
-        b.execute(1, &ctrl).unwrap();
+        b.activate(1).unwrap();
+        b.execute(1, &[block(4, &[1, 2, 3]), block(7, &[4, 5])], &ctrl)
+            .unwrap();
+        assert_eq!(
+            NullBackend::handed(&b.take_result().unwrap()),
+            (5, vec![4, 7])
+        );
+        // A second execute of the iteration replaces the record.
+        b.execute(1, &[block(7, &[4, 5])], &ctrl).unwrap();
         b.deactivate(1).unwrap();
-        assert_eq!(*b.calls.lock(), (1, 1, 1, 1));
-        assert_eq!(b.take_result().unwrap(), 3u64.to_le_bytes().to_vec());
+        assert_eq!(*b.calls.lock(), (1, 2, 1));
+        assert_eq!(NullBackend::handed(&b.take_result().unwrap()), (2, vec![7]));
     }
 
-    #[test]
-    fn catalyst_backend_roundtrip_serial() {
-        let b = CatalystBackend::from_script(catalyst::PipelineScript::mandelbulb(24, 24));
-        let ctrl = Controller::new(Arc::new(vizkit::controller::DummyComm));
-        b.activate(0).unwrap();
-        // Stage a little sphere-field image block.
+    /// A little sphere-field image block centred at `c` on every axis.
+    fn sphere_block(id: u64, c: f32) -> StagedBlock {
         let mut img = vizkit::ImageData::new([8, 8, 8]);
         let mut vals = Vec::new();
         for k in 0..8 {
             for j in 0..8 {
                 for i in 0..8 {
-                    let d = ((i as f32 - 3.5).powi(2)
-                        + (j as f32 - 3.5).powi(2)
-                        + (k as f32 - 3.5).powi(2))
-                    .sqrt();
+                    let d =
+                        ((i as f32 - c).powi(2) + (j as f32 - c).powi(2) + (k as f32 - c).powi(2))
+                            .sqrt();
                     vals.push(30.0 - d * 4.0);
                 }
             }
@@ -347,17 +336,44 @@ mod tests {
         img.point_data
             .set("iterations", vizkit::DataArray::F32(vals));
         let payload = crate::codec::dataset_to_bytes(&vizkit::DataSet::Image(img));
-        b.stage(StagedBlock {
-            meta: BlockMeta::new("mandelbulb".to_string(), 0, 0, payload.len()),
+        StagedBlock {
+            meta: BlockMeta::new("mandelbulb".to_string(), id, 0, payload.len()),
             data: payload,
-        })
-        .unwrap();
-        b.execute(0, &ctrl).unwrap();
+        }
+    }
+
+    #[test]
+    fn catalyst_backend_roundtrip_serial() {
+        let b = CatalystBackend::from_script(catalyst::PipelineScript::mandelbulb(24, 24));
+        let ctrl = Controller::new(Arc::new(vizkit::controller::DummyComm));
+        b.activate(0).unwrap();
+        b.execute(0, &[sphere_block(0, 3.5)], &ctrl).unwrap();
         let img_bytes = b.take_result().expect("root image");
         let img = vizkit::Image::from_bytes(&img_bytes);
         assert!(img.coverage() > 0.0);
         b.deactivate(0).unwrap();
-        // Staged data released.
-        assert!(b.staged.lock().get(&0).is_none());
+    }
+
+    #[test]
+    fn re_executed_iteration_renders_only_the_second_hand_over() {
+        let ctrl = Controller::new(Arc::new(vizkit::controller::DummyComm));
+        let render = |b: &CatalystBackend, blocks: &[StagedBlock]| {
+            b.execute(0, blocks, &ctrl).unwrap();
+            b.take_result().expect("root image")
+        };
+        let script = || catalyst::PipelineScript::mandelbulb(24, 24);
+        let (first, second) = (sphere_block(0, 2.0), sphere_block(1, 5.0));
+
+        let b = CatalystBackend::from_script(script());
+        b.activate(0).unwrap();
+        let both = render(&b, &[first, second.clone()]);
+        // The aborted attempt's blocks are not this call's input.
+        let again = render(&b, std::slice::from_ref(&second));
+        let fresh = render(&CatalystBackend::from_script(script()), &[second]);
+        assert_eq!(again, fresh, "the re-execute rendered a stale block");
+        assert_ne!(
+            again, both,
+            "the two hand-overs must differ for the test to bite"
+        );
     }
 }

@@ -4,8 +4,7 @@
 //! ring: the client rebuilds the ring from the frozen member list (the
 //! same computation every server performs at `commit_activate`) and
 //! stages each block on its primary owner plus `replication - 1`
-//! replicas. The old ad-hoc policies (block-modulo, round-robin) are
-//! gone — determinism between client and servers is what lets crash
+//! replicas. Determinism between client and servers is what lets crash
 //! repair promote replicas without any coordination.
 
 use std::collections::HashMap;
@@ -408,20 +407,21 @@ impl DistributedPipelineHandle {
         })
     }
 
-    /// Stages one block on its ring owners: the primary (which feeds the
-    /// pipeline) plus `replication - 1` replicas, each pulling the
-    /// payload via RDMA from this process's memory.
+    /// Stages one block on its ring owners: the primary (whose copy the
+    /// pipeline is handed at `execute`) plus `replication - 1` replicas,
+    /// each pulling the payload via RDMA from this process's memory.
     ///
     /// When a target fails mid-stage (a server died or is draining out),
     /// the client refreshes its view and re-routes the block through the
     /// ring over the surviving members — the block lands on the dead
     /// server's successor instead of being lost. Server-side inserts are
     /// idempotent, so re-staging an already-delivered copy is harmless.
-    /// A re-route can transiently leave the block *fed* on two servers
-    /// (the original primary was falsely suspected, or fed the copy
-    /// before the failure); servers settle that at `execute` time by
-    /// reconciling fed state against the frozen placement, so the block
-    /// still renders exactly once.
+    /// A re-route can transiently leave the block *primary* on two
+    /// servers (the original primary was falsely suspected, or recorded
+    /// the copy before the failure). No backend has seen either copy
+    /// yet: at `execute` each server corrects its roles against the
+    /// frozen placement and only then hands its primaries over, so the
+    /// block still renders exactly once.
     ///
     /// With a non-raw codec configured for the dataset, the payload is
     /// encoded here — exactly once — and the *frame* is what every owner
@@ -616,7 +616,8 @@ impl DistributedPipelineHandle {
     /// 2PC against the refreshed — shrunk — view and re-issues the
     /// execute. Staged inputs survive the abort on the servers (they
     /// are only released at deactivate), so the re-executed iteration
-    /// re-feeds from store replicas without re-staging.
+    /// is handed the store's copies again, promoted replicas included,
+    /// without re-staging.
     ///
     /// Plain [`DistributedPipelineHandle::execute`] keeps its
     /// fail-fast semantics; call this variant when the simulation
@@ -773,8 +774,8 @@ impl DistributedPipelineHandle {
 }
 
 /// Stages one block on its ring owners: the payload is exposed once and
-/// each owner pulls it; the primary (owner 0) feeds its backend, the
-/// replicas only keep the bytes. Shared by both handle flavours — this
+/// each owner pulls it; the primary (owner 0) hands its copy to the
+/// backend at `execute`, the replicas only keep the bytes. Shared by both handle flavours — this
 /// is the single placement path in the client.
 fn stage_via_ring(
     margo: &Arc<MargoInstance>,

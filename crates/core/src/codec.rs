@@ -13,7 +13,7 @@
 //!    Clients encode a block **once** before exposing it for RDMA; the
 //!    encoded frame is what the staging store holds, replicates, repairs
 //!    and rebalances (the same `Bytes` refcount throughout), and servers
-//!    decode only when feeding a primary copy to its backend.
+//!    decode only a primary copy, the one its backend is handed.
 //!
 //! Every codec decision is a pure function of `(CodecConfig, dataset
 //! name, payload, delta base)` — no wall-clock, no randomness — so

@@ -243,7 +243,8 @@ pub(crate) struct StageArgs {
     pub pipeline: String,
     pub meta: BlockMeta,
     /// Role this copy holds on the receiving server: the ring's primary
-    /// owner feeds the backend, replicas only keep the bytes.
+    /// owner hands it to the backend at `execute`, replicas only keep
+    /// the bytes.
     pub role: Role,
     pub bulk: BulkHandle,
 }

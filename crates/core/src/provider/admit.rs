@@ -1,28 +1,25 @@
-//! Admission of a staged or pushed copy into the store, and the feed
-//! path from a held copy to the pipeline backend.
+//! Admission of a staged or pushed copy into the store, and the
+//! conversion of a held copy into what the backend is handed.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use bytes::Bytes;
 
 use store::{BlockKey, Role, StoredBlock};
 
 use super::ColzaProvider;
-use crate::backend::{Backend, StagedBlock};
+use crate::backend::StagedBlock;
 use crate::codec::{self, CodecError, CodecId};
 use crate::protocol::{BlockMeta, TenantId};
 use crate::ColzaError;
 
 impl ColzaProvider {
-    /// Records a staged or pushed copy and feeds the backend when this
-    /// server is the copy's primary. Insert is idempotent (stage
-    /// retries, repair races); the feed claim guarantees at most one
-    /// feed per copy.
+    /// Records a staged or pushed copy. Insert is idempotent (stage
+    /// retries, repair races). The backend is not involved: it is handed
+    /// the iteration's primaries at `execute`.
     pub(super) fn admit(
         &self,
         pipeline: &str,
-        entry: &Arc<dyn Backend>,
         meta: BlockMeta,
         role: Role,
         data: Bytes,
@@ -34,11 +31,16 @@ impl ColzaProvider {
         // Chain frames (iteration deltas) are reconstructed eagerly on
         // *every* holder — primary and replicas alike — before the copy
         // is recorded: the reconstructed plain is what lets this holder
-        // serve as the next diff's base, feed the backend after a
+        // serve as the next diff's base, hand the block over after a
         // promotion, and seed fresh owners during repair, all after the
-        // base frame itself was released at deactivate.
+        // base frame itself was released at deactivate. A stateless
+        // frame is decoded only where it will be handed over — on its
+        // primary, here, so a corrupt frame fails the `stage` that
+        // delivered it; a replica promoted later decodes at `execute`.
         let plain = if meta.codec.is_chain() {
             Some(self.chain_plain(pipeline, &meta, &data, plain_hint)?)
+        } else if role == Role::Primary && meta.codec != CodecId::Raw {
+            Some(codec::decode_block(meta.codec, &data, None).map_err(|e| e.to_string())?)
         } else {
             None
         };
@@ -56,14 +58,15 @@ impl ColzaProvider {
                 u64::MAX
             }
         };
+        let encoded_bytes = data.len() as u64;
         let block = stored_block(pipeline, &meta, role, data, plain);
         let tenant = meta.tenant.as_str();
-        let fresh = match self.store.admit(block.clone(), quota) {
+        let fresh = match self.store.admit(block, quota) {
             store::Admit::Fresh => {
                 hpcsim::trace::counter_add(format!("colza.tenant.{tenant}.stage.blocks"), 1);
                 hpcsim::trace::counter_add(
                     format!("colza.tenant.{tenant}.stage.bytes"),
-                    block.data.len() as u64,
+                    encoded_bytes,
                 );
                 hpcsim::trace::counter_add(
                     format!("colza.tenant.{tenant}.stage.decoded_bytes"),
@@ -91,17 +94,6 @@ impl ColzaProvider {
                     .remove(pipeline, meta.iteration, meta.block_id, &meta.name);
             }
             return Err(ColzaError::draining().to_reply());
-        }
-        if role == Role::Primary
-            && self
-                .store
-                .promote(pipeline, meta.iteration, meta.block_id, &meta.name)
-        {
-            if let Err(e) = self.feed_block(entry, &block) {
-                self.store
-                    .unmark_fed(pipeline, meta.iteration, meta.block_id, &meta.name);
-                return Err(e);
-            }
         }
         Ok(())
     }
@@ -157,30 +149,24 @@ impl ColzaProvider {
         }
         Ok(plain)
     }
+}
 
-    /// Feeds one held copy to its pipeline backend — the single feed
-    /// path, for admission and for every later promotion. The backend
-    /// always receives the decoded payload: chain frames carry the plain
-    /// reconstructed at admission; stateless frames decode here, at feed
-    /// time (raw passes through by refcount).
-    pub(super) fn feed_block(
-        &self,
-        entry: &Arc<dyn Backend>,
-        b: &StoredBlock,
-    ) -> std::result::Result<(), String> {
-        let codec = CodecId::from_u8(b.codec).map_err(|e| e.to_string())?;
-        let data = if codec.is_chain() {
-            b.plain
-                .clone()
-                .ok_or_else(|| "chain-coded copy holds no reconstructed payload".to_string())?
-        } else {
-            codec::decode_block(codec, &b.data, None).map_err(|e| e.to_string())?
-        };
-        entry.stage(StagedBlock {
-            meta: block_meta(b),
-            data,
-        })
-    }
+/// A held primary as the backend receives it — always decoded: the plain
+/// kept at admission where there is one, a decode now for a stateless
+/// frame promoted since (raw passes through by refcount).
+pub(super) fn staged_block(b: &StoredBlock) -> std::result::Result<StagedBlock, String> {
+    let codec = CodecId::from_u8(b.codec).map_err(|e| e.to_string())?;
+    let data = match &b.plain {
+        Some(plain) => plain.clone(),
+        None if codec.is_chain() => {
+            return Err("chain-coded copy holds no reconstructed payload".to_string())
+        }
+        None => codec::decode_block(codec, &b.data, None).map_err(|e| e.to_string())?,
+    };
+    Ok(StagedBlock {
+        meta: block_meta(b),
+        data,
+    })
 }
 
 /// The store's record of a copy described by wire metadata.

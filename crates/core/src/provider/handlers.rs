@@ -133,9 +133,9 @@ impl ColzaProvider {
         self.pipeline(&args.pipeline)?.activate(args.iteration)?;
         // Converge the holdings on the newly frozen view *before*
         // acknowledging: when the commit returns, every survivor-owned
-        // block is already in place and fed, so `execute` can proceed
-        // from replicas. A commit whose pushes transiently failed must
-        // fail — the client aborts and retries the 2PC, and the
+        // block is already in place under its new role, so `execute` can
+        // proceed from replicas. A commit whose pushes transiently failed
+        // must fail — the client aborts and retries the 2PC, and the
         // unadvanced placement makes the next pass re-push what is still
         // missing. Quota *refusals* are tolerated: they would refuse
         // identically on every retry, so failing here would livelock
@@ -158,7 +158,7 @@ impl ColzaProvider {
     }
 
     fn on_stage(&self, args: StageArgs, ctx: &CallCtx) -> Reply<()> {
-        let entry = self.pipeline(&args.pipeline)?;
+        self.pipeline(&args.pipeline)?;
         let mut sp = hpcsim::trace::span("colza", "colza.srv.stage");
         if sp.active() {
             sp.arg("block", args.meta.block_id);
@@ -173,24 +173,24 @@ impl ColzaProvider {
             .endpoint
             .rdma_get(args.bulk, 0, args.meta.encoded_size)
             .map_err(|e| e.to_string())?;
-        self.admit(&args.pipeline, &entry, args.meta, args.role, data, None)
+        self.admit(&args.pipeline, args.meta, args.role, data, None)
     }
 
     /// Server-to-server transfer (migration, drain, repair, scrub).
     fn on_push(&self, args: PushBlockArgs, ctx: &CallCtx) -> Reply<()> {
-        let entry = self.pipeline(&args.pipeline)?;
+        self.pipeline(&args.pipeline)?;
         let (data, plain) = pull_copy(&args, ctx)?;
         hpcsim::trace::counter_add("colza.store.recv.blocks", 1);
         hpcsim::trace::counter_add("colza.store.recv.bytes", data.len() as u64);
         if let Some(pl) = &plain {
             hpcsim::trace::counter_add("colza.store.recv.plain_bytes", pl.len() as u64);
         }
-        self.admit(&args.pipeline, &entry, args.meta, args.role, data, plain)
+        self.admit(&args.pipeline, args.meta, args.role, data, plain)
     }
 
     /// Last-resort drain parking: a leaver whose drain could not place a
     /// copy with its ring owners parks it on any reachable survivor. The
-    /// copy is *not* admitted to the store — no quota charge, no feed —
+    /// copy is *not* admitted to the store — no quota charge, no role —
     /// it waits in the pending-handoff set for the next scrub pass to
     /// place it through the normal paths.
     fn on_handoff(&self, args: PushBlockArgs, ctx: &CallCtx) -> Reply<()> {
@@ -219,9 +219,9 @@ impl ColzaProvider {
             .cloned()
             .ok_or_else(|| "execute before activate".to_string())?;
         // Settle which copies render before running the pipeline: a
-        // mid-iteration re-route or repair may have fed a block on two
-        // servers (or on none that survived).
-        self.settle_fed(&args.pipeline, args.iteration, &members, ring_cfg);
+        // mid-iteration re-route or repair may have left a block primary
+        // on two servers (or on none that survived).
+        let blocks = self.hand_over(&args.pipeline, args.iteration, &members, ring_cfg)?;
         let ctrl = self.controller(&members, args.iteration)?;
         let mut sp = hpcsim::trace::span("colza", "colza.srv.execute");
         if sp.active() {
@@ -234,7 +234,7 @@ impl ColzaProvider {
         // for the iteration's render work.
         let cost_hint = self.store.tenant_staged_bytes(args.tenant.as_str()).max(1);
         let out = self.qos.run(&args.tenant, cost_hint, || {
-            entry.execute(args.iteration, &ctrl)
+            entry.execute(args.iteration, &blocks, &ctrl)
         });
         hpcsim::trace::counter_add(
             format!("colza.tenant.{}.exec.count", args.tenant.as_str()),
@@ -245,9 +245,9 @@ impl ColzaProvider {
             // communicator was revoked. Roll back by leaving the
             // iteration's staged inputs exactly where they are — the
             // store keeps every copy until deactivate, and the next
-            // execute's role settlement re-promotes/re-feeds them against
-            // the re-frozen (shrunk) view — and reply with the typed
-            // retryable abort marker.
+            // execute hands over the primaries under the re-frozen
+            // (shrunk) view — and reply with the typed retryable abort
+            // marker.
             Err(e) if e.contains(mona::REVOKED_MARKER) => {
                 hpcsim::trace::counter_add("colza.exec.aborted", 1);
                 if sp.active() {

@@ -2,17 +2,18 @@
 //! mechanism that keeps staged blocks where the ring says they belong.
 //!
 //! Every staged block is recorded in a [`StagingStore`] with its ring
-//! role (the primary feeds the backend, replicas hold bytes for
-//! recovery). Whatever changes underneath — a 2PC commit carrying a new
-//! member list, an SSG departure, this server leaving, a scrub tick, an
-//! `execute` — the response is the same: *plan* each held copy against a
-//! target ring (`store::plan_copy`) and *execute* the plan: push copies
-//! to owners that lack them, promote and feed, demote and unstage, drop
-//! only what provably landed (DESIGN.md §10).
+//! role (the primaries are what the backend is handed at `execute`,
+//! replicas hold bytes for recovery). Whatever changes underneath — a
+//! 2PC commit carrying a new member list, an SSG departure, this server
+//! leaving, a scrub tick, an `execute` — the response is the same: *plan*
+//! each held copy against a target ring (`store::plan_copy`) and
+//! *execute* the plan: push copies to owners that lack them, promote,
+//! demote, drop only what provably landed (DESIGN.md §10).
 //!
 //! * this module — provider state, construction, accessors;
 //! * `handlers` — the registration table and one method per RPC;
-//! * `admit` — admission of a staged or pushed copy, and the feed path;
+//! * `admit` — admission of a staged or pushed copy, and its decoding
+//!   for the hand-over;
 //! * `reconcile` — the convergence executor and its five callers.
 
 mod admit;
@@ -140,7 +141,7 @@ pub struct ColzaProvider {
     /// Copies parked by `colza.store.handoff`: a leaver whose drain could
     /// not place them with their ring owners hands them to any reachable
     /// survivor instead of taking them down. Parked copies are *not* in
-    /// the staging store (no quota charge, no feed); every scrub pass
+    /// the staging store (no quota charge, no role); every scrub pass
     /// drains this set through the normal admission/push paths.
     pending_handoff: Mutex<Vec<StoredBlock>>,
     /// `under_replicated_blocks` gauge from the last scrub pass.

@@ -2,12 +2,11 @@
 //!
 //! A *pass* walks the held copies, plans each against a target ring with
 //! `store::plan_copy`, and executes the plan — the only code that pushes
-//! copies, promotes and feeds, demotes and unstages, or drops. The
-//! callers — `commit_activate`, [`repair`](ColzaProvider::repair),
-//! [`drain`](ColzaProvider::drain), [`scrub`](ColzaProvider::scrub) and
-//! `execute` — only choose the [`Pass`]: the target view, whom they
-//! presume to hold a copy already, whether this holder pushes, and the
-//! scope (the table in DESIGN.md §10).
+//! copies, promotes, demotes or drops. The callers — `commit_activate`,
+//! [`repair`](ColzaProvider::repair), [`drain`](ColzaProvider::drain),
+//! [`scrub`](ColzaProvider::scrub) and `execute` — only choose the
+//! [`Pass`]: the target view, whom they presume to hold a copy already,
+//! whether this holder pushes, and the scope (the table in DESIGN.md §10).
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -15,8 +14,9 @@ use std::sync::atomic::Ordering;
 use na::Address;
 use store::{BlockSync, HashRing, RingConfig, Role, StoreDigest, StoredBlock};
 
-use super::admit::block_meta;
+use super::admit::{block_meta, staged_block};
 use super::{ColzaProvider, Placement, ScrubReport};
+use crate::backend::StagedBlock;
 use crate::codec::CodecId;
 use crate::protocol::{DigestArgs, PushBlockArgs};
 use crate::retry::{probe_retry, push_retry};
@@ -206,7 +206,7 @@ impl ColzaProvider {
     /// never trade the last copy away, and
     /// never make a failed pass unrecoverable by removing what the retry
     /// would have to re-push. Until then it stays, demoted: a stale
-    /// placement must not keep feeding the backend, and `execute`
+    /// placement must not be handed to the backend, and `execute`
     /// re-promotes whatever its frozen ring makes primary.
     fn settle(
         &self,
@@ -217,11 +217,6 @@ impl ColzaProvider {
         tally: &mut Tally,
     ) {
         let (pipeline, it, id, name) = (&b.key.pipeline, b.iteration, b.key.block_id, &b.name);
-        let unstage = || {
-            if let Ok(entry) = self.pipeline(pipeline) {
-                let _ = entry.unstage(&block_meta(b));
-            }
-        };
         let keep = match sync.keep {
             Some(role) => {
                 if landed < sync.push.len() {
@@ -239,26 +234,16 @@ impl ColzaProvider {
             Some(Role::Primary) => {
                 if self.store.promote(pipeline, it, id, name) {
                     tally.promoted += 1;
-                    let fed = self
-                        .pipeline(pipeline)
-                        .and_then(|entry| self.feed_block(&entry, b));
-                    if fed.is_err() {
-                        self.store.unmark_fed(pipeline, it, id, name);
-                    }
                 }
             }
             Some(Role::Replica) => {
                 if self.store.demote(pipeline, it, id, name) {
                     tally.demoted += 1;
-                    unstage();
                 }
             }
             None => {
-                if let Some(removed) = self.store.remove(pipeline, it, id, name) {
+                if self.store.remove(pipeline, it, id, name).is_some() {
                     report.collected += 1;
-                    if removed.fed {
-                        unstage();
-                    }
                 }
             }
         }
@@ -449,9 +434,9 @@ impl ColzaProvider {
     }
 
     /// Places the parked handoff copies: one this server owns is adopted
-    /// through the normal admission path (quota, chain decode, feed when
-    /// primary) and replicated by the sweep that follows like any held
-    /// copy; one it does not own is pushed to the owners lacking it.
+    /// through the normal admission path (quota, decode) and replicated
+    /// by the sweep that follows like any held copy; one it does not own
+    /// is pushed to the owners lacking it.
     /// Anything that did not fully land stays parked for the next pass.
     fn place_parked(
         &self,
@@ -475,9 +460,9 @@ impl ColzaProvider {
                 true,
             );
             let placed = match (sync.keep, self.pipeline(&b.key.pipeline)) {
-                (Some(role), Ok(entry)) => {
+                (Some(role), Ok(_)) => {
                     let (data, plain) = (b.data.clone(), b.plain.clone());
-                    match self.admit(&b.key.pipeline, &entry, block_meta(&b), role, data, plain) {
+                    match self.admit(&b.key.pipeline, block_meta(&b), role, data, plain) {
                         Ok(()) => true,
                         Err(e) => {
                             self.not_landed(&b, &e, report);
@@ -502,48 +487,54 @@ impl ColzaProvider {
     }
 
     /// Settles, at `execute` time, which copies of an iteration's blocks
-    /// are fed to the backend: exactly the primary under the frozen
-    /// placement restricted to members still in the current SSG view.
+    /// the backend is handed — exactly the primaries under the frozen
+    /// placement restricted to members still in the current SSG view —
+    /// and returns them decoded, in store key order.
     ///
     /// Two hazards close here. A client that re-routed a `stage` through
-    /// a refreshed view mid-iteration can have fed a block on both the
-    /// frozen primary and its successor (the frozen primary was falsely
-    /// suspected, or had already fed the copy before refusing) — the
-    /// stale copy is demoted so the block renders once. Conversely, when
-    /// the frozen primary died and no repair pass ran, the surviving
-    /// successor promotes and feeds its replica so `execute` proceeds
-    /// instead of rendering a hole. In a healthy iteration fed state
-    /// already matches the frozen ring and this is a no-op.
-    pub(super) fn settle_fed(
+    /// a refreshed view mid-iteration can have left a block primary on
+    /// both the frozen primary and its successor (the frozen primary was
+    /// falsely suspected, or had already recorded the copy before
+    /// refusing) — the stale copy is demoted so the block renders once.
+    /// Conversely, when the frozen primary died and no repair pass ran,
+    /// the surviving successor promotes its replica so `execute` proceeds
+    /// instead of rendering a hole. In a healthy iteration the roles
+    /// already match the frozen ring and the pass changes nothing.
+    ///
+    /// The role pass and the selection share one `placement` critical
+    /// section, so a concurrent [`repair`](Self::repair) cannot flip a
+    /// role between settlement and hand-over.
+    pub(super) fn hand_over(
         &self,
         pipeline: &str,
         iteration: u64,
         frozen: &[Address],
         cfg: RingConfig,
-    ) {
+    ) -> std::result::Result<Vec<StagedBlock>, String> {
         let current = self.group.view();
         let alive: Vec<Address> = frozen
             .iter()
             .copied()
             .filter(|a| current.contains(a))
             .collect();
-        if alive.is_empty() {
-            return;
+        let mut placement = self.placement.lock();
+        if !alive.is_empty() {
+            let pass = Pass {
+                label: "execute",
+                members: &alive,
+                cfg,
+                holders: Holders::Unverified,
+                scope: Some((pipeline, iteration)),
+            };
+            let tally = self.converge(&mut placement, &pass, &mut ScrubReport::default());
+            count("colza.store.exec.promoted", tally.promoted);
+            count("colza.store.exec.demoted", tally.demoted);
         }
-        let pass = Pass {
-            label: "execute",
-            members: &alive,
-            cfg,
-            holders: Holders::Unverified,
-            scope: Some((pipeline, iteration)),
-        };
-        let tally = self.converge(
-            &mut self.placement.lock(),
-            &pass,
-            &mut ScrubReport::default(),
-        );
-        count("colza.store.exec.promoted", tally.promoted);
-        count("colza.store.exec.demoted", tally.demoted);
+        self.store
+            .hand_over(pipeline, iteration)
+            .iter()
+            .map(staged_block)
+            .collect()
     }
 
     /// The block-transfer shape behind `colza.store.push` and

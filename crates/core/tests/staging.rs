@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
+use colza::backend::NullBackend;
 use colza::{BlockMeta, CommMode, StagingArea};
 
 /// A self-ticking area of `n` daemons, one per node, on the default
@@ -334,10 +335,52 @@ fn single_server_pipeline_handle_full_protocol() {
                 )
                 .unwrap();
             handle.execute(0).unwrap();
-            let staged = handle.fetch_result().unwrap().unwrap();
-            assert_eq!(u64::from_le_bytes(staged.try_into().unwrap()), 256);
+            // The null backend reports what its execute was handed.
+            let report = handle.fetch_result().unwrap().unwrap();
+            assert_eq!(NullBackend::handed(&report), (256, vec![0]));
             handle.deactivate(0).unwrap();
         })
         .join();
+    area.shutdown();
+}
+
+/// A corrupt stateless frame is refused by the `stage` that delivered it
+/// to its primary — decoded there, not at `execute` — and the server
+/// keeps serving: the intact frame stages and is handed over decoded.
+#[test]
+fn truncated_shuffle_lz_frame_fails_the_stage_rpc() {
+    use colza::codec::{encode_block, CodecSpec};
+    use colza::ColzaError;
+
+    let mut area = launched(1);
+    let target = area.contact();
+    let sim = area.client("sim", 10, move |s| {
+        s.admin.create_pipeline(target, "null", "solo", "").unwrap();
+        let handle = s.client.pipeline_handle(target, "solo");
+        let payload = image_block(8, 0.0, "v");
+        let enc = encode_block(CodecSpec::ShuffleLz, &payload, None).unwrap();
+        let meta = |block_id, frame: &Bytes| BlockMeta {
+            codec: enc.codec,
+            encoded_size: frame.len(),
+            ..BlockMeta::new("x", block_id, 0, payload.len())
+        };
+        handle.activate(0).unwrap();
+        let cut = enc.frame.slice(0..enc.frame.len() / 2);
+        let refused = handle.stage(meta(0, &cut), &cut);
+        assert!(
+            matches!(refused, Err(ColzaError::Rpc(_))),
+            "a truncated frame must fail its stage, typed: {refused:?}"
+        );
+        handle.stage(meta(1, &enc.frame), &enc.frame).unwrap();
+        handle.execute(0).unwrap();
+        let report = handle.fetch_result().unwrap().unwrap();
+        assert_eq!(
+            NullBackend::handed(&report),
+            (payload.len() as u64, vec![1]),
+            "only the intact block"
+        );
+        handle.deactivate(0).unwrap();
+    });
+    sim.join();
     area.shutdown();
 }

@@ -21,17 +21,17 @@
 //!    role correction are all this one diff; they differ only in the
 //!    target view and in whom they presume ([`plan_copy`]).
 //! 3. [`store`] — [`StagingStore`], the per-server block table that backs
-//!    the provider: role (primary/replica) and fed-to-backend tracking,
-//!    idempotent inserts (pushes may race and repeat), and staged-byte
-//!    accounting exported through `colza.admin.metrics`.
+//!    the provider: role (primary/replica), the execute-time hand-over
+//!    of the primaries to the backend, idempotent inserts (pushes may
+//!    race and repeat), and staged-byte accounting exported through
+//!    `colza.admin.metrics`.
 //! 4. [`scrub`] — compact per-`(pipeline, iteration)` inventory digests:
 //!    servers summarise their holdings as sorted fingerprint sets, which
 //!    is how a scrub pass knows — rather than presumes — which owners
 //!    hold a copy, whatever event they missed.
 //!
-//! The one executor of a plan (bulk transfers over margo/na, feeding the
-//! backend) lives in the `colza` provider; this crate only decides *what*
-//! moves *where*.
+//! The one executor of a plan (bulk transfers over margo/na) lives in the
+//! `colza` provider; this crate only decides *what* moves *where*.
 
 pub mod plan;
 pub mod ring;

@@ -1,7 +1,7 @@
 //! The convergence planner: one holder, one copy, one target owner set.
 //!
 //! Rebalance, drain, crash repair, anti-entropy scrub and execute-time
-//! reconciliation are all the same computation: a holder of a copy
+//! role correction are all the same computation: a holder of a copy
 //! compares "where the target ring wants this copy" with "who is presumed
 //! to hold it already" and derives, locally and without coordination,
 //! (a) which owners it must push the copy to and (b) the role its own
@@ -10,7 +10,10 @@
 //! holder is the one that pushes. The rules are arranged so that when
 //! every holder applies them, every owner ends up with a copy, exactly
 //! one of them holds it as primary, and a holder whose pushes did not
-//! all land keeps its copy ([`BlockSync::may_drop`]).
+//! all land keeps its copy ([`BlockSync::may_drop`]). The role is the
+//! whole verdict: the backend is handed the primaries when it executes
+//! (`StagingStore::hand_over`), so a plan never has to feed or withdraw
+//! anything.
 
 use na::Address;
 

@@ -1,10 +1,12 @@
 //! The per-server block table backing a Colza provider.
 //!
-//! Every staged (or migrated-in) block is recorded here with its role and
-//! whether it has been *fed* to the pipeline backend. Only the primary
-//! copy is fed — that is what keeps `execute` rendering each block
+//! Every staged (or migrated-in) block is recorded here with its role.
+//! The store is the only holder of staged data: the pipeline backend
+//! keeps nothing between calls and is handed the iteration's primary
+//! copies when it executes ([`StagingStore::hand_over`]). Only primaries
+//! are handed over — that is what keeps `execute` rendering each block
 //! exactly once across the staging area even when `k` servers hold it —
-//! and promotion/demotion during repair flips feeding accordingly.
+//! so promotion and demotion during repair only flip the role.
 //! Inserts are idempotent: stage retries, drain and repair may race and
 //! deliver the same copy twice.
 //!
@@ -25,7 +27,8 @@ use crate::ring::BlockKey;
 /// The role of one copy of a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Role {
-    /// The copy fed to the backend; exactly one per block per view.
+    /// The copy handed to the backend at `execute`; exactly one per
+    /// block per view.
     Primary,
     /// A passive copy kept for crash recovery.
     Replica,
@@ -74,7 +77,8 @@ pub struct StoredBlock {
     pub iteration: u64,
     /// This copy's role.
     pub role: Role,
-    /// Whether this copy has been fed to the backend.
+    /// Whether the iteration's latest `execute` handed this copy to the
+    /// backend — a record written only by [`StagingStore::hand_over`].
     pub fed: bool,
     /// The payload, in its *encoded* (wire/store) form. Replication,
     /// repair and rebalance all move this same `Bytes` refcount — a
@@ -85,9 +89,11 @@ pub struct StoredBlock {
     pub codec: u8,
     /// Decoded payload length (`== data.len()` for raw blocks).
     pub decoded_len: usize,
-    /// For chain codecs (iteration deltas): the reconstructed plain
-    /// payload, kept so this holder can serve as a delta base and seed
-    /// fresh owners during repair without the released base frame.
+    /// The decoded payload, where this holder has already paid for it.
+    /// Chain codecs (iteration deltas) reconstruct it on every holder, so
+    /// each can serve as a delta base and seed fresh owners during repair
+    /// without the released base frame; a stateless non-raw frame is
+    /// decoded by the primary it was staged on.
     pub plain: Option<Bytes>,
 }
 
@@ -157,7 +163,7 @@ impl StagingStore {
     }
 
     /// Inserts a copy. Idempotent: re-inserting an already-held block
-    /// keeps the existing payload and fed flag, only upgrading the role
+    /// keeps the existing payload and fed record, only upgrading the role
     /// to `Primary` if the incoming copy claims it. Returns `true` when
     /// the block was not held before.
     pub fn insert(&self, block: StoredBlock) -> bool {
@@ -199,55 +205,47 @@ impl StagingStore {
         Admit::Fresh
     }
 
-    /// Makes a held copy the primary. Returns `true` when the copy still
-    /// needs to be fed to the backend (and marks it fed — the caller must
-    /// feed it or call [`StagingStore::unmark_fed`] on failure).
+    /// Makes a held copy the primary. Returns whether the role changed.
     pub fn promote(&self, pipeline: &str, iteration: u64, block_id: u64, name: &str) -> bool {
-        let mut inner = self.inner.lock();
-        match inner
-            .blocks
-            .get_mut(&(pipeline.to_string(), iteration, block_id, name.to_string()))
-        {
-            Some(b) => {
-                b.role = Role::Primary;
-                if b.fed {
-                    false
-                } else {
-                    b.fed = true;
-                    true
-                }
-            }
-            None => false,
-        }
+        self.set_role(pipeline, iteration, block_id, name, Role::Primary)
     }
 
-    /// Demotes a held copy to replica. Returns `true` when the copy had
-    /// been fed (the caller must unstage it from the backend).
+    /// Demotes a held copy to replica. Returns whether the role changed.
     pub fn demote(&self, pipeline: &str, iteration: u64, block_id: u64, name: &str) -> bool {
-        let mut inner = self.inner.lock();
-        match inner
-            .blocks
-            .get_mut(&(pipeline.to_string(), iteration, block_id, name.to_string()))
-        {
-            Some(b) => {
-                b.role = Role::Replica;
-                std::mem::take(&mut b.fed)
-            }
-            None => false,
-        }
+        self.set_role(pipeline, iteration, block_id, name, Role::Replica)
     }
 
-    /// Reverts a [`StagingStore::promote`] feed claim after the backend
-    /// rejected the block.
-    pub fn unmark_fed(&self, pipeline: &str, iteration: u64, block_id: u64, name: &str) {
-        if let Some(b) = self
-            .inner
-            .lock()
+    fn set_role(
+        &self,
+        pipeline: &str,
+        iteration: u64,
+        block_id: u64,
+        name: &str,
+        role: Role,
+    ) -> bool {
+        let mut inner = self.inner.lock();
+        inner
             .blocks
             .get_mut(&(pipeline.to_string(), iteration, block_id, name.to_string()))
-        {
-            b.fed = false;
-        }
+            .is_some_and(|b| std::mem::replace(&mut b.role, role) != role)
+    }
+
+    /// The execute-time selection: the iteration's primary copies, in key
+    /// order — what the backend is handed. Every copy of the iteration
+    /// records whether it was among them (`fed`), so a copy demoted since
+    /// an earlier attempt at the same iteration reads unfed again.
+    pub fn hand_over(&self, pipeline: &str, iteration: u64) -> Vec<StoredBlock> {
+        let mut inner = self.inner.lock();
+        let first = (pipeline.to_string(), iteration, 0, String::new());
+        inner
+            .blocks
+            .range_mut(first..)
+            .take_while(|(k, _)| k.0 == pipeline && k.1 == iteration)
+            .filter_map(|(_, b)| {
+                b.fed = b.role == Role::Primary;
+                b.fed.then(|| b.clone())
+            })
+            .collect()
     }
 
     /// Removes one copy, returning it.
@@ -395,15 +393,37 @@ mod tests {
     }
 
     #[test]
-    fn promote_claims_feeding_exactly_once() {
+    fn role_flips_report_change_and_only_hand_over_writes_fed() {
         let s = StagingStore::new();
         s.insert(block(1, Role::Replica, 4));
-        assert!(s.promote("p", 0, 1, "field"), "first promote must feed");
-        assert!(!s.promote("p", 0, 1, "field"), "already fed");
-        assert!(s.demote("p", 0, 1, "field"), "was fed: caller unstages");
-        assert!(s.promote("p", 0, 1, "field"), "re-promotion feeds again");
-        s.unmark_fed("p", 0, 1, "field");
-        assert!(s.promote("p", 0, 1, "field"), "failed feed can be retried");
+        s.insert(block(2, Role::Primary, 4));
+        assert!(s.promote("p", 0, 1, "field"), "replica became primary");
+        assert!(!s.promote("p", 0, 1, "field"), "already primary");
+        assert!(!s.promote("p", 0, 9, "field"), "not held");
+        assert!(
+            s.snapshot().iter().all(|b| !b.fed),
+            "role flips feed nothing"
+        );
+
+        let ids = |blocks: Vec<StoredBlock>| -> Vec<u64> {
+            blocks.iter().map(|b| b.key.block_id).collect()
+        };
+        assert_eq!(ids(s.hand_over("p", 0)), [1, 2], "primaries, in key order");
+        assert!(s.snapshot().iter().all(|b| b.fed));
+
+        assert!(s.demote("p", 0, 1, "field"), "primary became replica");
+        assert!(!s.demote("p", 0, 1, "field"), "already replica");
+        assert!(s.snapshot()[0].fed, "a demotion alone rewrites no record");
+        assert_eq!(ids(s.hand_over("p", 0)), [2], "the next hand-over does");
+        let fed: Vec<bool> = s.snapshot().iter().map(|b| b.fed).collect();
+        assert_eq!(fed, [false, true]);
+
+        // Another iteration's copies are neither returned nor touched.
+        let mut next = block(1, Role::Primary, 4);
+        next.iteration = 1;
+        s.insert(next);
+        assert_eq!(ids(s.hand_over("p", 0)), [2]);
+        assert!(!s.snapshot()[2].fed);
     }
 
     #[test]
@@ -419,8 +439,7 @@ mod tests {
         assert!(s.insert(pressure), "second dataset is a fresh insert");
         assert_eq!(s.len(), 2);
         assert_eq!(s.staged_bytes(), 24);
-        assert!(s.promote("p", 0, 1, "temperature"), "fed independently");
-        assert!(s.promote("p", 0, 1, "pressure"), "fed independently");
+        assert_eq!(s.hand_over("p", 0).len(), 2, "handed over independently");
         let removed = s.remove("p", 0, 1, "temperature").expect("held");
         assert_eq!(removed.name, "temperature");
         assert_eq!(s.staged_bytes(), 16);

@@ -20,7 +20,7 @@ use colza::{
     BlockMeta, ColzaError, DistributedPipelineHandle, PriorityClass, StagingArea, TenancyConfig,
     TenantConfig,
 };
-use colza_repro::{assert_each_block_fed_once, chaos_seed, rpc_scoped};
+use colza_repro::{assert_each_block_fed_once, chaos_seed, promoted_blocks, rpc_scoped};
 use hpcsim::{ClusterConfig, FaultPlan};
 use margo::{MargoInstance, RetryConfig};
 use na::Fabric;
@@ -368,7 +368,7 @@ struct RecoveryOutcome {
     trace_export: String,
     /// Replicas promoted to primary, at either promotion point: the
     /// commit-boundary sync (`colza.store.promoted.blocks`) or the
-    /// execute-time fed reconciliation (`colza.store.exec.promoted`).
+    /// execute-time role pass (`colza.store.exec.promoted`).
     promoted: u64,
     /// `colza.store.recv.blocks`: blocks received over server pushes.
     pushed: u64,
@@ -385,8 +385,8 @@ struct RecoveryOutcome {
 /// stream included — is a pure function of the seed.
 ///
 /// Recovery is client-driven: `execute` against the frozen view fails
-/// fast on the dead member (though the survivors' execute-time fed
-/// reconciliation already promotes the dead primary's replicas), the
+/// fast on the dead member (though the survivors' execute-time role
+/// pass already promotes the dead primary's replicas), the
 /// client refreshes and re-activates the same iteration, and the
 /// commit-boundary sync re-replicates what is still missing. The client
 /// never re-stages a block.
@@ -465,8 +465,7 @@ fn replica_recovery_run(seed: u64) -> RecoveryOutcome {
     let snap = area.shared().trace_snapshot();
     let out = RecoveryOutcome {
         trace_export: area.fault_trace_export(),
-        promoted: snap.counter_total("colza.store.promoted.blocks")
-            + snap.counter_total("colza.store.exec.promoted"),
+        promoted: promoted_blocks(&snap),
         pushed: snap.counter_total("colza.store.recv.blocks"),
         survivors: area.holdings(),
     };
@@ -616,8 +615,7 @@ fn collective_crash_run(seed: u64) -> CollectiveCrashOutcome {
         aborted: snap.counter_total("colza.exec.aborted"),
         recoveries: snap.counter_total("colza.exec.recoveries"),
         revoke_sent: snap.counter_total("mona.revoke.sent"),
-        promoted: snap.counter_total("colza.store.promoted.blocks")
-            + snap.counter_total("colza.store.exec.promoted"),
+        promoted: promoted_blocks(&snap),
     };
     area.shutdown();
     out
@@ -782,8 +780,7 @@ fn codec_crash_run(seed: u64) -> CodecCrashOutcome {
     let out = CodecCrashOutcome {
         trace_export: area.fault_trace_export(),
         image: img,
-        promoted: snap.counter_total("colza.store.promoted.blocks")
-            + snap.counter_total("colza.store.exec.promoted"),
+        promoted: promoted_blocks(&snap),
         pushed: snap.counter_total("colza.store.recv.blocks"),
         delta_frames: snap.counter_total("colza.codec.enc.delta_diff.frames"),
         survivors: area.holdings(),
@@ -859,8 +856,8 @@ fn request_leave_during_staging_loses_no_block() {
         let mut attempts = 0;
         through_churn("execute never completed after the leave", &handle, || {
             // After a failed attempt, re-commit the iteration on the
-            // fresh view; the commit sync re-feeds drained blocks' new
-            // primaries.
+            // fresh view; the commit sync settles the drained blocks'
+            // new primaries.
             attempts += 1;
             if attempts > 1 {
                 let _ = handle.activate(0);
@@ -894,14 +891,10 @@ fn request_leave_during_staging_loses_no_block() {
     for b in 0..BLOCKS {
         let copies: Vec<_> = held.iter().filter(|x| x.key.block_id == b).collect();
         assert!(!copies.is_empty(), "block {b} was lost in the leave");
-        assert_eq!(
-            copies.iter().filter(|x| x.fed).count(),
-            1,
-            "block {b} must feed exactly one backend"
-        );
         held_bytes += copies.iter().map(|x| x.data.len() as u64).sum::<u64>();
     }
     assert_eq!(held_bytes, total_bytes, "bytes lost or duplicated");
+    assert_each_block_fed_once(&area, BLOCKS, 0);
     done_tx.send(()).unwrap();
     sim.join();
 
@@ -1151,8 +1144,7 @@ fn tenant_crash_run(seed: u64) -> TenantCrashOutcome {
         trace_export: area.fault_trace_export(),
         client_refusals,
         refused: snap.counter_total("colza.qos.quota.refused"),
-        promoted: snap.counter_total("colza.store.promoted.blocks")
-            + snap.counter_total("colza.store.exec.promoted"),
+        promoted: promoted_blocks(&snap),
         pushed: snap.counter_total("colza.store.recv.blocks"),
         survivors,
     };
