@@ -503,7 +503,11 @@ const FRAME_MAGIC: u8 = 0xC5;
 /// without it a delta spec emits an anchor frame. This is the single
 /// encode entry point — a block is encoded here exactly once per stage,
 /// and everything downstream moves the returned `Bytes` by refcount.
-pub fn encode_block(spec: CodecSpec, payload: &Bytes, base: Option<(&Bytes, u64)>) -> Result<Encoded> {
+pub fn encode_block(
+    spec: CodecSpec,
+    payload: &Bytes,
+    base: Option<(&Bytes, u64)>,
+) -> Result<Encoded> {
     let (codec, frame) = match spec {
         CodecSpec::Raw => {
             // Identity, and deliberately uninstrumented: raw staging must
@@ -515,7 +519,13 @@ pub fn encode_block(spec: CodecSpec, payload: &Bytes, base: Option<(&Bytes, u64)
         }
         CodecSpec::ShuffleLz => (
             CodecId::ShuffleLz,
-            build_frame(CodecId::ShuffleLz, payload.len(), None, None, &shuffle4(payload)),
+            build_frame(
+                CodecId::ShuffleLz,
+                payload.len(),
+                None,
+                None,
+                &shuffle4(payload, None),
+            ),
         ),
         CodecSpec::Lossy { error_bound } => {
             let quantized = quantize_payload(payload, error_bound)?;
@@ -526,28 +536,30 @@ pub fn encode_block(spec: CodecSpec, payload: &Bytes, base: Option<(&Bytes, u64)
                     quantized.len(),
                     None,
                     Some(error_bound),
-                    &shuffle4(&quantized),
+                    &shuffle4(&quantized, None),
                 ),
             )
         }
         CodecSpec::Delta => match base {
-            Some((b, base_iteration)) if b.len() == payload.len() => {
-                let mut residual = payload.to_vec();
-                xor_in_place(&mut residual, b);
-                (
+            Some((b, base_iteration)) if b.len() == payload.len() => (
+                CodecId::DeltaDiff,
+                build_frame(
                     CodecId::DeltaDiff,
-                    build_frame(
-                        CodecId::DeltaDiff,
-                        payload.len(),
-                        Some(base_iteration),
-                        None,
-                        &shuffle4(&residual),
-                    ),
-                )
-            }
+                    payload.len(),
+                    Some(base_iteration),
+                    None,
+                    &shuffle4(payload, Some(b)),
+                ),
+            ),
             _ => (
                 CodecId::DeltaFull,
-                build_frame(CodecId::DeltaFull, payload.len(), None, None, &shuffle4(payload)),
+                build_frame(
+                    CodecId::DeltaFull,
+                    payload.len(),
+                    None,
+                    None,
+                    &shuffle4(payload, None),
+                ),
             ),
         },
     };
@@ -572,20 +584,22 @@ pub fn decode_block(codec: CodecId, data: &Bytes, base: Option<&Bytes>) -> Resul
         return Err(CodecError::BadFrame("frame codec disagrees with metadata").into());
     }
     let body = &data[frame_header_len(info.codec)..];
-    let shuffled = lz_decompress(body, info.decoded_len)?;
-    let mut plain = unshuffle4(&shuffled);
-    if codec == CodecId::DeltaDiff {
+    let planes = lz_decompress(body, info.decoded_len)?;
+    let residual_of = if codec == CodecId::DeltaDiff {
         let base_iteration = info.base_iteration.unwrap_or(0);
         let b = base.ok_or(CodecError::MissingDeltaBase { base_iteration })?;
-        if b.len() != plain.len() {
+        if b.len() != planes.len() {
             return Err(CodecError::LengthMismatch {
-                expected: plain.len(),
+                expected: planes.len(),
                 got: b.len(),
             }
             .into());
         }
-        xor_in_place(&mut plain, b);
-    }
+        Some(&b[..])
+    } else {
+        None
+    };
+    let plain = unshuffle4(&planes, residual_of);
     let ns = modeled_decode_ns(codec, plain.len());
     charge_ns(ns);
     hpcsim::trace::counter_add("colza.codec.decode.bytes_in", data.len() as u64);
@@ -638,21 +652,27 @@ fn build_frame(
     decoded_len: usize,
     base_iteration: Option<u64>,
     error_bound: Option<f32>,
-    shuffled: &[u8],
+    planes: &[u8],
 ) -> Bytes {
-    let body = lz_compress(shuffled);
-    let mut buf = BytesMut::with_capacity(frame_header_len(codec) + body.len());
-    buf.put_u8(FRAME_MAGIC);
-    buf.put_u8(codec.as_u8());
-    buf.put_u64_le(decoded_len as u64);
+    // The header goes first into the very `Vec` the body is compressed
+    // into, sized for the body's worst case (incompressible input grows
+    // by one length byte per 255 literals), so it is never re-copied;
+    // the spare capacity is handed back before the frame is stored.
+    let header = frame_header_len(codec);
+    let mut frame = Vec::with_capacity(header + planes.len() + planes.len() / 255 + 16);
+    frame.push(FRAME_MAGIC);
+    frame.push(codec.as_u8());
+    frame.extend_from_slice(&(decoded_len as u64).to_le_bytes());
     if let Some(it) = base_iteration {
-        buf.put_u64_le(it);
+        frame.extend_from_slice(&it.to_le_bytes());
     }
     if let Some(eb) = error_bound {
-        buf.put_f32_le(eb);
+        frame.extend_from_slice(&eb.to_le_bytes());
     }
-    buf.put_slice(&body);
-    buf.freeze()
+    debug_assert_eq!(frame.len(), header);
+    lz_compress(planes, &mut frame);
+    frame.shrink_to_fit();
+    Bytes::from(frame)
 }
 
 /// Deterministic modeled CPU cost of encoding (virtual ns). Pure in
@@ -683,42 +703,90 @@ fn charge_ns(ns: u64) {
     }
 }
 
-fn xor_in_place(dst: &mut [u8], src: &[u8]) {
-    debug_assert_eq!(dst.len(), src.len());
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= *s;
-    }
-}
-
 // --- byte shuffle ----------------------------------------------------
+//
+// Both directions are one pass over the payload: the delta residual's
+// XOR is folded into the shuffle on encode and into the unshuffle on
+// decode, so a residual is never materialized as a buffer of its own.
 
-/// Transposes the buffer into 4 byte planes (plus a verbatim tail for
-/// `len % 4`): little-endian f32 neighbours in smooth fields share their
+/// Transposes the buffer — XORed with `base` first when one is given (a
+/// delta residual) — into 4 byte planes plus a verbatim tail for
+/// `len % 4`: little-endian f32 neighbours in smooth fields share their
 /// high bytes, so planes are long runs the LZ stage can match.
-fn shuffle4(src: &[u8]) -> Vec<u8> {
-    let n = src.len() / 4;
-    let mut out = Vec::with_capacity(src.len());
-    for j in 0..4 {
-        for i in 0..n {
-            out.push(src[i * 4 + j]);
-        }
-    }
-    out.extend_from_slice(&src[n * 4..]);
-    out
-}
-
-fn unshuffle4(src: &[u8]) -> Vec<u8> {
+fn shuffle4(src: &[u8], base: Option<&[u8]>) -> Vec<u8> {
     let n = src.len() / 4;
     let mut out = vec![0u8; src.len()];
-    let mut k = 0;
-    for j in 0..4 {
-        for i in 0..n {
-            out[i * 4 + j] = src[k];
-            k += 1;
-        }
+    let (planes, tail) = out.split_at_mut(4 * n);
+    let words = src.chunks_exact(4).map(|w| read_u32(w, 0));
+    match base {
+        None => scatter_words(planes, words),
+        Some(b) => scatter_words(planes, words.zip(b.chunks_exact(4)).map(xor_word)),
     }
-    out[n * 4..].copy_from_slice(&src[n * 4..]);
+    tail.copy_from_slice(&src[4 * n..]);
+    if let Some(b) = base {
+        xor_tail(tail, &b[4 * n..]);
+    }
     out
+}
+
+/// Inverse of [`shuffle4`]: gathers the 4 planes back into words, XORing
+/// each with `base` when one is given.
+fn unshuffle4(planes: &[u8], base: Option<&[u8]>) -> Vec<u8> {
+    let n = planes.len() / 4;
+    let mut out = vec![0u8; planes.len()];
+    let (body, tail) = out.split_at_mut(4 * n);
+    let (p0, rest) = planes.split_at(n);
+    let (p1, rest) = rest.split_at(n);
+    let (p2, rest) = rest.split_at(n);
+    let (p3, plane_tail) = rest.split_at(n);
+    let words = p0
+        .iter()
+        .zip(p1)
+        .zip(p2)
+        .zip(p3)
+        .map(|(((&a, &b), &c), &d)| u32::from_le_bytes([a, b, c, d]));
+    match base {
+        None => gather_words(body, words),
+        Some(b) => gather_words(body, words.zip(b.chunks_exact(4)).map(xor_word)),
+    }
+    tail.copy_from_slice(plane_tail);
+    if let Some(b) = base {
+        xor_tail(tail, &b[4 * n..]);
+    }
+    out
+}
+
+/// Writes byte `j` of word `i` to `planes[j * n + i]`.
+fn scatter_words(planes: &mut [u8], words: impl Iterator<Item = u32>) {
+    let n = planes.len() / 4;
+    let (p0, rest) = planes.split_at_mut(n);
+    let (p1, rest) = rest.split_at_mut(n);
+    let (p2, p3) = rest.split_at_mut(n);
+    let outs = p0
+        .iter_mut()
+        .zip(p1.iter_mut())
+        .zip(p2.iter_mut())
+        .zip(p3.iter_mut());
+    for ((((a, b), c), d), w) in outs.zip(words) {
+        [*a, *b, *c, *d] = w.to_le_bytes();
+    }
+}
+
+/// Writes word `i` to `out[4 * i..4 * i + 4]`.
+fn gather_words(out: &mut [u8], words: impl Iterator<Item = u32>) {
+    for (o, w) in out.chunks_exact_mut(4).zip(words) {
+        o.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
+fn xor_word((w, base): (u32, &[u8])) -> u32 {
+    w ^ read_u32(base, 0)
+}
+
+fn xor_tail(dst: &mut [u8], base: &[u8]) {
+    for (d, m) in dst.iter_mut().zip(base) {
+        *d ^= *m;
+    }
 }
 
 // --- LZ --------------------------------------------------------------
@@ -727,18 +795,30 @@ fn unshuffle4(src: &[u8]) -> Vec<u8> {
 // `token(lit_len | match_len)`, literals, 16-bit offset, with 255-run
 // length extensions; the final sequence is literals only. Greedy
 // single-probe hash matching — simple, allocation-light, and entirely
-// deterministic.
+// deterministic: every position is hashed, a probe that misses advances
+// one byte, and a hit is extended as far as the bytes agree.
 
 const LZ_MIN_MATCH: usize = 4;
 const LZ_WINDOW: usize = 0xFFFF;
 const LZ_HASH_BITS: u32 = 13;
+/// Hash-table slots hold `position + LZ_BIAS`, so an empty slot (0)
+/// reads as a candidate further back than the window and a probe is one
+/// distance compare. Positions are kept as `u32`: bodies shorter than
+/// 4 GiB − 64 KiB make exactly these decisions; past that, slots alias
+/// modulo 2^32, so a probe may find another (still verified, still
+/// in-window) candidate — a valid frame, matched differently.
+const LZ_BIAS: u32 = LZ_WINDOW as u32 + 1;
 
 fn lz_hash(v: u32) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - LZ_HASH_BITS)) as usize
 }
 
-fn read_u32_at(s: &[u8], i: usize) -> u32 {
+fn read_u32(s: &[u8], i: usize) -> u32 {
     u32::from_le_bytes(s[i..i + 4].try_into().unwrap())
+}
+
+fn read_u64(s: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(s[i..i + 8].try_into().unwrap())
 }
 
 fn put_len(out: &mut Vec<u8>, mut v: usize) {
@@ -749,63 +829,93 @@ fn put_len(out: &mut Vec<u8>, mut v: usize) {
     out.push(v as u8);
 }
 
-fn lz_compress(src: &[u8]) -> Vec<u8> {
-    let n = src.len();
-    let mut out = Vec::with_capacity(n / 2 + 16);
-    if n == 0 {
-        return out;
+/// Length of the common prefix of `s[a..]` and `s[b..]` (`a < b`),
+/// eight bytes per compare: the first differing byte of two
+/// little-endian words is their XOR's lowest set byte.
+fn common_prefix(s: &[u8], a: usize, b: usize) -> usize {
+    let mut m = 0;
+    while b + m + 8 <= s.len() {
+        let x = read_u64(s, a + m) ^ read_u64(s, b + m);
+        if x != 0 {
+            return m + (x.trailing_zeros() / 8) as usize;
+        }
+        m += 8;
     }
-    let mut table = vec![usize::MAX; 1 << LZ_HASH_BITS];
+    while b + m < s.len() && s[a + m] == s[b + m] {
+        m += 1;
+    }
+    m
+}
+
+/// Appends one sequence: `lits`, then (unless this is the final
+/// sequence) a match of `mlen` bytes at distance `off`.
+fn put_sequence(out: &mut Vec<u8>, lits: &[u8], m: Option<(usize, usize)>) {
+    let lnib = lits.len().min(15);
+    let mnib = m.map_or(0, |(_, mlen)| (mlen - LZ_MIN_MATCH).min(15));
+    out.push(((lnib as u8) << 4) | mnib as u8);
+    if lits.len() >= 15 {
+        put_len(out, lits.len() - 15);
+    }
+    out.extend_from_slice(lits);
+    if let Some((off, mlen)) = m {
+        out.extend_from_slice(&(off as u16).to_le_bytes());
+        if mlen - LZ_MIN_MATCH >= 15 {
+            put_len(out, mlen - LZ_MIN_MATCH - 15);
+        }
+    }
+}
+
+/// Probes position `p`, whose first four bytes are `v`: records it in
+/// the table and returns the distance back to the position the slot held
+/// when that one is in the window and starts with the same four bytes.
+fn probe(table: &mut [u32; 1 << LZ_HASH_BITS], src: &[u8], p: usize, v: u32) -> Option<usize> {
+    let slot = &mut table[lz_hash(v)];
+    let here = (p as u32).wrapping_add(LZ_BIAS);
+    let dist = here.wrapping_sub(*slot) as usize;
+    *slot = here;
+    (dist <= LZ_WINDOW && read_u32(src, p - dist) == v).then_some(dist)
+}
+
+/// Compresses `src`, appending the body to `out` (an empty input has an
+/// empty body).
+fn lz_compress(src: &[u8], out: &mut Vec<u8>) {
+    let n = src.len();
+    if n == 0 {
+        return;
+    }
+    let mut table = [0u32; 1 << LZ_HASH_BITS];
     let mut anchor = 0usize;
     let mut i = 0usize;
     while i + LZ_MIN_MATCH <= n {
-        let h = lz_hash(read_u32_at(src, i));
-        let cand = table[h];
-        table[h] = i;
-        if cand != usize::MAX
-            && i - cand <= LZ_WINDOW
-            && read_u32_at(src, cand) == read_u32_at(src, i)
-        {
-            let mut mlen = LZ_MIN_MATCH;
-            while i + mlen < n && src[cand + mlen] == src[i + mlen] {
-                mlen += 1;
-            }
-            let lits = &src[anchor..i];
-            let lnib = lits.len().min(15);
-            let mnib = (mlen - LZ_MIN_MATCH).min(15);
-            out.push(((lnib as u8) << 4) | mnib as u8);
-            if lits.len() >= 15 {
-                put_len(&mut out, lits.len() - 15);
-            }
-            out.extend_from_slice(lits);
-            out.extend_from_slice(&((i - cand) as u16).to_le_bytes());
-            if mlen - LZ_MIN_MATCH >= 15 {
-                put_len(&mut out, mlen - LZ_MIN_MATCH - 15);
-            }
-            i += mlen;
-            anchor = i;
+        // One 8-byte load holds the first four bytes of five consecutive
+        // positions; they are probed in order, exactly as one at a time.
+        let (w, span) = if i + 8 <= n {
+            (read_u64(src, i), 5)
         } else {
-            i += 1;
-        }
+            (read_u32(src, i) as u64, 1)
+        };
+        let hit = (0..span).find_map(|k| {
+            probe(&mut table, src, i + k, (w >> (8 * k)) as u32).map(|dist| (i + k, dist))
+        });
+        let Some((p, dist)) = hit else {
+            i += span;
+            continue;
+        };
+        let mlen = LZ_MIN_MATCH + common_prefix(src, p - dist + LZ_MIN_MATCH, p + LZ_MIN_MATCH);
+        put_sequence(out, &src[anchor..p], Some((dist, mlen)));
+        i = p + mlen;
+        anchor = i;
     }
     // Final literals-only sequence (possibly empty).
-    let lits = &src[anchor..];
-    let lnib = lits.len().min(15);
-    out.push((lnib as u8) << 4);
-    if lits.len() >= 15 {
-        put_len(&mut out, lits.len() - 15);
-    }
-    out.extend_from_slice(lits);
-    out
+    put_sequence(out, &src[anchor..], None);
 }
 
 fn take_len(src: &[u8], i: &mut usize) -> std::result::Result<usize, CodecError> {
     let mut v = 0usize;
     loop {
-        if *i >= src.len() {
+        let Some(&b) = src.get(*i) else {
             return Err(CodecError::Truncated("lz length extension"));
-        }
-        let b = src[*i];
+        };
         *i += 1;
         v += b as usize;
         if b != 255 {
@@ -814,37 +924,50 @@ fn take_len(src: &[u8], i: &mut usize) -> std::result::Result<usize, CodecError>
     }
 }
 
+/// Decompresses a body that declares `expected` output bytes. Every
+/// failure — a truncated or corrupt body, a declared length the body
+/// cannot produce — is a typed error, and nothing is allocated beyond
+/// what the body could expand to.
 fn lz_decompress(src: &[u8], expected: usize) -> std::result::Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(expected);
     if src.is_empty() {
         if expected == 0 {
-            return Ok(out);
+            return Ok(Vec::new());
         }
         return Err(CodecError::Truncated("lz body"));
     }
+    // No body byte expands to more than 255 output bytes (a match length
+    // extension byte), so a larger declared length is a corrupt header.
+    if expected / 255 > src.len() {
+        return Err(CodecError::BadFrame(
+            "declared length exceeds what the body can expand to",
+        ));
+    }
+    let mut out = Vec::with_capacity(expected);
     let mut i = 0usize;
     loop {
-        let token = src[i];
+        let Some(&token) = src.get(i) else {
+            return Err(CodecError::Truncated("lz token"));
+        };
         i += 1;
         let mut lit = (token >> 4) as usize;
         if lit == 15 {
             lit += take_len(src, &mut i)?;
         }
-        if i + lit > src.len() {
+        let Some(lits) = src.get(i..i + lit) else {
             return Err(CodecError::Truncated("lz literals"));
-        }
+        };
         if out.len() + lit > expected {
             return Err(CodecError::BadFrame("literals overrun declared length"));
         }
-        out.extend_from_slice(&src[i..i + lit]);
+        out.extend_from_slice(lits);
         i += lit;
         if i == src.len() {
             break;
         }
-        if i + 2 > src.len() {
+        let Some(&[lo, hi]) = src.get(i..i + 2) else {
             return Err(CodecError::Truncated("lz match offset"));
-        }
-        let off = u16::from_le_bytes([src[i], src[i + 1]]) as usize;
+        };
+        let off = u16::from_le_bytes([lo, hi]) as usize;
         i += 2;
         if off == 0 || off > out.len() {
             return Err(CodecError::BadFrame("match offset out of range"));
@@ -856,11 +979,7 @@ fn lz_decompress(src: &[u8], expected: usize) -> std::result::Result<Vec<u8>, Co
         if out.len() + mlen > expected {
             return Err(CodecError::BadFrame("match overruns declared length"));
         }
-        let start = out.len() - off;
-        for k in 0..mlen {
-            let b = out[start + k];
-            out.push(b);
-        }
+        copy_match(&mut out, off, mlen);
     }
     if out.len() != expected {
         return Err(CodecError::LengthMismatch {
@@ -869,6 +988,21 @@ fn lz_decompress(src: &[u8], expected: usize) -> std::result::Result<Vec<u8>, Co
         });
     }
     Ok(out)
+}
+
+/// Appends `len` bytes copied from `off` bytes back. A match that
+/// overlaps itself (`off < len`) repeats a period of `off` bytes: after
+/// each copy the periodic run starting at the source is twice as long,
+/// so the chunk doubles.
+fn copy_match(out: &mut Vec<u8>, off: usize, mut len: usize) {
+    let start = out.len() - off;
+    let mut chunk = off;
+    while len > 0 {
+        let c = chunk.min(len);
+        out.extend_from_within(start..start + c);
+        len -= c;
+        chunk *= 2;
+    }
 }
 
 // --- lossy quantization ----------------------------------------------
@@ -1164,20 +1298,37 @@ mod tests {
         assert!(encode_block(CodecSpec::Lossy { error_bound: 0.1 }, &payload, None).is_err());
     }
 
+    /// A smooth `n`³ image block at time `t`: long matches inside and
+    /// across its byte planes, and a small residual against `t - 1`.
+    fn smooth_image(n: usize, t: f32) -> Bytes {
+        let mut img = ImageData::new([n, n, n]);
+        let vals = (0..n * n * n)
+            .map(|i| 100.0 + (i as f32 * 0.05 + t).sin())
+            .collect();
+        img.point_data.set("u", DataArray::F32(vals));
+        dataset_to_bytes(&DataSet::Image(img))
+    }
+
     #[test]
     fn truncated_frames_decode_to_typed_errors_not_panics() {
-        let ds = dataset_to_bytes(&image());
-        for spec in [CodecSpec::ShuffleLz, CodecSpec::Delta] {
-            let enc = encode_block(spec, &ds, None).unwrap();
-            for cut in [0, 1, 2, 5, enc.frame.len() / 2, enc.frame.len() - 1] {
-                let cutp = Bytes::copy_from_slice(&enc.frame[..cut]);
-                let r = decode_block(enc.codec, &cutp, None);
+        // Every strict prefix of a frame of each LZ-bodied kind.
+        let (prev, next) = (smooth_image(6, 0.0), smooth_image(6, 0.1));
+        for (spec, base) in [
+            (CodecSpec::ShuffleLz, None),
+            (CodecSpec::Delta, None),
+            (CodecSpec::Delta, Some(&prev)),
+        ] {
+            let enc = encode_block(spec, &next, base.map(|b| (b, 0))).unwrap();
+            for cut in 0..enc.frame.len() {
+                let r = decode_block(enc.codec, &enc.frame.slice(..cut), base);
                 assert!(
                     matches!(r, Err(ColzaError::Codec(_))),
-                    "cut at {cut} must be a typed codec error, got {r:?}"
+                    "{:?} cut at {cut} must be a typed codec error, got {r:?}",
+                    enc.codec
                 );
             }
         }
+        let ds = dataset_to_bytes(&image());
         // Corrupt magic and codec id.
         let enc = encode_block(CodecSpec::ShuffleLz, &ds, None).unwrap();
         let mut bad = enc.frame.to_vec();
@@ -1253,5 +1404,492 @@ mod tests {
             let dec = decode_block(enc.codec, &enc.frame, None).unwrap();
             assert!(dataset_from_bytes(&dec).is_ok());
         }
+    }
+
+    // --- the kernels against the reference --------------------------
+
+    use proptest::prelude::*;
+
+    fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
+        a.iter()
+            .zip(b)
+            .position(|(x, y)| x != y)
+            .or((a.len() != b.len()).then(|| a.len().min(b.len())))
+    }
+
+    /// The production kernels and [`reference`] agree byte for byte on
+    /// `payload`: every frame kind encodes to the same frame and decodes
+    /// to the same payload, and the LZ stage alone (on unshuffled bytes,
+    /// where a period-`p` run is one self-overlapping match) produces the
+    /// same body and decodes it back.
+    fn assert_matches_reference(payload: &[u8], base: &[u8]) {
+        let payload = Bytes::copy_from_slice(payload);
+        let base = Bytes::copy_from_slice(base);
+        for (spec, base) in [
+            (CodecSpec::ShuffleLz, None),
+            (CodecSpec::Delta, None),
+            (CodecSpec::Delta, Some(&base)),
+        ] {
+            let with_it = base.map(|b| (b, 7));
+            let enc = encode_block(spec, &payload, with_it).unwrap();
+            let want = reference::encode_frame(spec, &payload, with_it).unwrap();
+            let diff = first_difference(&enc.frame, &want);
+            assert!(
+                diff.is_none(),
+                "{:?} frame differs from the reference at byte {diff:?}",
+                enc.codec
+            );
+            let got = decode_block(enc.codec, &enc.frame, base).unwrap();
+            let want = reference::decode_frame(enc.codec, &enc.frame, base).unwrap();
+            assert!(
+                got[..] == want[..],
+                "{:?} decode differs from the reference",
+                enc.codec
+            );
+            assert!(got == payload, "{:?} does not round-trip", enc.codec);
+        }
+        let mut body = Vec::new();
+        lz_compress(&payload, &mut body);
+        let want = reference::lz_compress(&payload);
+        let diff = first_difference(&body, &want);
+        assert!(
+            diff.is_none(),
+            "lz body differs from the reference at byte {diff:?}"
+        );
+        let got = lz_decompress(&body, payload.len()).unwrap();
+        assert!(got == reference::lz_decompress(&body, payload.len()).unwrap());
+        assert!(got[..] == payload[..], "lz body does not round-trip");
+    }
+
+    /// `data` with a sparse, seeded set of bytes flipped: a delta base
+    /// whose residual is mostly zero, like a slowly varying field's.
+    fn perturbed(data: &[u8], seed: u64) -> Vec<u8> {
+        let mut out = data.to_vec();
+        let mut x = seed | 1;
+        for b in out.iter_mut() {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if x >> 60 == 0 {
+                *b ^= (x >> 32) as u8 | 1;
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn kernels_match_reference_on_arbitrary_bytes(
+            data in proptest::collection::vec(any::<u8>(), 0..3000),
+            seed: u64,
+        ) {
+            assert_matches_reference(&data, &perturbed(&data, seed));
+        }
+
+        #[test]
+        fn kernels_match_reference_on_long_zero_runs(
+            segments in proptest::collection::vec(
+                (0usize..2000, proptest::collection::vec(any::<u8>(), 0..24)),
+                1..8,
+            ),
+            seed: u64,
+        ) {
+            // Runs past 15 + 255 bytes need more than one length
+            // extension byte.
+            let data: Vec<u8> = segments
+                .iter()
+                .flat_map(|(zeros, tail)| std::iter::repeat_n(0, *zeros).chain(tail.iter().copied()))
+                .collect();
+            assert_matches_reference(&data, &perturbed(&data, seed));
+        }
+
+        #[test]
+        fn kernels_match_reference_on_self_overlapping_matches(
+            period in 1usize..8,
+            pattern in proptest::collection::vec(any::<u8>(), 7),
+            len in 0usize..3000,
+            prefix in proptest::collection::vec(any::<u8>(), 0..16),
+            seed: u64,
+        ) {
+            let data: Vec<u8> = prefix
+                .iter()
+                .copied()
+                .chain(pattern[..period].iter().copied().cycle().take(len))
+                .collect();
+            assert_matches_reference(&data, &perturbed(&data, seed));
+        }
+    }
+
+    #[test]
+    fn kernels_match_reference_past_the_window() {
+        // A 300-byte motif at 0, again exactly one window later (a legal
+        // match distance) and once more one byte further than that (out
+        // of reach of the first copy) in 200 KB of noise.
+        let mut x = 0x9E37_79B9u32;
+        let mut data: Vec<u8> = (0..200_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect();
+        let motif = data[..300].to_vec();
+        for at in [LZ_WINDOW, 2 * LZ_WINDOW + 1] {
+            data[at..at + 300].copy_from_slice(&motif);
+        }
+        assert_matches_reference(&data, &perturbed(&data, 3));
+    }
+
+    /// Consecutive snapshots of a small periodic Gray–Scott run (the
+    /// staged field of `gs_stage_delta`, at toy scale), serialized as the
+    /// simulation exports them: an image block with `u` and `v`.
+    fn gray_scott_snapshots(n: usize, warmup: usize, count: usize) -> Vec<Bytes> {
+        let (feed, kill, du, dv) = (0.01, 0.05, 0.2, 0.1);
+        let at = |x: usize, y: usize, z: usize| ((z % n) * n + y % n) * n + x % n;
+        let mut u = vec![1.0f64; n * n * n];
+        let mut v = vec![0.0f64; n * n * n];
+        for z in n / 2 - 2..n / 2 + 2 {
+            for y in n / 2 - 2..n / 2 + 2 {
+                for x in n / 2 - 2..n / 2 + 2 {
+                    let i = at(x, y, z);
+                    let noise = (i as u32).wrapping_mul(2_654_435_761) as f64 / 4e10;
+                    u[i] = 0.25 + noise;
+                    v[i] = 0.33 + noise;
+                }
+            }
+        }
+        let mut snapshots = Vec::new();
+        for step in 0..warmup + count {
+            let (mut u2, mut v2) = (u.clone(), v.clone());
+            for z in 0..n {
+                for y in 0..n {
+                    for x in 0..n {
+                        let i = at(x, y, z);
+                        let lap = |f: &[f64]| {
+                            (f[at(x + 1, y, z)]
+                                + f[at(x + n - 1, y, z)]
+                                + f[at(x, y + 1, z)]
+                                + f[at(x, y + n - 1, z)]
+                                + f[at(x, y, z + 1)]
+                                + f[at(x, y, z + n - 1)]
+                                - 6.0 * f[i])
+                                / 6.0
+                        };
+                        let uvv = u[i] * v[i] * v[i];
+                        u2[i] = u[i] + du * lap(&u) - uvv + feed * (1.0 - u[i]);
+                        v2[i] = v[i] + dv * lap(&v) + uvv - (feed + kill) * v[i];
+                    }
+                }
+            }
+            (u, v) = (u2, v2);
+            if step >= warmup {
+                let mut img = ImageData::new([n, n, n]);
+                img.point_data
+                    .set("u", DataArray::F32(u.iter().map(|&x| x as f32).collect()));
+                img.point_data
+                    .set("v", DataArray::F32(v.iter().map(|&x| x as f32).collect()));
+                snapshots.push(dataset_to_bytes(&DataSet::Image(img)));
+            }
+        }
+        snapshots
+    }
+
+    #[test]
+    fn kernels_match_reference_on_gray_scott_residuals() {
+        let snapshots = gray_scott_snapshots(16, 60, 3);
+        for pair in snapshots.windows(2) {
+            assert_matches_reference(&pair[1], &pair[0]);
+        }
+        // The lossy codec runs the same kernels on the quantized field.
+        let lossy = CodecSpec::Lossy { error_bound: 1e-3 };
+        let enc = encode_block(lossy, &snapshots[0], None).unwrap();
+        let want = reference::encode_frame(lossy, &snapshots[0], None).unwrap();
+        assert!(enc.frame[..] == want[..], "lossy frame differs");
+        let got = decode_block(enc.codec, &enc.frame, None).unwrap();
+        assert!(got[..] == reference::decode_frame(enc.codec, &enc.frame, None).unwrap()[..]);
+    }
+
+    #[test]
+    fn declared_length_beyond_the_body_is_refused_before_allocating() {
+        let enc = encode_block(CodecSpec::ShuffleLz, &smooth_image(4, 0.0), None).unwrap();
+        // Without the bound, this header alone would ask the allocator
+        // for 4 EiB and abort the process.
+        let mut forged = enc.frame.to_vec();
+        forged[2..10].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        assert!(matches!(
+            decode_block(CodecId::ShuffleLz, &Bytes::from(forged), None),
+            Err(ColzaError::Codec(CodecError::BadFrame(_)))
+        ));
+        // The bound is the format's own: a payload that compresses as far
+        // as it can (one match run, ~255 bytes per body byte) is within it.
+        let zeros = roundtrip_lossless(CodecSpec::ShuffleLz, &[0u8; 1 << 20]);
+        assert!(zeros.frame.len() < (1 << 20) / 250);
+    }
+}
+
+/// The codec kernels as first written — byte-at-a-time shuffle, a
+/// separate XOR pass, a `usize` hash table and a byte-by-byte match
+/// copy — kept verbatim as the oracle the production kernels are
+/// checked against: every frame they produce, and every payload they
+/// decode, must match these byte for byte.
+#[cfg(test)]
+mod reference {
+    use bytes::{BufMut, Bytes, BytesMut};
+
+    use super::{
+        frame_header_len, frame_info, lz_hash, put_len, quantize_payload, take_len, CodecError,
+        CodecId, CodecSpec, FRAME_MAGIC, LZ_HASH_BITS, LZ_MIN_MATCH, LZ_WINDOW,
+    };
+    use crate::error::Result;
+
+    /// The frame `encode_block` produced for `(spec, payload, base)`.
+    pub(super) fn encode_frame(
+        spec: CodecSpec,
+        payload: &Bytes,
+        base: Option<(&Bytes, u64)>,
+    ) -> Result<Bytes> {
+        Ok(match spec {
+            CodecSpec::Raw => payload.clone(),
+            CodecSpec::ShuffleLz => build_frame(
+                CodecId::ShuffleLz,
+                payload.len(),
+                None,
+                None,
+                &shuffle4(payload),
+            ),
+            CodecSpec::Lossy { error_bound } => {
+                let quantized = quantize_payload(payload, error_bound)?;
+                build_frame(
+                    CodecId::Lossy,
+                    quantized.len(),
+                    None,
+                    Some(error_bound),
+                    &shuffle4(&quantized),
+                )
+            }
+            CodecSpec::Delta => match base {
+                Some((b, base_iteration)) if b.len() == payload.len() => {
+                    let mut residual = payload.to_vec();
+                    xor_in_place(&mut residual, b);
+                    build_frame(
+                        CodecId::DeltaDiff,
+                        payload.len(),
+                        Some(base_iteration),
+                        None,
+                        &shuffle4(&residual),
+                    )
+                }
+                _ => build_frame(
+                    CodecId::DeltaFull,
+                    payload.len(),
+                    None,
+                    None,
+                    &shuffle4(payload),
+                ),
+            },
+        })
+    }
+
+    /// The payload `decode_block` produced for a well-formed frame.
+    pub(super) fn decode_frame(
+        codec: CodecId,
+        data: &Bytes,
+        base: Option<&Bytes>,
+    ) -> Result<Vec<u8>> {
+        if codec == CodecId::Raw {
+            return Ok(data.to_vec());
+        }
+        let info = frame_info(data)?;
+        if info.codec != codec {
+            return Err(CodecError::BadFrame("frame codec disagrees with metadata").into());
+        }
+        let body = &data[frame_header_len(info.codec)..];
+        let shuffled = lz_decompress(body, info.decoded_len)?;
+        let mut plain = unshuffle4(&shuffled);
+        if codec == CodecId::DeltaDiff {
+            let base_iteration = info.base_iteration.unwrap_or(0);
+            let b = base.ok_or(CodecError::MissingDeltaBase { base_iteration })?;
+            if b.len() != plain.len() {
+                return Err(CodecError::LengthMismatch {
+                    expected: plain.len(),
+                    got: b.len(),
+                }
+                .into());
+            }
+            xor_in_place(&mut plain, b);
+        }
+        Ok(plain)
+    }
+
+    fn build_frame(
+        codec: CodecId,
+        decoded_len: usize,
+        base_iteration: Option<u64>,
+        error_bound: Option<f32>,
+        shuffled: &[u8],
+    ) -> Bytes {
+        let body = lz_compress(shuffled);
+        let mut buf = BytesMut::with_capacity(frame_header_len(codec) + body.len());
+        buf.put_u8(FRAME_MAGIC);
+        buf.put_u8(codec.as_u8());
+        buf.put_u64_le(decoded_len as u64);
+        if let Some(it) = base_iteration {
+            buf.put_u64_le(it);
+        }
+        if let Some(eb) = error_bound {
+            buf.put_f32_le(eb);
+        }
+        buf.put_slice(&body);
+        buf.freeze()
+    }
+
+    fn xor_in_place(dst: &mut [u8], src: &[u8]) {
+        debug_assert_eq!(dst.len(), src.len());
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d ^= *s;
+        }
+    }
+
+    fn shuffle4(src: &[u8]) -> Vec<u8> {
+        let n = src.len() / 4;
+        let mut out = Vec::with_capacity(src.len());
+        for j in 0..4 {
+            for i in 0..n {
+                out.push(src[i * 4 + j]);
+            }
+        }
+        out.extend_from_slice(&src[n * 4..]);
+        out
+    }
+
+    fn unshuffle4(src: &[u8]) -> Vec<u8> {
+        let n = src.len() / 4;
+        let mut out = vec![0u8; src.len()];
+        let mut k = 0;
+        for j in 0..4 {
+            for i in 0..n {
+                out[i * 4 + j] = src[k];
+                k += 1;
+            }
+        }
+        out[n * 4..].copy_from_slice(&src[n * 4..]);
+        out
+    }
+
+    fn read_u32_at(s: &[u8], i: usize) -> u32 {
+        u32::from_le_bytes(s[i..i + 4].try_into().unwrap())
+    }
+
+    pub(super) fn lz_compress(src: &[u8]) -> Vec<u8> {
+        let n = src.len();
+        let mut out = Vec::with_capacity(n / 2 + 16);
+        if n == 0 {
+            return out;
+        }
+        let mut table = vec![usize::MAX; 1 << LZ_HASH_BITS];
+        let mut anchor = 0usize;
+        let mut i = 0usize;
+        while i + LZ_MIN_MATCH <= n {
+            let h = lz_hash(read_u32_at(src, i));
+            let cand = table[h];
+            table[h] = i;
+            if cand != usize::MAX
+                && i - cand <= LZ_WINDOW
+                && read_u32_at(src, cand) == read_u32_at(src, i)
+            {
+                let mut mlen = LZ_MIN_MATCH;
+                while i + mlen < n && src[cand + mlen] == src[i + mlen] {
+                    mlen += 1;
+                }
+                let lits = &src[anchor..i];
+                let lnib = lits.len().min(15);
+                let mnib = (mlen - LZ_MIN_MATCH).min(15);
+                out.push(((lnib as u8) << 4) | mnib as u8);
+                if lits.len() >= 15 {
+                    put_len(&mut out, lits.len() - 15);
+                }
+                out.extend_from_slice(lits);
+                out.extend_from_slice(&((i - cand) as u16).to_le_bytes());
+                if mlen - LZ_MIN_MATCH >= 15 {
+                    put_len(&mut out, mlen - LZ_MIN_MATCH - 15);
+                }
+                i += mlen;
+                anchor = i;
+            } else {
+                i += 1;
+            }
+        }
+        // Final literals-only sequence (possibly empty).
+        let lits = &src[anchor..];
+        let lnib = lits.len().min(15);
+        out.push((lnib as u8) << 4);
+        if lits.len() >= 15 {
+            put_len(&mut out, lits.len() - 15);
+        }
+        out.extend_from_slice(lits);
+        out
+    }
+
+    pub(super) fn lz_decompress(
+        src: &[u8],
+        expected: usize,
+    ) -> std::result::Result<Vec<u8>, CodecError> {
+        let mut out = Vec::with_capacity(expected);
+        if src.is_empty() {
+            if expected == 0 {
+                return Ok(out);
+            }
+            return Err(CodecError::Truncated("lz body"));
+        }
+        let mut i = 0usize;
+        loop {
+            let token = src[i];
+            i += 1;
+            let mut lit = (token >> 4) as usize;
+            if lit == 15 {
+                lit += take_len(src, &mut i)?;
+            }
+            if i + lit > src.len() {
+                return Err(CodecError::Truncated("lz literals"));
+            }
+            if out.len() + lit > expected {
+                return Err(CodecError::BadFrame("literals overrun declared length"));
+            }
+            out.extend_from_slice(&src[i..i + lit]);
+            i += lit;
+            if i == src.len() {
+                break;
+            }
+            if i + 2 > src.len() {
+                return Err(CodecError::Truncated("lz match offset"));
+            }
+            let off = u16::from_le_bytes([src[i], src[i + 1]]) as usize;
+            i += 2;
+            if off == 0 || off > out.len() {
+                return Err(CodecError::BadFrame("match offset out of range"));
+            }
+            let mut mlen = (token & 0x0F) as usize + LZ_MIN_MATCH;
+            if token & 0x0F == 15 {
+                mlen += take_len(src, &mut i)?;
+            }
+            if out.len() + mlen > expected {
+                return Err(CodecError::BadFrame("match overruns declared length"));
+            }
+            let start = out.len() - off;
+            for k in 0..mlen {
+                let b = out[start + k];
+                out.push(b);
+            }
+        }
+        if out.len() != expected {
+            return Err(CodecError::LengthMismatch {
+                expected,
+                got: out.len(),
+            });
+        }
+        Ok(out)
     }
 }

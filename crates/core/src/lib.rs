@@ -31,6 +31,8 @@
 //! The separate **admin** interface ([`admin`]) creates and destroys
 //! pipelines and asks servers to leave — the elasticity triggers of §II-F.
 
+#![forbid(unsafe_code)]
+
 pub mod admin;
 pub mod autoscale;
 pub mod backend;

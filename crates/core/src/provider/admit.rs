@@ -28,6 +28,21 @@ impl ColzaProvider {
         if self.draining.load(Ordering::SeqCst) {
             return Err(ColzaError::draining().to_reply());
         }
+        // A frame must decode to the size its metadata declares: the
+        // header's length is what the decoder sizes its output by, so a
+        // disagreeing (corrupt or forged) frame is refused before any
+        // decode — on replicas too, which would otherwise hold it until
+        // a promotion tried.
+        if meta.codec != CodecId::Raw {
+            let info = codec::frame_info(&data).map_err(|e| e.to_string())?;
+            if info.decoded_len != meta.size {
+                return Err(ColzaError::from(CodecError::LengthMismatch {
+                    expected: meta.size,
+                    got: info.decoded_len,
+                })
+                .to_string());
+            }
+        }
         // Chain frames (iteration deltas) are reconstructed eagerly on
         // *every* holder — primary and replicas alike — before the copy
         // is recorded: the reconstructed plain is what lets this holder
@@ -112,7 +127,9 @@ impl ColzaProvider {
         hint: Option<Bytes>,
     ) -> std::result::Result<Bytes, String> {
         let key = (pipeline.to_string(), meta.block_id, meta.name.clone());
-        let mut bases = self.codec_bases.lock();
+        // The decode runs outside the `codec_bases` lock — a clone of the
+        // base is a refcount — so two stage RPCs on this server do not
+        // wait on each other's megabyte decode.
         let plain = match meta.codec {
             CodecId::DeltaFull => {
                 codec::decode_block(CodecId::DeltaFull, data, None).map_err(|e| e.to_string())?
@@ -123,14 +140,15 @@ impl ColzaProvider {
                 } else {
                     let info = codec::frame_info(data).map_err(|e| e.to_string())?;
                     let base_iteration = info.base_iteration.unwrap_or(0);
-                    match bases.get(&key) {
-                        Some((it, base)) if *it == base_iteration => {
-                            codec::decode_block(CodecId::DeltaDiff, data, Some(base))
+                    let held = self.codec_bases.lock().get(&key).cloned();
+                    match held {
+                        Some((it, base)) if it == base_iteration => {
+                            codec::decode_block(CodecId::DeltaDiff, data, Some(&base))
                                 .map_err(|e| e.to_string())?
                         }
                         // Idempotent re-admit of the frame we already
                         // advanced past (stage retries, repair races).
-                        Some((it, plain)) if *it == meta.iteration => plain.clone(),
+                        Some((it, plain)) if it == meta.iteration => plain,
                         _ => {
                             return Err(CodecError::MissingDeltaBase { base_iteration }.to_string())
                         }
@@ -139,6 +157,7 @@ impl ColzaProvider {
             }
             _ => unreachable!("chain_plain called for a non-chain codec"),
         };
+        let mut bases = self.codec_bases.lock();
         // Never regress the chain: a stale re-admit (an old frame pushed
         // by a lagging peer) must not clobber a newer base.
         match bases.get(&key) {

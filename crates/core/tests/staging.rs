@@ -384,3 +384,55 @@ fn truncated_shuffle_lz_frame_fails_the_stage_rpc() {
     sim.join();
     area.shutdown();
 }
+
+/// A frame whose header declares a length its metadata does not — or one
+/// no body of its size could expand to — fails its `stage` RPC with a
+/// typed error before anything is allocated for it (a header declaring
+/// 2^62 bytes used to abort the whole process), and the server keeps
+/// serving.
+#[test]
+fn frame_declaring_an_impossible_length_fails_the_stage_rpc() {
+    use colza::codec::{encode_block, CodecSpec};
+    use colza::ColzaError;
+
+    let mut area = launched(1);
+    let target = area.contact();
+    let sim = area.client("sim", 10, move |s| {
+        s.admin.create_pipeline(target, "null", "solo", "").unwrap();
+        let handle = s.client.pipeline_handle(target, "solo");
+        let payload = image_block(8, 0.0, "v");
+        let enc = encode_block(CodecSpec::ShuffleLz, &payload, None).unwrap();
+        let huge = 1usize << 62;
+        let mut forged = enc.frame.to_vec();
+        forged[2..10].copy_from_slice(&(huge as u64).to_le_bytes());
+        let forged = Bytes::from(forged);
+        let meta = |block_id, size| BlockMeta {
+            codec: enc.codec,
+            encoded_size: enc.frame.len(),
+            ..BlockMeta::new("x", block_id, 0, size)
+        };
+        handle.activate(0).unwrap();
+        // The header disagrees with the metadata: refused at admission.
+        match handle.stage(meta(0, payload.len()), &forged) {
+            Err(ColzaError::Rpc(m)) => assert!(m.contains("decoded length"), "{m}"),
+            other => panic!("a length mismatch must fail its stage, typed: {other:?}"),
+        }
+        // Header and metadata agree, but the body cannot expand that far:
+        // refused by the decoder, before it allocates.
+        match handle.stage(meta(1, huge), &forged) {
+            Err(ColzaError::Rpc(m)) => assert!(m.contains("bad frame"), "{m}"),
+            other => panic!("an impossible length must fail its stage, typed: {other:?}"),
+        }
+        handle.stage(meta(2, payload.len()), &enc.frame).unwrap();
+        handle.execute(0).unwrap();
+        let report = handle.fetch_result().unwrap().unwrap();
+        assert_eq!(
+            NullBackend::handed(&report),
+            (payload.len() as u64, vec![2]),
+            "only the intact block"
+        );
+        handle.deactivate(0).unwrap();
+    });
+    sim.join();
+    area.shutdown();
+}

@@ -1,7 +1,7 @@
 //! Endpoints: tagged messaging and one-sided RDMA.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
@@ -194,8 +194,12 @@ impl Endpoint {
     /// Blocking receive with an optional *real-time* liveness timeout.
     ///
     /// The timeout exists to detect dead peers (a real failure detector);
-    /// it does not participate in virtual time.
+    /// it does not participate in virtual time. It bounds the whole call:
+    /// traffic for other selectors wakes the waiter but does not restart
+    /// the clock, so a peer that never answers is detected even on a busy
+    /// mailbox.
     pub fn recv_timeout(&self, sel: RecvSelector, timeout: Option<Duration>) -> Result<InMsg> {
+        let deadline = timeout.map(|t| Instant::now() + t);
         let mut q = self.mailbox.queue.lock();
         loop {
             if let Some(pos) = q.msgs.iter().position(|m| sel.matches(m)) {
@@ -209,14 +213,14 @@ impl Endpoint {
             if q.closed {
                 return Err(NaError::Closed);
             }
-            match timeout {
+            match deadline {
                 None => self.mailbox.cond.wait(&mut q),
-                Some(t) => {
-                    if self.mailbox.cond.wait_for(&mut q, t).timed_out()
-                        && !q.msgs.iter().any(|m| sel.matches(m))
-                    {
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
                         return Err(NaError::Timeout);
                     }
+                    self.mailbox.cond.wait_for(&mut q, deadline - now);
                 }
             }
         }
@@ -478,6 +482,40 @@ mod tests {
             assert_eq!(got.unwrap_err(), NaError::Timeout);
         })
         .join();
+    }
+
+    #[test]
+    fn recv_timeout_expires_while_other_traffic_arrives() {
+        let (c, f) = cluster_with_model(FabricModel::zero());
+        let f2 = f.clone();
+        let (addr_tx, addr_rx) = crossbeam::channel::bounded(1);
+        let rx = c.spawn("rx", 0, move || {
+            let ep = f2.open();
+            addr_tx.send(ep.address()).unwrap();
+            let started = Instant::now();
+            let got = ep.recv_timeout(RecvSelector::tag(1), Some(Duration::from_millis(50)));
+            (got.map(|m| m.tag), started.elapsed())
+        });
+        let rx_addr = addr_rx.recv().unwrap();
+        let f3 = f.clone();
+        // Another selector's message every few milliseconds for far longer
+        // than the timeout: each one wakes the waiter.
+        let tx = c.spawn("tx", 1, move || {
+            let ep = f3.open();
+            for _ in 0..200 {
+                if ep.send(rx_addr, 2, Bytes::from_static(b"noise")).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        let (got, waited) = rx.join();
+        tx.join();
+        assert_eq!(got.unwrap_err(), NaError::Timeout);
+        assert!(
+            waited < Duration::from_millis(500),
+            "timed out only after {waited:?}"
+        );
     }
 
     #[test]

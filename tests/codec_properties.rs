@@ -95,6 +95,30 @@ fn arb_payload() -> impl Strategy<Value = Bytes> {
     prop_oneof![arb_image_payload(), arb_ugrid_payload(), arb_poly_payload()]
 }
 
+const ALL_CODECS: [CodecId; 5] = [
+    CodecId::Raw,
+    CodecId::ShuffleLz,
+    CodecId::Lossy,
+    CodecId::DeltaFull,
+    CodecId::DeltaDiff,
+];
+
+/// A well-formed frame header (DESIGN.md §13) declaring `decoded_len`
+/// bytes; raw payloads carry none.
+fn frame_header(codec: CodecId, decoded_len: usize) -> Vec<u8> {
+    if codec == CodecId::Raw {
+        return Vec::new();
+    }
+    let mut h = vec![0xC5, codec.as_u8()];
+    h.extend_from_slice(&(decoded_len as u64).to_le_bytes());
+    match codec {
+        CodecId::DeltaDiff => h.extend_from_slice(&3u64.to_le_bytes()),
+        CodecId::Lossy => h.extend_from_slice(&0.5f32.to_le_bytes()),
+        _ => {}
+    }
+    h
+}
+
 /// Decode via the round-trip path a server takes: metadata codec id plus
 /// the frame (plus the chain base where the codec needs one).
 fn roundtrip(spec: CodecSpec, payload: &Bytes) -> Bytes {
@@ -146,8 +170,25 @@ proptest! {
     }
 
     #[test]
-    fn codec_rejects_garbage_without_panic(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+    fn codec_rejects_garbage_without_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+        declared in prop_oneof![Just(0usize), 1usize..600, Just(1usize << 62)],
+    ) {
         let _ = colza::codec::dataset_from_bytes(&bytes);
+        // The same bytes as the body behind a valid header, for every
+        // codec, with and without a delta base of the declared length.
+        let base = Bytes::from(vec![0x5A; declared.min(600)]);
+        for codec in ALL_CODECS {
+            let frame = Bytes::from([frame_header(codec, declared), bytes.clone()].concat());
+            for base in [None, Some(&base)] {
+                let decoded = codec::decode_block(codec, &frame, base);
+                if let (CodecId::Raw, Ok(d)) = (codec, &decoded) {
+                    prop_assert_eq!(d, &frame);
+                } else if let Ok(d) = decoded {
+                    prop_assert_eq!(d.len(), declared);
+                }
+            }
+        }
     }
 
     #[test]
