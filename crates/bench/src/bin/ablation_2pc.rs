@@ -61,23 +61,21 @@ fn launched(servers: usize, tune: impl FnOnce(&mut colza::DaemonConfig)) -> Stag
 fn steady_activate_ns(servers: usize, iters: usize) -> u64 {
     let mut area = launched(servers, |_| {});
     let contact = area.contact();
-    let mean = area
-        .client("sim", 8, move |s| {
-            let view = s.client.view_from(contact).unwrap();
-            s.admin
-                .create_pipeline_on_all(&view, "null", "p", "")
-                .unwrap();
-            let handle = s.client.distributed_handle(contact, "p").unwrap();
-            let mut total = 0u64;
-            for i in 0..iters as u64 {
-                let before = s.ctx.now();
-                handle.activate(i).unwrap();
-                total += s.ctx.now() - before;
-                handle.deactivate(i).unwrap();
-            }
-            total / iters as u64
-        })
-        .join();
+    let mean = area.session("sim", 8).run(|s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin
+            .create_pipeline_on_all(&view, "null", "p", "")
+            .unwrap();
+        let handle = s.client.distributed_handle(contact, "p").unwrap();
+        let mut total = 0u64;
+        for i in 0..iters as u64 {
+            let before = s.ctx.now();
+            handle.activate(i).unwrap();
+            total += s.ctx.now() - before;
+            handle.deactivate(i).unwrap();
+        }
+        total / iters as u64
+    });
     area.shutdown();
     mean
 }
@@ -85,21 +83,21 @@ fn steady_activate_ns(servers: usize, iters: usize) -> u64 {
 fn churn_activate_ns(servers: usize) -> u64 {
     let mut area = launched(servers, |_| {});
     let contact = area.contact();
-    let (go_tx, go_rx) = crossbeam::channel::bounded::<()>(1);
-    let (grown_tx, grown_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
-        let (client, admin) = (&s.client, &s.admin);
-        let view = client.view_from(contact).unwrap();
-        admin
+    let sim = area.session("sim", 8);
+    let handle = sim.run(|s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin
             .create_pipeline_on_all(&view, "null", "p", "")
             .unwrap();
-        let handle = client.distributed_handle(contact, "p").unwrap();
-        // Handle's view is now stale: the harness grows the group.
-        go_tx.send(()).unwrap();
-        grown_rx.recv().unwrap();
+        s.client.distributed_handle(contact, "p").unwrap()
+    });
+    // The handle's view is now stale: the harness grows the group.
+    area.grow_on(&[9]);
+    area.settle();
+    let span = sim.run(|s| {
         // The newcomer also needs the pipeline before activate can commit.
-        let fresh = client.view_from(contact).unwrap();
-        admin
+        let fresh = s.client.view_from(contact).unwrap();
+        s.admin
             .create_pipeline_on_all(&fresh, "null", "p", "")
             .unwrap();
         let before = s.ctx.now();
@@ -108,11 +106,7 @@ fn churn_activate_ns(servers: usize) -> u64 {
         handle.deactivate(0).unwrap();
         span
     });
-    go_rx.recv().unwrap();
-    area.grow_on(&[9]);
-    area.settle();
-    grown_tx.send(()).unwrap();
-    let span = sim.join();
+    drop(sim);
     area.shutdown();
     span
 }

@@ -107,61 +107,27 @@ fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
         .group()
         .observe(move |e| ev2.lock().push(e));
 
-    let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
-    let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (recovered_tx, recovered_rx) = crossbeam::channel::bounded::<()>(1);
-    let (replaced_tx, replaced_rx) = crossbeam::channel::bounded::<Address>(1);
-    let (staged2_tx, staged2_rx) = crossbeam::channel::bounded::<()>(1);
-    let (scrubbed_tx, scrubbed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (healthy_tx, healthy_rx) = crossbeam::channel::bounded::<Option<u32>>(1);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 16, move |s| {
-        let (client, admin) = (&s.client, &s.admin);
-        let view = client.view_from(contact).unwrap();
-        admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let mut handle = client.distributed_handle(contact, "p").unwrap();
+    let stage_all = |handle: &colza::DistributedPipelineHandle, it: u64| {
+        for b in 0..blocks {
+            let payload = Bytes::from(vec![b as u8 + 1; 256 * (b as usize + 1)]);
+            handle
+                .stage(BlockMeta::new("x", b, it, payload.len()), &payload)
+                .unwrap();
+        }
+    };
+    let sim = area.session("sim", 16);
+    let handle = sim.run(|s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin
+            .create_pipeline_on_all(&view, "null", "p", "")
+            .unwrap();
+        let mut handle = s.client.distributed_handle(contact, "p").unwrap();
         handle.set_replication(REPLICATION);
-        let stage_all = |handle: &colza::DistributedPipelineHandle, it: u64| {
-            for b in 0..blocks {
-                let payload = Bytes::from(vec![b as u8 + 1; 256 * (b as usize + 1)]);
-                handle
-                    .stage(BlockMeta::new("x", b, it, payload.len()), &payload)
-                    .unwrap();
-            }
-        };
         handle.activate(0).unwrap();
         stage_all(&handle, 0);
-        staged_tx.send(()).unwrap();
-        killed_rx.recv().unwrap();
-
-        // Finish the interrupted iteration on the survivors; deactivate
-        // unfreezes the group so the replacement can join.
-        let r = handle.execute(0);
-        assert!(matches!(&r, Err(e) if e.is_retryable()));
-        handle.refresh_view().unwrap();
-        handle.activate(0).unwrap();
-        handle.execute(0).unwrap();
-        handle.deactivate(0).unwrap();
-        recovered_tx.send(()).unwrap();
-
-        let newcomer = replaced_rx.recv().unwrap();
-        admin.create_pipeline(newcomer, "null", "p", "").unwrap();
-        let view = client.view_from(contact).unwrap();
-        handle.refresh_view().unwrap();
-        handle.activate(1).unwrap();
-        stage_all(&handle, 1);
-        staged2_tx.send(()).unwrap();
-        scrubbed_rx.recv().unwrap();
-        // The probe: with the scrubber on this converges on the first
-        // poll; with it off no server has a verified pass, so it can't.
-        let polls = admin.wait_healthy(&view, 3, |_| {});
-        healthy_tx.send(polls).unwrap();
-        handle.execute(1).unwrap();
-        done_rx.recv().unwrap();
-        handle.deactivate(1).unwrap();
+        handle
     });
 
-    staged_rx.recv().unwrap();
     let t_crash = area.now_ns();
     area.kill(area.index_of(victim_addr));
     area.settle();
@@ -176,8 +142,17 @@ fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
         crash_to_redundant_ns = area.now_ns().saturating_sub(t_crash);
     }
     let missing_after_heal_window = missing_copies(&area, blocks);
-    killed_tx.send(()).unwrap();
-    recovered_rx.recv().unwrap();
+
+    sim.run(|_| {
+        // Finish the interrupted iteration on the survivors; deactivate
+        // unfreezes the group so the replacement can join.
+        let r = handle.execute(0);
+        assert!(matches!(&r, Err(e) if e.is_retryable()));
+        handle.refresh_view().unwrap();
+        handle.activate(0).unwrap();
+        handle.execute(0).unwrap();
+        handle.deactivate(0).unwrap();
+    });
 
     // Supervisor: classify the watcher's event stream; the crash must
     // yield exactly one Replace decision, which we act on.
@@ -193,21 +168,31 @@ fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
     let supervisor_replaced = replaces == vec![victim_addr];
     let newcomer = area.grow(1)[0];
     area.settle();
-    replaced_tx.send(newcomer).unwrap();
 
-    staged2_rx.recv().unwrap();
+    let view = sim.run(|s| {
+        s.admin.create_pipeline(newcomer, "null", "p", "").unwrap();
+        let view = s.client.view_from(contact).unwrap();
+        handle.refresh_view().unwrap();
+        handle.activate(1).unwrap();
+        stage_all(&handle, 1);
+        view
+    });
     if scrub_on {
         scrubbed.append(&mut area.scrub_until_steady(8));
     }
-    scrubbed_tx.send(()).unwrap();
-    let polls = healthy_rx.recv().unwrap();
+    // The probe: with the scrubber on this converges on the first poll;
+    // with it off no server has a verified pass, so it can't.
+    let polls = sim.run(|s| s.admin.wait_healthy(&view, 3, |_| {}));
     let crash_to_healthy_ns = if polls.is_some() {
         area.now_ns().saturating_sub(t_crash)
     } else {
         0
     };
-    done_tx.send(()).unwrap();
-    sim.join();
+    sim.run(|_| {
+        handle.execute(1).unwrap();
+        handle.deactivate(1).unwrap();
+    });
+    drop(sim);
     area.shutdown();
 
     Row {

@@ -81,10 +81,8 @@ fn run_once(run: usize, blocks: u64) -> Row {
     area.crash_after_mona_sends(victim_addr, 2);
 
     let script = catalyst::PipelineScript::mandelbulb(48, 48).to_json();
-    let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
-    let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
+    let sim = area.session("sim", 8);
+    let handle = sim.run(|s| {
         let view = s.client.view_from(contact).unwrap();
         s.admin
             .create_pipeline_on_all(&view, "catalyst", "m", &script)
@@ -117,31 +115,35 @@ fn run_once(run: usize, blocks: u64) -> Row {
                 )
                 .unwrap();
         }
-        staged_tx.send(()).unwrap();
         handle
-            .execute_with_recovery(0)
-            .expect("iteration must recover from the mid-collective crash");
-        executed_tx.send(()).unwrap();
-        done_rx.recv().unwrap();
-        handle.deactivate(0).unwrap();
     });
 
-    staged_rx.recv().unwrap();
-    area.wait_crash_tripped(victim_addr);
-    // The crash instant: start both clocks, then make it a real crash by
-    // closing the victim's endpoint so probes fail fast, and count the
-    // serialized SWIM rounds until every survivor declared the death.
+    // The client blocks in the crashed execute while the harness acts.
     let shared = area.shared().clone();
-    let t0_virtual = shared.max_clock_ns();
-    let t0_wall = Instant::now();
-    area.kill(area.index_of(victim_addr));
-    let detect_rounds = area.settle();
-
-    executed_rx.recv().unwrap();
+    let (detect_rounds, t0_virtual, t0_wall) = std::thread::scope(|scope| {
+        let exec = scope.spawn(|| {
+            sim.run(|_| {
+                handle
+                    .execute_with_recovery(0)
+                    .expect("iteration must recover from the mid-collective crash")
+            })
+        });
+        area.wait_crash_tripped(victim_addr);
+        // The crash instant: start both clocks, then make it a real
+        // crash by closing the victim's endpoint so probes fail fast,
+        // and count the serialized SWIM rounds until every survivor
+        // declared the death.
+        let t0_virtual = shared.max_clock_ns();
+        let t0_wall = Instant::now();
+        area.kill(area.index_of(victim_addr));
+        let detect_rounds = area.settle();
+        exec.join().expect("the recovering execute panicked");
+        (detect_rounds, t0_virtual, t0_wall)
+    });
     let t1_virtual = shared.max_clock_ns();
     let wall = t0_wall.elapsed();
-    done_tx.send(()).unwrap();
-    sim.join();
+    sim.run(|_| handle.deactivate(0).unwrap());
+    drop(sim);
 
     let snap = shared.trace_snapshot();
     let row = Row {

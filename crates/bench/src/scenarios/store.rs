@@ -67,17 +67,13 @@ fn run_event(replication: usize, event: Event, servers: usize, blocks: u64) -> R
     area.launch(servers, 1);
     let contact = area.contact();
 
-    let (staged_tx, staged_rx) = crossbeam::channel::bounded::<u64>(1);
-    let (victim_tx, victim_rx) = crossbeam::channel::bounded::<na::Address>(1);
-    let (settled_tx, settled_rx) = crossbeam::channel::bounded::<()>(1);
-    let (synced_tx, synced_rx) = crossbeam::channel::bounded::<()>(1);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-
-    let sim = area.client("sim", 16, move |s| {
-        let (client, admin) = (&s.client, &s.admin);
-        let view = client.view_from(contact).unwrap();
-        admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let mut handle = client.distributed_handle(contact, "p").unwrap();
+    let sim = area.session("sim", 16);
+    let (handle, staged_bytes) = sim.run(|s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin
+            .create_pipeline_on_all(&view, "null", "p", "")
+            .unwrap();
+        let mut handle = s.client.distributed_handle(contact, "p").unwrap();
         handle.set_replication(replication);
         handle.activate(0).unwrap();
         let mut staged = 0u64;
@@ -91,44 +87,9 @@ fn run_event(replication: usize, event: Event, servers: usize, blocks: u64) -> R
                 )
                 .unwrap();
         }
-        staged_tx.send(staged).unwrap();
-
-        match event {
-            Event::Crash => {
-                // The host picks the victim; we wait for the survivors to
-                // notice the death, then re-activate the same iteration:
-                // the 2PC commit carries the shrunken view and every
-                // survivor re-syncs its holdings to the new ring.
-                settled_rx.recv().unwrap();
-                wait_until("the client never saw the shrunken view", || {
-                    let _ = handle.refresh_view();
-                    handle.members().len() == servers - 1
-                });
-                handle.activate(0).unwrap();
-                synced_tx.send(()).unwrap();
-            }
-            Event::Leave => {
-                // Drain-aware shrink: nominate the cheapest server.
-                let victim = drain_aware_victims(admin, &handle.members(), 1)[0];
-                victim_tx.send(victim).unwrap();
-                admin.request_leave(victim).unwrap();
-            }
-        }
-
-        done_rx.recv().unwrap();
-        // The view changed under us; finish the iteration with the usual
-        // refresh-and-retry loop.
-        wait_until("deactivate never completed", || match handle.deactivate(0) {
-            Ok(()) => true,
-            Err(e) if e.is_retryable() => {
-                let _ = handle.refresh_view();
-                false
-            }
-            Err(e) => panic!("deactivate failed: {e}"),
-        });
+        (handle, staged)
     });
 
-    let staged_bytes = staged_rx.recv().unwrap();
     let shared = area.shared().clone();
     let before = shared.trace_snapshot();
     let t0 = shared.max_clock_ns();
@@ -143,11 +104,25 @@ fn run_event(replication: usize, event: Event, servers: usize, blocks: u64) -> R
             wait_until("the survivors never declared the victim dead", || {
                 area.daemons().iter().all(|d| !d.view().contains(&victim_addr))
             });
-            settled_tx.send(()).unwrap();
-            synced_rx.recv().unwrap();
+            // Once the client sees the shrunken view it re-activates the
+            // same iteration: the 2PC commit carries the new view and
+            // every survivor re-syncs its holdings to the new ring.
+            sim.run(|_| {
+                wait_until("the client never saw the shrunken view", || {
+                    let _ = handle.refresh_view();
+                    handle.members().len() == servers - 1
+                });
+                handle.activate(0).unwrap();
+            });
         }
         Event::Leave => {
-            let victim_addr = victim_rx.recv().unwrap();
+            // Drain-aware shrink: the client nominates the cheapest
+            // server and asks it to leave.
+            let victim_addr = sim.run(|s| {
+                let victim = drain_aware_victims(&s.admin, &handle.members(), 1)[0];
+                s.admin.request_leave(victim).unwrap();
+                victim
+            });
             let victim = area.index_of(victim_addr);
             // Quiescent when every survivor dropped the leaver from its
             // view and the leaver's store is empty (drain finished).
@@ -164,8 +139,21 @@ fn run_event(replication: usize, event: Event, servers: usize, blocks: u64) -> R
 
     let t1 = shared.max_clock_ns();
     let after = shared.trace_snapshot();
-    done_tx.send(()).unwrap();
-    sim.join();
+    // The view changed under the client; it finishes the iteration with
+    // the usual refresh-and-retry loop.
+    sim.run(|_| {
+        wait_until("deactivate never completed", || {
+            match handle.deactivate(0) {
+                Ok(()) => true,
+                Err(e) if e.is_retryable() => {
+                    let _ = handle.refresh_view();
+                    false
+                }
+                Err(e) => panic!("deactivate failed: {e}"),
+            }
+        })
+    });
+    drop(sim);
     area.shutdown();
 
     let delta = |name: &str| after.counter_total(name) - before.counter_total(name);

@@ -9,10 +9,11 @@
 //! All timings are virtual nanoseconds (`compute_scale: 0.0`), so the
 //! latencies measure protocol and modeled queueing, not host speed.
 
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 
 use bytes::Bytes;
 
+use colza::daemon::Session;
 use colza::{BlockMeta, ColzaError, PriorityClass, StagingArea, TenancyConfig, TenantConfig};
 
 /// Well-behaved tenant's block size and blocks per iteration.
@@ -84,7 +85,7 @@ fn run_mode(enforce: bool, noisy_tenants: usize, iterations: u64, seed: u64) -> 
     let contact = area.launch_bare();
 
     // Setup pass: pipelines and (when enforcing) the tenancy policy.
-    area.client("setup", 1, move |s| {
+    area.session("setup", 1).run(|s| {
         let admin = &s.admin;
         admin.create_pipeline(contact, "null", "wb", "").unwrap();
         for k in 0..noisy_tenants {
@@ -95,49 +96,49 @@ fn run_mode(enforce: bool, noisy_tenants: usize, iterations: u64, seed: u64) -> 
         if enforce {
             admin.set_tenancy(contact, &policy(noisy_tenants)).unwrap();
         }
-    })
-    .join();
+    });
 
-    // All clients line up behind one barrier so the well-behaved
-    // iterations really contend with the floods.
-    let barrier = Arc::new(Barrier::new(1 + noisy_tenants));
-
-    let noisy_handles: Vec<_> = (0..noisy_tenants)
-        .map(|k| {
-            let barrier = Arc::clone(&barrier);
-            area.client(&format!("noisy{k}"), 2 + k, move |s| {
-                let name = format!("noisy{k}");
-                let mut handle = s.client.distributed_handle(contact, &name).unwrap();
-                handle.set_tenant(&name);
-                let payload = Bytes::from(vec![0xA0u8 | k as u8; NOISY_BLOCK]);
-                barrier.wait();
-                for it in 0..iterations {
-                    handle.activate(it).unwrap();
-                    for b in 0..FLOOD {
-                        match handle.stage(BlockMeta::new("f", b, it, NOISY_BLOCK), &payload) {
-                            Ok(()) => {}
-                            Err(ColzaError::QuotaExceeded(_)) => {}
-                            Err(e) => panic!("noisy{k} stage failed oddly: {e}"),
-                        }
-                    }
-                    handle.execute(it).unwrap();
-                    handle.deactivate(it).unwrap();
-                }
-            })
-        })
+    // The floods run on scoped threads while the well-behaved client
+    // iterates on this one; all line up behind one barrier so the
+    // well-behaved iterations really contend with the floods.
+    let noisy: Vec<Session> = (0..noisy_tenants)
+        .map(|k| area.session(&format!("noisy{k}"), 2 + k))
         .collect();
-
-    let b2 = Arc::clone(&barrier);
-    let wb_latencies = area
-        .client("wb", 1, move |s| {
-            let ctx = &s.ctx;
+    let wb = area.session("wb", 1);
+    let barrier = Barrier::new(1 + noisy_tenants);
+    let wb_latencies = std::thread::scope(|scope| {
+        for (k, sim) in noisy.iter().enumerate() {
+            let barrier = &barrier;
+            scope.spawn(move || {
+                sim.run(|s| {
+                    let name = format!("noisy{k}");
+                    let mut handle = s.client.distributed_handle(contact, &name).unwrap();
+                    handle.set_tenant(&name);
+                    let payload = Bytes::from(vec![0xA0u8 | k as u8; NOISY_BLOCK]);
+                    barrier.wait();
+                    for it in 0..iterations {
+                        handle.activate(it).unwrap();
+                        for b in 0..FLOOD {
+                            match handle.stage(BlockMeta::new("f", b, it, NOISY_BLOCK), &payload) {
+                                Ok(()) => {}
+                                Err(ColzaError::QuotaExceeded(_)) => {}
+                                Err(e) => panic!("noisy{k} stage failed oddly: {e}"),
+                            }
+                        }
+                        handle.execute(it).unwrap();
+                        handle.deactivate(it).unwrap();
+                    }
+                })
+            });
+        }
+        wb.run(|s| {
             let mut handle = s.client.distributed_handle(contact, "wb").unwrap();
             handle.set_tenant("wb");
             let payload = Bytes::from(vec![0x55u8; WB_BLOCK]);
             let mut latencies = Vec::with_capacity(iterations as usize);
-            b2.wait();
+            barrier.wait();
             for it in 0..iterations {
-                let t0 = ctx.now();
+                let t0 = s.ctx.now();
                 handle.activate(it).unwrap();
                 for b in 0..WB_BLOCKS {
                     handle
@@ -146,14 +147,13 @@ fn run_mode(enforce: bool, noisy_tenants: usize, iterations: u64, seed: u64) -> 
                 }
                 handle.execute(it).unwrap();
                 handle.deactivate(it).unwrap();
-                latencies.push(ctx.now() - t0);
+                latencies.push(s.ctx.now() - t0);
             }
             latencies
         })
-        .join();
-    for h in noisy_handles {
-        h.join();
-    }
+    });
+    drop(wb);
+    drop(noisy);
     area.shutdown();
 
     let snap = area.shared().trace_snapshot();

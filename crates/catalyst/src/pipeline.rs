@@ -120,6 +120,7 @@ impl CatalystPipeline {
         let spec = &self.script.render;
         let mut plan = RenderPlan::default();
         let mut precomputed = None;
+        let missing = self.first_missing_field(blocks);
 
         if !self.triggers.is_empty() {
             let _sp = hpcsim::trace::span("catalyst", "catalyst.trigger.eval");
@@ -140,7 +141,8 @@ impl CatalystPipeline {
                     acc.merge(&b.field_stats(name));
                 }
             }
-            let stats = global_stats(ctrl, local_blocks_bounds(blocks), &local)?;
+            let stats = global_stats(ctrl, local_blocks_bounds(blocks), &local, missing)?;
+            self.fail_on_missing_field(stats.missing_field)?;
             let decision = {
                 let mut st = self.trigger_state.lock();
                 self.triggers
@@ -185,10 +187,10 @@ impl CatalystPipeline {
         let mut produce = || -> Result<LocalRender, String> {
             match spec.mode {
                 RenderMode::Surface => {
-                    self.render_surface_local(blocks, ctrl, &plan, precomputed.as_ref())
+                    self.render_surface_local(blocks, ctrl, &plan, precomputed.as_ref(), missing)
                 }
                 RenderMode::Volume => {
-                    self.render_volume_local(blocks, ctrl, &plan, precomputed.as_ref())
+                    self.render_volume_local(blocks, ctrl, &plan, precomputed.as_ref(), missing)
                 }
             }
         };
@@ -236,11 +238,14 @@ impl CatalystPipeline {
         ctrl: &Controller,
         plan: &RenderPlan,
         precomputed: Option<&GlobalStats>,
+        missing: u64,
     ) -> Result<LocalRender, String> {
         let spec = &self.script.render;
-        // Run the filter chain on each block and merge the surfaces.
+        // Run the filter chain on each block and merge the surfaces —
+        // unless a filter's field is missing here, which the stats
+        // allreduce below turns into every rank's error.
         let mut merged = PolyData::new();
-        for block in blocks {
+        for block in blocks.iter().filter(|_| missing == ALL_FIELDS_PRESENT) {
             let poly = self.apply_filters(block, plan)?;
             if merged.points.is_empty() {
                 merged = poly;
@@ -265,7 +270,9 @@ impl CatalystPipeline {
                         local.insert(f.to_string(), s);
                     }
                 }
-                global_stats(ctrl, merged.bounds(), &local)?
+                let stats = global_stats(ctrl, merged.bounds(), &local, missing)?;
+                self.fail_on_missing_field(stats.missing_field)?;
+                stats
             }
         };
         let camera = self.camera(stats.bounds, plan.zoom);
@@ -298,6 +305,7 @@ impl CatalystPipeline {
         ctrl: &Controller,
         plan: &RenderPlan,
         precomputed: Option<&GlobalStats>,
+        missing: u64,
     ) -> Result<LocalRender, String> {
         let spec = &self.script.render;
         let field = spec
@@ -318,8 +326,10 @@ impl CatalystPipeline {
             spec.resample_dims
         };
         // A server that holds no block has no cell field to resample: it
-        // contributes a transparent frame.
-        let vol = (merged.num_cells() > 0)
+        // contributes a transparent frame. One whose blocks lack the field
+        // resamples nothing either; the stats allreduce below turns that
+        // into every rank's error.
+        let vol = (merged.num_cells() > 0 && missing == ALL_FIELDS_PRESENT)
             .then(|| filters::resample_to_image(&merged, field, dims, f32::NEG_INFINITY));
 
         let stats = match precomputed {
@@ -334,7 +344,9 @@ impl CatalystPipeline {
                         .unwrap_or_else(ArrayStats::empty);
                     local.insert(field.to_string(), s);
                 }
-                global_stats(ctrl, merged.bounds(), &local)?
+                let stats = global_stats(ctrl, merged.bounds(), &local, missing)?;
+                self.fail_on_missing_field(stats.missing_field)?;
+                stats
             }
         };
         let camera = self.camera(stats.bounds, plan.zoom);
@@ -406,6 +418,73 @@ impl CatalystPipeline {
         }
     }
 
+    /// The first script stage that names a field this rank's blocks lack:
+    /// filter `i` is `i`, the volume render is `filters.len()`. The vizkit
+    /// filters panic on a missing field, and a panic would take the
+    /// server's handler thread down, so the script is checked against the
+    /// data first. The walk mirrors [`Self::apply_filters`] and stops
+    /// where that reports a type mismatch.
+    fn first_missing_field(&self, blocks: &[DataSet]) -> u64 {
+        let filters = &self.script.filters;
+        let first = match (self.script.render.mode, self.script.render.field.as_deref()) {
+            (RenderMode::Volume, Some(field)) => {
+                // Resampling reads the merged grid, which keeps only the
+                // cell arrays every block has.
+                let ugrids = || blocks.iter().filter_map(|b| b.as_ugrid());
+                let cells: usize = ugrids().map(|g| g.num_cells()).sum();
+                (cells > 0 && ugrids().any(|g| g.cell_data.get(field).is_none()))
+                    .then_some(filters.len())
+            }
+            (RenderMode::Volume, None) => None,
+            (RenderMode::Surface, _) => blocks
+                .iter()
+                .filter_map(|block| {
+                    // `None` once a contour has turned the data into a surface.
+                    let mut cur = Some(block);
+                    for (i, f) in filters.iter().enumerate() {
+                        cur = match (f, cur) {
+                            (FilterSpec::Contour { field, .. }, Some(DataSet::Image(img))) => {
+                                if img.point_data.get(field).is_none() {
+                                    return Some(i);
+                                }
+                                None
+                            }
+                            // Thresholding keeps every cell array.
+                            (FilterSpec::Threshold { field, .. }, Some(DataSet::UGrid(g))) => {
+                                if g.cell_data.get(field).is_none() {
+                                    return Some(i);
+                                }
+                                cur
+                            }
+                            (FilterSpec::Clip { .. }, None | Some(DataSet::Poly(_))) => cur,
+                            _ => return None,
+                        };
+                    }
+                    None
+                })
+                .min(),
+        };
+        first.map_or(ALL_FIELDS_PRESENT, |i| i as u64)
+    }
+
+    /// Every rank's error for the stage the stats allreduce agreed lacks
+    /// its field (the least index any rank reported), so each server
+    /// fails the same `execute` with the same message.
+    fn fail_on_missing_field(&self, at: u64) -> Result<(), String> {
+        if at == ALL_FIELDS_PRESENT {
+            return Ok(());
+        }
+        let render_field = self.script.render.field.as_deref().unwrap_or("");
+        let (stage, kind, field) = match self.script.filters.get(at as usize) {
+            Some(FilterSpec::Contour { field, .. }) => ("contour", "point", field.as_str()),
+            Some(FilterSpec::Threshold { field, .. }) => ("threshold", "cell", field.as_str()),
+            _ => ("volume render", "cell", render_field),
+        };
+        Err(format!(
+            "{stage}: the staged data has no {kind} field {field:?}"
+        ))
+    }
+
     fn camera(&self, bounds: (Vec3, Vec3), zoom: f64) -> Camera {
         let mut cam = match self.script.render.camera {
             Some(CameraSpec {
@@ -431,6 +510,10 @@ impl CatalystPipeline {
         cam
     }
 }
+
+/// [`CatalystPipeline::first_missing_field`] when every field the script
+/// names is present.
+const ALL_FIELDS_PRESENT: u64 = u64::MAX;
 
 /// Per-execution render adjustments from fired triggers.
 #[derive(Debug, Clone)]
@@ -467,6 +550,8 @@ pub struct GlobalStats {
     pub bounds: (Vec3, Vec3),
     /// Global per-field statistics, keyed by field name.
     pub fields: BTreeMap<String, ArrayStats>,
+    /// The least [`CatalystPipeline::first_missing_field`] of any rank.
+    missing_field: u64,
 }
 
 impl GlobalStats {
@@ -509,18 +594,20 @@ fn local_blocks_bounds(blocks: &[DataSet]) -> Option<(Vec3, Vec3)> {
 /// monoid (min/max/sum as f64, count as u64 — 32 bytes each). All ranks
 /// must pass the same field set, which callers derive from the script
 /// alone, never from the data. `min`, `max`, `range` and `mean` of every
-/// field all fall out of this single collective.
+/// field all fall out of this single collective, and so does the least
+/// `missing_field` index (8 bytes at the end).
 fn global_stats(
     ctrl: &Controller,
     local_bounds: Option<(Vec3, Vec3)>,
     local_fields: &BTreeMap<String, ArrayStats>,
+    missing_field: u64,
 ) -> Result<GlobalStats, String> {
     hpcsim::trace::counter_add("colza.trigger.stats.collectives", 1);
     let (lo, hi) = local_bounds.unwrap_or((
         vec3(f32::INFINITY, f32::INFINITY, f32::INFINITY),
         vec3(f32::NEG_INFINITY, f32::NEG_INFINITY, f32::NEG_INFINITY),
     ));
-    let mut payload = Vec::with_capacity(24 + 32 * local_fields.len());
+    let mut payload = Vec::with_capacity(24 + 32 * local_fields.len() + 8);
     for v in [lo.x, lo.y, lo.z, hi.x, hi.y, hi.z] {
         payload.extend_from_slice(&v.to_le_bytes());
     }
@@ -530,7 +617,9 @@ fn global_stats(
         payload.extend_from_slice(&s.sum.to_le_bytes());
         payload.extend_from_slice(&s.count.to_le_bytes());
     }
+    payload.extend_from_slice(&missing_field.to_le_bytes());
     let nfields = local_fields.len();
+    let tail = 24 + 32 * nfields;
     let fold = move |acc: &mut [u8], other: &[u8]| {
         for i in 0..6 {
             let a = f32::from_le_bytes(acc[i * 4..i * 4 + 4].try_into().unwrap());
@@ -553,6 +642,9 @@ fn global_stats(
             acc[at + 16..at + 24].copy_from_slice(&sum.to_le_bytes());
             acc[at + 24..at + 32].copy_from_slice(&count.to_le_bytes());
         }
+        let word = |buf: &[u8]| u64::from_le_bytes(buf[tail..tail + 8].try_into().unwrap());
+        let least = word(acc).min(word(other));
+        acc[tail..tail + 8].copy_from_slice(&least.to_le_bytes());
     };
     let out = ctrl.comm().allreduce(&payload, &fold)?;
     let f = |i: usize| f32::from_le_bytes(out[i * 4..i * 4 + 4].try_into().unwrap());
@@ -577,7 +669,12 @@ fn global_stats(
             },
         );
     }
-    Ok(GlobalStats { bounds, fields })
+    let missing_field = u64::from_le_bytes(out[tail..tail + 8].try_into().unwrap());
+    Ok(GlobalStats {
+        bounds,
+        fields,
+        missing_field,
+    })
 }
 
 #[cfg(test)]
@@ -653,6 +750,39 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(img.coverage() > 0.02, "coverage {}", img.coverage());
+    }
+
+    #[test]
+    fn a_missing_field_fails_execute_naming_it() {
+        let ctrl = serial_ctrl();
+        let mut script = surface_script();
+        script.filters[0] = FilterSpec::Contour {
+            field: "nope".to_string(),
+            isovalues: vec![1.0],
+        };
+        let pipe = CatalystPipeline::new(script, CatalystConfig::default());
+        let block = sphere_block(8, [0.0; 3]);
+        assert_eq!(pipe.first_missing_field(std::slice::from_ref(&block)), 0);
+        let err = pipe.execute(&[block], &ctrl).unwrap_err();
+        assert_eq!(err, "contour: the staged data has no point field \"nope\"");
+        // A rank without blocks finds nothing missing locally.
+        assert_eq!(pipe.first_missing_field(&[]), ALL_FIELDS_PRESENT);
+
+        let mut volume = PipelineScript::deep_water_impact(16, 16);
+        volume.render.field = Some("nope".to_string());
+        let pipe = CatalystPipeline::new(volume.clone(), CatalystConfig::default());
+        let err = pipe.execute(&[voxel_block(5.0)], &ctrl).unwrap_err();
+        assert_eq!(
+            err,
+            "volume render: the staged data has no cell field \"nope\""
+        );
+        // Triggered: the check rides the trigger's stats allreduce.
+        volume.triggers = PipelineScript::deep_water_impact_triggered(16, 16).triggers;
+        let pipe = CatalystPipeline::new(volume, CatalystConfig::default());
+        let err = pipe
+            .execute_reactive(&[voxel_block(5.0)], &ctrl, 0)
+            .unwrap_err();
+        assert!(err.contains("\"nope\""), "{err}");
     }
 
     #[test]
@@ -762,6 +892,7 @@ mod tests {
             &ctrl,
             Some((vec3(0.0, -1.0, 2.0), vec3(3.0, 4.0, 5.0))),
             &local,
+            ALL_FIELDS_PRESENT,
         )
         .unwrap();
         assert_eq!(g.bounds, (vec3(0.0, -1.0, 2.0), vec3(3.0, 4.0, 5.0)));
@@ -772,8 +903,9 @@ mod tests {
         assert_eq!(g.field_range(Some("b")), (0.0, 1.0));
         assert_eq!(g.field_range(None), (0.0, 1.0));
         // All-empty bounds fall back to the unit box.
-        let g = global_stats(&ctrl, None, &BTreeMap::new()).unwrap();
+        let g = global_stats(&ctrl, None, &BTreeMap::new(), 3).unwrap();
         assert_eq!(g.bounds, (vec3(0.0, 0.0, 0.0), vec3(1.0, 1.0, 1.0)));
+        assert_eq!(g.missing_field, 3);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use na::Address;
 use ssg::Event;
 
 use crate::admin::AdminClient;
-use crate::protocol::{MetricsReport, ServerLifecycle, TenancyConfig, TenantId};
+use crate::protocol::ServerLifecycle;
 
 /// Configuration of the feedback controller.
 #[derive(Debug, Clone, Copy)]
@@ -95,11 +95,6 @@ impl AutoScaler {
         }
     }
 
-    /// The current smoothed execute time, if any samples arrived.
-    pub fn smoothed_ns(&self) -> Option<u64> {
-        self.smoothed_ns.map(|s| s as u64)
-    }
-
     /// Feeds one iteration's `execute` duration and the current server
     /// count; returns the decision for the next iteration.
     ///
@@ -142,42 +137,6 @@ impl AutoScaler {
             return ScaleDecision::Shrink(1.min(servers - self.cfg.min_servers));
         }
         ScaleDecision::Hold
-    }
-
-    /// Feeds one multi-tenant round: per-tenant `execute` durations are
-    /// summed into the aggregate-demand signal the controller scales on.
-    /// A tenant mix where one pipeline lags and another idles thus grows
-    /// the pool exactly when their *total* demand outruns the target —
-    /// the shared-pool reading of the paper's Fig. 10 argument.
-    pub fn observe_aggregate(
-        &mut self,
-        per_tenant_ns: &[u64],
-        servers: usize,
-        had_join: bool,
-    ) -> ScaleDecision {
-        let total: u64 = per_tenant_ns
-            .iter()
-            .fold(0u64, |acc, &ns| acc.saturating_add(ns));
-        self.observe(total, servers, had_join)
-    }
-
-    /// Feeds a *failed* iteration (no duration to learn from).
-    ///
-    /// A retryable failure ([`crate::error::ColzaError::is_retryable`])
-    /// means the staging area is churning — a member died or the view is
-    /// catching up; resizing on top of that churn would only add more.
-    /// The controller holds and re-arms its cooldown so the first few
-    /// post-recovery iterations can't trigger a panic grow. A fatal
-    /// failure additionally discards the smoothed signal: whatever comes
-    /// back up may have a very different performance profile.
-    pub fn observe_failure(&mut self, retryable: bool) -> ScaleDecision {
-        self.cooldown = self.cooldown.max(self.cfg.cooldown_iters.max(1));
-        if !retryable {
-            self.smoothed_ns = None;
-        }
-        let decision = ScaleDecision::Hold;
-        Self::count_decision(&decision);
-        decision
     }
 
     /// Counts the decision in the trace (no-op outside a traced process).
@@ -338,58 +297,6 @@ pub fn drain_aware_victims(admin: &AdminClient, members: &[Address], n: usize) -
     victims
 }
 
-/// A server's drain cost weighted by *who* holds its bytes: each
-/// tenant's staged bytes are multiplied by its priority-class weight, so
-/// retiring a server full of Gold-tenant data costs more than one full
-/// of Bronze. Falls back to raw `staged_bytes` when the report carries
-/// no per-tenant section (a pre-tenancy peer).
-pub fn tenant_weighted_load(report: &MetricsReport, tenancy: &TenancyConfig) -> u64 {
-    if report.tenants.is_empty() {
-        return report.staged_bytes;
-    }
-    report.tenants.iter().fold(0u64, |acc, t| {
-        let weight = tenancy
-            .config_for(&TenantId::new(t.tenant.clone()))
-            .priority
-            .weight();
-        acc.saturating_add(t.staged_bytes.saturating_mul(weight))
-    })
-}
-
-/// [`drain_aware_victims`], weighted by per-tenant staged bytes: the
-/// shrink victims are the servers whose departure displaces the least
-/// *priority-weighted* data, so high-class tenants' blocks move last.
-/// Same determinism and unreachable-server rules as the drain-aware
-/// variant; each nomination bumps `autoscale.victim.tenant_aware`.
-pub fn tenant_aware_victims(
-    admin: &AdminClient,
-    members: &[Address],
-    n: usize,
-    tenancy: &TenancyConfig,
-) -> Vec<Address> {
-    let loads: Vec<(Address, u64)> = members
-        .iter()
-        .map(|&m| {
-            (
-                m,
-                admin
-                    .metrics(m)
-                    .map_or(u64::MAX, |r| tenant_weighted_load(&r, tenancy)),
-            )
-        })
-        .collect();
-    let victims = select_victims(&loads, n);
-    for &v in &victims {
-        hpcsim::trace::counter_add("autoscale.victim.tenant_aware", 1);
-        if let Some(&(_, cost)) = loads.iter().find(|(m, _)| *m == v) {
-            if cost != u64::MAX {
-                hpcsim::trace::counter_add("autoscale.victim.weighted_bytes", cost);
-            }
-        }
-    }
-    victims
-}
-
 /// The pure core of [`drain_aware_victims`]: given `(server, staged
 /// bytes)` pairs in member order, returns the `n` cheapest departures.
 pub fn select_victims(loads: &[(Address, u64)], n: usize) -> Vec<Address> {
@@ -476,24 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn failures_hold_and_rearm_cooldown() {
-        let mut s = AutoScaler::new(AutoScaleConfig {
-            cooldown_iters: 2,
-            ..AutoScaleConfig::with_target(10_000_000)
-        });
-        s.observe(50_000_000, 2, false); // Grow, cooldown = 2
-        // A retryable failure during recovery re-arms the cooldown...
-        assert_eq!(s.observe_failure(true), ScaleDecision::Hold);
-        // ...so two over-target post-recovery iterations still hold.
-        assert_eq!(s.observe(50_000_000, 3, false), ScaleDecision::Hold);
-        assert_eq!(s.observe(50_000_000, 3, false), ScaleDecision::Hold);
-        assert!(matches!(s.observe(50_000_000, 3, false), ScaleDecision::Grow(_)));
-        // A fatal failure discards the learned signal entirely.
-        assert_eq!(s.observe_failure(false), ScaleDecision::Hold);
-        assert_eq!(s.smoothed_ns(), None);
-    }
-
-    #[test]
     fn respects_size_bounds() {
         let mut s = AutoScaler::new(AutoScaleConfig {
             cooldown_iters: 0,
@@ -515,65 +404,6 @@ mod tests {
             s2.observe(100_000, 2, false);
         }
         assert_eq!(s2.observe(100_000, 2, false), ScaleDecision::Hold, "at min");
-    }
-
-    #[test]
-    fn aggregate_demand_drives_growth() {
-        let mut s = scaler(10);
-        // Two tenants each under target alone, together well over it.
-        s.observe_aggregate(&[8_000_000, 8_000_000, 9_000_000], 2, false);
-        match s.observe_aggregate(&[8_000_000, 8_000_000, 9_000_000], 2, false) {
-            ScaleDecision::Grow(n) => assert!(n >= 1),
-            d => panic!("expected growth on aggregate demand, got {d:?}"),
-        }
-    }
-
-    #[test]
-    fn tenant_weighted_load_prices_by_class() {
-        use crate::protocol::{PriorityClass, TenantConfig};
-        use store::TenantUsage;
-        let usage = |tenant: &str, bytes: u64| TenantUsage {
-            tenant: tenant.to_string(),
-            staged_bytes: bytes,
-            decoded_bytes: bytes,
-            blocks: 1,
-        };
-        let report = MetricsReport {
-            pid: 0,
-            enabled: false,
-            staged_bytes: 300,
-            decoded_bytes: 300,
-            tenants: vec![usage("batch", 200), usage("prod", 100)],
-            lifecycle: ServerLifecycle::Ready,
-            under_replicated_blocks: 0,
-            orphan_blocks: 0,
-            pending_handoff: 0,
-            scrub_passes: 0,
-            counters: Vec::new(),
-        };
-        let tenancy = TenancyConfig::enforcing()
-            .with_tenant(
-                "prod",
-                TenantConfig {
-                    priority: PriorityClass::Gold,
-                    ..TenantConfig::default()
-                },
-            )
-            .with_tenant(
-                "batch",
-                TenantConfig {
-                    priority: PriorityClass::Bronze,
-                    ..TenantConfig::default()
-                },
-            );
-        // 200 Bronze bytes (×1) + 100 Gold bytes (×4) = 600.
-        assert_eq!(tenant_weighted_load(&report, &tenancy), 600);
-        // No per-tenant section: fall back to raw staged bytes.
-        let bare = MetricsReport {
-            tenants: Vec::new(),
-            ..report
-        };
-        assert_eq!(tenant_weighted_load(&bare, &tenancy), 300);
     }
 
     #[test]

@@ -360,7 +360,7 @@ pub fn launch_group(
         })
         .collect();
     // Pump gossip until every daemon sees the full group.
-    settle_views(&daemons, n);
+    area::settle(&daemons, n, false);
     if let CommMode::MpiStatic(_) = cfg.comm {
         let members: Vec<Address> = daemons.iter().map(|d| d.address()).collect();
         for d in &daemons {
@@ -368,12 +368,6 @@ pub fn launch_group(
         }
     }
     daemons
-}
-
-/// Pumps ticks until all daemons agree on a view of `expect` members;
-/// panics when the polling budget runs out first.
-pub fn settle_views(daemons: &[ColzaDaemon], expect: usize) {
-    area::settle(daemons, expect, false);
 }
 
 /// Drains the provider's store ahead of a departure, looping until it

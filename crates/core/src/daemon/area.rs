@@ -19,9 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Sender};
-
-use hpcsim::cluster::{ClusterShared, SimHandle};
+use hpcsim::cluster::ClusterShared;
 use margo::MargoInstance;
 use mona::{MonaConfig, MonaInstance};
 use na::{Address, Fabric};
@@ -128,9 +126,10 @@ fn views_of(daemons: &[ColzaDaemon]) -> String {
     format!("(address, view size, epoch): {views:?}")
 }
 
-/// What a client closure receives from [`StagingArea::client`]: an
+/// A client process of the area ([`StagingArea::session`]): an
 /// initialized margo instance with the Colza client and admin interfaces
-/// over it, plus the simulated process's context (virtual clock).
+/// over it, plus the simulated process's context (virtual clock). The
+/// harness runs the process's steps itself with [`run`](Self::run).
 /// Dropping the session finalizes margo.
 pub struct Session {
     /// The client process's margo instance.
@@ -141,6 +140,9 @@ pub struct Session {
     pub admin: AdminClient,
     /// The simulated process this session runs in.
     pub ctx: Arc<hpcsim::ProcessCtx>,
+    /// Whether the session is its process's whole life, which ends when
+    /// it drops (an attached process, not an MPI rank).
+    owns_process: bool,
 }
 
 impl Session {
@@ -152,21 +154,32 @@ impl Session {
             admin: AdminClient::new(Arc::clone(&margo)),
             ctx: hpcsim::current(),
             margo,
+            owns_process: false,
         }
+    }
+
+    /// Runs one step of the client process: `f` on the calling thread,
+    /// inside the process's context.
+    pub fn run<R>(&self, f: impl FnOnce(&Session) -> R) -> R {
+        hpcsim::process::enter(Arc::clone(&self.ctx), || f(self))
     }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
-        self.margo.finalize();
+        self.run(|s| s.margo.finalize());
+        if self.owns_process {
+            self.ctx.cluster().mark_dead(self.ctx.pid());
+        }
     }
 }
 
-/// The single server of [`StagingArea::launch_bare`].
+/// The single server of [`StagingArea::launch_bare`]: an attached
+/// process with no thread of its own, serving through its margo
+/// instance's handlers until its session drops.
 struct BareServer {
-    addr: Address,
-    stop: Sender<()>,
-    handle: SimHandle<()>,
+    session: Session,
+    _provider: Arc<ColzaProvider>,
 }
 
 /// A simulated Colza deployment (see the module docs).
@@ -277,25 +290,21 @@ impl StagingArea {
     /// no connection file, no start-up cost, and never a SWIM tick, so
     /// every virtual timestamp is a pure function of the protocol.
     pub fn launch_bare(&mut self) -> Address {
-        let (addr_tx, addr_rx) = bounded(1);
-        let (stop_tx, stop_rx) = bounded::<()>(1);
-        let fabric = self.fabric.clone();
-        let handle = self.cluster.spawn("server", 0, move || {
-            let endpoint = Arc::new(fabric.open());
+        let ctx = self.cluster.attach("server", 0);
+        let (mut session, provider) = hpcsim::process::enter(ctx, || {
+            let endpoint = Arc::new(self.fabric.open());
             let margo = MargoInstance::from_endpoint(Arc::clone(&endpoint));
             let mona = MonaInstance::from_endpoint(endpoint, MonaConfig::default());
             let group = SsgGroup::create(Arc::clone(&margo), "colza", SsgConfig::default());
-            let _provider =
+            let provider =
                 ColzaProvider::register(Arc::clone(&margo), mona, group, ProviderComm::Mona);
-            addr_tx.send(margo.address()).expect("server handshake");
-            stop_rx.recv().ok();
-            margo.finalize();
+            (Session::new(margo), provider)
         });
-        let addr = addr_rx.recv().expect("bare server failed to start");
+        session.owns_process = true;
+        let addr = session.margo.address();
         self.bare = Some(BareServer {
-            addr,
-            stop: stop_tx,
-            handle,
+            session,
+            _provider: provider,
         });
         addr
     }
@@ -304,7 +313,7 @@ impl StagingArea {
     /// the bare server).
     pub fn contact(&self) -> Address {
         match &self.bare {
-            Some(server) => server.addr,
+            Some(server) => server.session.margo.address(),
             None => self.daemons[0].address(),
         }
     }
@@ -496,20 +505,15 @@ impl StagingArea {
             .join("\n")
     }
 
-    /// Spawns a client process `name` on `node` running `f` over a fresh
-    /// [`Session`], which is finalized when `f` returns. Join the handle
-    /// for `f`'s result.
-    pub fn client<R: Send + 'static>(
-        &self,
-        name: &str,
-        node: usize,
-        f: impl FnOnce(&Session) -> R + Send + 'static,
-    ) -> SimHandle<R> {
-        let fabric = self.fabric.clone();
-        self.cluster.spawn(name, node, move || {
-            let session = Session::new(MargoInstance::init(&fabric));
-            f(&session)
-        })
+    /// Attaches a client process `name` on `node` and initializes margo
+    /// in it. The caller runs its steps with [`Session::run`]; dropping
+    /// the session ends the process.
+    pub fn session(&self, name: &str, node: usize) -> Session {
+        let ctx = self.cluster.attach(name, node);
+        let mut session =
+            hpcsim::process::enter(ctx, || Session::new(MargoInstance::init(&self.fabric)));
+        session.owns_process = true;
+        session
     }
 
     /// Stops every daemon (in spawn order) and the bare server, and
@@ -519,10 +523,7 @@ impl StagingArea {
         for d in self.daemons.drain(..) {
             d.stop();
         }
-        if let Some(server) = self.bare.take() {
-            server.stop.send(()).ok();
-            server.handle.join();
-        }
+        self.bare = None;
         std::fs::remove_file(&self.cfg.connection_file).ok();
     }
 }

@@ -47,8 +47,8 @@ pub(crate) mod retry;
 
 pub use admin::AdminClient;
 pub use autoscale::{
-    drain_aware_victims, select_victims, tenant_aware_victims, tenant_weighted_load,
-    AutoScaleConfig, AutoScaler, ScaleDecision, Supervisor, SupervisorAction,
+    drain_aware_victims, select_victims, AutoScaleConfig, AutoScaler, ScaleDecision, Supervisor,
+    SupervisorAction,
 };
 pub use backend::{Backend, BackendCtx, StagedBlock};
 pub use client::{ColzaClient, DistributedPipelineHandle, PipelineHandle};

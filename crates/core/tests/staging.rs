@@ -40,32 +40,30 @@ fn full_iteration_with_null_backend() {
     let mut area = launched(3);
     let contact = area.contact();
 
-    area
-        .client("sim", 10, move |s| {
-            let (admin, client) = (&s.admin, &s.client);
-            let members = client.view_from(contact).unwrap();
-            assert_eq!(members.len(), 3);
-            admin
-                .create_pipeline_on_all(&members, "null", "p", "")
-                .unwrap();
+    area.session("sim", 10).run(|s| {
+        let (admin, client) = (&s.admin, &s.client);
+        let members = client.view_from(contact).unwrap();
+        assert_eq!(members.len(), 3);
+        admin
+            .create_pipeline_on_all(&members, "null", "p", "")
+            .unwrap();
 
-            let handle = client.distributed_handle(contact, "p").unwrap();
-            for iter in 0..3u64 {
-                handle.activate(iter).unwrap();
-                for block in 0..6u64 {
-                    let payload = Bytes::from(vec![block as u8; 100]);
-                    handle
-                        .stage(
-                            BlockMeta::new("x".to_string(), block, iter, payload.len()),
-                            &payload,
-                        )
-                        .unwrap();
-                }
-                handle.execute(iter).unwrap();
-                handle.deactivate(iter).unwrap();
+        let handle = client.distributed_handle(contact, "p").unwrap();
+        for iter in 0..3u64 {
+            handle.activate(iter).unwrap();
+            for block in 0..6u64 {
+                let payload = Bytes::from(vec![block as u8; 100]);
+                handle
+                    .stage(
+                        BlockMeta::new("x".to_string(), block, iter, payload.len()),
+                        &payload,
+                    )
+                    .unwrap();
             }
-        })
-        .join();
+            handle.execute(iter).unwrap();
+            handle.deactivate(iter).unwrap();
+        }
+    });
 
     // Each of the 3 servers saw 2 of the 6 blocks per iteration.
     area.shutdown();
@@ -76,32 +74,30 @@ fn catalyst_pipeline_renders_across_servers() {
     let mut area = launched(2);
     let contact = area.contact();
 
-    let coverage = area
-        .client("sim", 10, move |s| {
-            let (admin, client) = (&s.admin, &s.client);
-            let members = client.view_from(contact).unwrap();
-            let script = catalyst::PipelineScript::mandelbulb(32, 32).to_json();
-            admin
-                .create_pipeline_on_all(&members, "catalyst", "viz", &script)
-                .unwrap();
+    let coverage = area.session("sim", 10).run(|s| {
+        let (admin, client) = (&s.admin, &s.client);
+        let members = client.view_from(contact).unwrap();
+        let script = catalyst::PipelineScript::mandelbulb(32, 32).to_json();
+        admin
+            .create_pipeline_on_all(&members, "catalyst", "viz", &script)
+            .unwrap();
 
-            let handle = client.distributed_handle(contact, "viz").unwrap();
-            handle.activate(0).unwrap();
-            for block in 0..2u64 {
-                let payload = image_block(8, block as f32 * 9.0, "iterations");
-                handle
-                    .stage(
-                        BlockMeta::new("mandelbulb".to_string(), block, 0, payload.len()),
-                        &payload,
-                    )
-                    .unwrap();
-            }
-            handle.execute(0).unwrap();
-            let img_bytes = handle.fetch_result().unwrap().expect("root image");
-            handle.deactivate(0).unwrap();
-            vizkit::Image::from_bytes(&img_bytes).coverage()
-        })
-        .join();
+        let handle = client.distributed_handle(contact, "viz").unwrap();
+        handle.activate(0).unwrap();
+        for block in 0..2u64 {
+            let payload = image_block(8, block as f32 * 9.0, "iterations");
+            handle
+                .stage(
+                    BlockMeta::new("mandelbulb".to_string(), block, 0, payload.len()),
+                    &payload,
+                )
+                .unwrap();
+        }
+        handle.execute(0).unwrap();
+        let img_bytes = handle.fetch_result().unwrap().expect("root image");
+        handle.deactivate(0).unwrap();
+        vizkit::Image::from_bytes(&img_bytes).coverage()
+    });
     assert!(coverage > 0.0, "composited image is empty");
     area.shutdown();
 }
@@ -113,10 +109,8 @@ fn scaling_up_mid_run_is_visible_to_the_client() {
     let script = catalyst::PipelineScript::mandelbulb(24, 24).to_json();
 
     // Run iteration 0 on two servers, grow to three, run iteration 1.
-    let (grow_tx, grow_rx) = crossbeam::channel::bounded::<()>(1);
-    let (grown_tx, grown_rx) = crossbeam::channel::bounded::<()>(1);
-
-    let sim = area.client("sim", 10, move |s| {
+    let sim = area.session("sim", 10);
+    let handle = sim.run(|s| {
         let (admin, client) = (&s.admin, &s.client);
         let members = client.view_from(contact).unwrap();
         admin
@@ -135,16 +129,18 @@ fn scaling_up_mid_run_is_visible_to_the_client() {
             .unwrap();
         handle.execute(0).unwrap();
         handle.deactivate(0).unwrap();
+        handle
+    });
 
-        // Ask the harness to add a server, then wait for it.
-        grow_tx.send(()).unwrap();
-        grown_rx.recv().unwrap();
+    area.grow_on(&[5]);
+    area.settle();
 
+    sim.run(|s| {
         // The 2PC in activate adopts the grown view, and the new server
         // needs the pipeline too (admin deploys on the refreshed view).
         let view = handle.refresh_view().unwrap();
         assert_eq!(view.len(), 3);
-        admin
+        s.admin
             .create_pipeline_on_all(&view, "catalyst", "viz", &script)
             .unwrap();
         handle.activate(1).unwrap();
@@ -152,13 +148,7 @@ fn scaling_up_mid_run_is_visible_to_the_client() {
         handle.execute(1).unwrap();
         handle.deactivate(1).unwrap();
     });
-
-    grow_rx.recv().unwrap();
-    area.grow_on(&[5]);
-    area.settle();
-    grown_tx.send(()).unwrap();
-
-    sim.join();
+    drop(sim);
     area.shutdown();
 }
 
@@ -170,34 +160,31 @@ fn activate_2pc_retries_through_view_change() {
     // Inject a joiner *between* view_from and activate: the handle's
     // member list is stale, so prepare sees mismatched views and must
     // retry with the refreshed one.
-    let client_setup = area.client("sim-pre", 10, move |s| {
+    let setup_members = area.session("sim-pre", 10).run(|s| {
         let members = s.client.view_from(contact).unwrap();
         s.admin
             .create_pipeline_on_all(&members, "null", "p", "")
             .unwrap();
         members.len()
     });
-    assert_eq!(client_setup.join(), 2);
+    assert_eq!(setup_members, 2);
 
     let new_addr = area.grow_on(&[5])[0];
     // Deploy the pipeline on the newcomer too (it must be able to vote
     // and execute once the client's 2PC adopts the grown view).
-    area.client("admin2", 11, move |s| {
+    area.session("admin2", 11).run(|s| {
         s.admin.create_pipeline(new_addr, "null", "p", "").unwrap();
-    })
-    .join();
+    });
     area.settle();
 
-    let final_members = area
-        .client("sim", 12, move |s| {
-            let handle = s.client.distributed_handle(contact, "p").unwrap();
-            handle.activate(0).unwrap();
-            let n = handle.members().len();
-            handle.execute(0).unwrap();
-            handle.deactivate(0).unwrap();
-            n
-        })
-        .join();
+    let final_members = area.session("sim", 12).run(|s| {
+        let handle = s.client.distributed_handle(contact, "p").unwrap();
+        handle.activate(0).unwrap();
+        let n = handle.members().len();
+        handle.execute(0).unwrap();
+        handle.deactivate(0).unwrap();
+        n
+    });
     assert_eq!(final_members, 3, "2PC must settle on the grown view");
     area.shutdown();
 }
@@ -207,10 +194,9 @@ fn admin_leave_shrinks_the_group() {
     let mut area = launched(3);
     let victim = area.daemons()[2].address();
 
-    area.client("admin", 10, move |s| {
+    area.session("admin", 10).run(|s| {
         s.admin.request_leave(victim).unwrap();
-    })
-    .join();
+    });
 
     // The victim's daemon loop notices the flag, leaves, and exits.
     area.wait(2);
@@ -229,21 +215,19 @@ fn admin_create_and_destroy_pipelines() {
     let mut area = launched(1);
     let server = area.contact();
 
-    area
-        .client("admin", 10, move |s| {
-            let admin = &s.admin;
-            admin.create_pipeline(server, "null", "a", "").unwrap();
-            admin.create_pipeline(server, "null", "b", "").unwrap();
-            assert_eq!(admin.list_pipelines(server).unwrap(), vec!["a", "b"]);
-            admin.destroy_pipeline(server, "a").unwrap();
-            assert_eq!(admin.list_pipelines(server).unwrap(), vec!["b"]);
-            assert!(admin.destroy_pipeline(server, "zzz").is_err());
-            // Unknown library is a clean error.
-            assert!(admin
-                .create_pipeline(server, "libdoesnotexist.so", "c", "")
-                .is_err());
-        })
-        .join();
+    area.session("admin", 10).run(|s| {
+        let admin = &s.admin;
+        admin.create_pipeline(server, "null", "a", "").unwrap();
+        admin.create_pipeline(server, "null", "b", "").unwrap();
+        assert_eq!(admin.list_pipelines(server).unwrap(), vec!["a", "b"]);
+        admin.destroy_pipeline(server, "a").unwrap();
+        assert_eq!(admin.list_pipelines(server).unwrap(), vec!["b"]);
+        assert!(admin.destroy_pipeline(server, "zzz").is_err());
+        // Unknown library is a clean error.
+        assert!(admin
+            .create_pipeline(server, "libdoesnotexist.so", "c", "")
+            .is_err());
+    });
     area.shutdown();
 }
 
@@ -254,29 +238,27 @@ fn static_mpi_mode_runs_the_same_pipeline() {
     area.launch(2, 1);
     let contact = area.contact();
 
-    let coverage = area
-        .client("sim", 10, move |s| {
-            let (admin, client) = (&s.admin, &s.client);
-            let members = client.view_from(contact).unwrap();
-            let script = catalyst::PipelineScript::mandelbulb(24, 24).to_json();
-            admin
-                .create_pipeline_on_all(&members, "catalyst", "viz", &script)
-                .unwrap();
-            let handle = client.distributed_handle(contact, "viz").unwrap();
-            handle.activate(0).unwrap();
-            let payload = image_block(8, 0.0, "iterations");
-            handle
-                .stage(
-                    BlockMeta::new("m".to_string(), 0, 0, payload.len()),
-                    &payload,
-                )
-                .unwrap();
-            handle.execute(0).unwrap();
-            let img = handle.fetch_result().unwrap().expect("image");
-            handle.deactivate(0).unwrap();
-            vizkit::Image::from_bytes(&img).coverage()
-        })
-        .join();
+    let coverage = area.session("sim", 10).run(|s| {
+        let (admin, client) = (&s.admin, &s.client);
+        let members = client.view_from(contact).unwrap();
+        let script = catalyst::PipelineScript::mandelbulb(24, 24).to_json();
+        admin
+            .create_pipeline_on_all(&members, "catalyst", "viz", &script)
+            .unwrap();
+        let handle = client.distributed_handle(contact, "viz").unwrap();
+        handle.activate(0).unwrap();
+        let payload = image_block(8, 0.0, "iterations");
+        handle
+            .stage(
+                BlockMeta::new("m".to_string(), 0, 0, payload.len()),
+                &payload,
+            )
+            .unwrap();
+        handle.execute(0).unwrap();
+        let img = handle.fetch_result().unwrap().expect("image");
+        handle.deactivate(0).unwrap();
+        vizkit::Image::from_bytes(&img).coverage()
+    });
     assert!(coverage > 0.0);
     area.shutdown();
 }
@@ -286,32 +268,30 @@ fn nonblocking_stage_and_execute() {
     let mut area = launched(2);
     let contact = area.contact();
 
-    area
-        .client("sim", 10, move |s| {
-            let (admin, client) = (&s.admin, &s.client);
-            let members = client.view_from(contact).unwrap();
-            admin
-                .create_pipeline_on_all(&members, "null", "p", "")
-                .unwrap();
-            let handle = Arc::new(client.distributed_handle(contact, "p").unwrap());
-            handle.activate(0).unwrap();
-            let pending: Vec<_> = (0..4u64)
-                .map(|b| {
-                    let payload = Bytes::from(vec![b as u8; 64]);
-                    handle.istage(
-                        BlockMeta::new("x".to_string(), b, 0, payload.len()),
-                        payload,
-                    )
-                })
-                .collect();
-            for p in pending {
-                p.wait().unwrap();
-            }
-            let exec = handle.iexecute(0);
-            exec.wait().unwrap();
-            handle.deactivate(0).unwrap();
-        })
-        .join();
+    area.session("sim", 10).run(|s| {
+        let (admin, client) = (&s.admin, &s.client);
+        let members = client.view_from(contact).unwrap();
+        admin
+            .create_pipeline_on_all(&members, "null", "p", "")
+            .unwrap();
+        let handle = Arc::new(client.distributed_handle(contact, "p").unwrap());
+        handle.activate(0).unwrap();
+        let pending: Vec<_> = (0..4u64)
+            .map(|b| {
+                let payload = Bytes::from(vec![b as u8; 64]);
+                handle.istage(
+                    BlockMeta::new("x".to_string(), b, 0, payload.len()),
+                    payload,
+                )
+            })
+            .collect();
+        for p in pending {
+            p.wait().unwrap();
+        }
+        let exec = handle.iexecute(0);
+        exec.wait().unwrap();
+        handle.deactivate(0).unwrap();
+    });
     area.shutdown();
 }
 
@@ -319,28 +299,23 @@ fn nonblocking_stage_and_execute() {
 fn single_server_pipeline_handle_full_protocol() {
     let mut area = launched(2);
     let target = area.daemons()[1].address();
-    area
-        .client("sim", 10, move |s| {
-            let (admin, client) = (&s.admin, &s.client);
-            admin.create_pipeline(target, "null", "solo", "").unwrap();
-            // The paper: a plain pipeline handle references one pipeline
-            // instance on one server, with the same four calls.
-            let handle = client.pipeline_handle(target, "solo");
-            handle.activate(0).unwrap();
-            let payload = Bytes::from(vec![7u8; 256]);
-            handle
-                .stage(
-                    BlockMeta::new("x", 0, 0, payload.len()),
-                    &payload,
-                )
-                .unwrap();
-            handle.execute(0).unwrap();
-            // The null backend reports what its execute was handed.
-            let report = handle.fetch_result().unwrap().unwrap();
-            assert_eq!(NullBackend::handed(&report), (256, vec![0]));
-            handle.deactivate(0).unwrap();
-        })
-        .join();
+    area.session("sim", 10).run(|s| {
+        let (admin, client) = (&s.admin, &s.client);
+        admin.create_pipeline(target, "null", "solo", "").unwrap();
+        // The paper: a plain pipeline handle references one pipeline
+        // instance on one server, with the same four calls.
+        let handle = client.pipeline_handle(target, "solo");
+        handle.activate(0).unwrap();
+        let payload = Bytes::from(vec![7u8; 256]);
+        handle
+            .stage(BlockMeta::new("x", 0, 0, payload.len()), &payload)
+            .unwrap();
+        handle.execute(0).unwrap();
+        // The null backend reports what its execute was handed.
+        let report = handle.fetch_result().unwrap().unwrap();
+        assert_eq!(NullBackend::handed(&report), (256, vec![0]));
+        handle.deactivate(0).unwrap();
+    });
     area.shutdown();
 }
 
@@ -354,7 +329,7 @@ fn truncated_shuffle_lz_frame_fails_the_stage_rpc() {
 
     let mut area = launched(1);
     let target = area.contact();
-    let sim = area.client("sim", 10, move |s| {
+    area.session("sim", 10).run(|s| {
         s.admin.create_pipeline(target, "null", "solo", "").unwrap();
         let handle = s.client.pipeline_handle(target, "solo");
         let payload = image_block(8, 0.0, "v");
@@ -381,7 +356,6 @@ fn truncated_shuffle_lz_frame_fails_the_stage_rpc() {
         );
         handle.deactivate(0).unwrap();
     });
-    sim.join();
     area.shutdown();
 }
 
@@ -397,7 +371,7 @@ fn frame_declaring_an_impossible_length_fails_the_stage_rpc() {
 
     let mut area = launched(1);
     let target = area.contact();
-    let sim = area.client("sim", 10, move |s| {
+    area.session("sim", 10).run(|s| {
         s.admin.create_pipeline(target, "null", "solo", "").unwrap();
         let handle = s.client.pipeline_handle(target, "solo");
         let payload = image_block(8, 0.0, "v");
@@ -433,6 +407,5 @@ fn frame_declaring_an_impossible_length_fails_the_stage_rpc() {
         );
         handle.deactivate(0).unwrap();
     });
-    sim.join();
     area.shutdown();
 }

@@ -1,9 +1,14 @@
 //! Virtual clocks.
 //!
-//! Each simulated process owns a [`VClock`] counting virtual nanoseconds
-//! since the start of the run. Only the owning thread *advances* its clock,
-//! but other threads (harnesses, monitors) may *read* it, so the counter is
-//! an atomic.
+//! Each simulated process owns one [`VClock`] counting virtual nanoseconds
+//! since the start of the run. The clock belongs to the process, not to a
+//! thread: every thread acting for the process — its main thread or the
+//! harness thread running one of its steps, its margo handler and progress
+//! threads, its pool workers — may `merge` into it and `advance` it, and
+//! any thread may read it, so the counter is an atomic. Concurrent
+//! activities of one process therefore sum on one counter: a charge made
+//! while another thread merges a later arrival adds the compute on top of
+//! that arrival instead of overlapping it (ROADMAP item 1).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

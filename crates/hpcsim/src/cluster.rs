@@ -2,9 +2,10 @@
 //!
 //! A [`Cluster`] is the stand-in for a machine allocation on Cori. Simulated
 //! processes can be spawned on any node at any time — this is precisely the
-//! capability the paper gets from asking the job scheduler for more nodes —
-//! and each one runs as an OS thread with a [`crate::process::ProcessCtx`]
-//! installed.
+//! capability the paper gets from asking the job scheduler for more nodes.
+//! A spawned process runs as an OS thread with a
+//! [`crate::process::ProcessCtx`] installed; an attached one has no thread
+//! and is run step by step by the thread that holds its context.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,7 +145,8 @@ impl ClusterShared {
         (pid, clock)
     }
 
-    fn mark_dead(&self, pid: Pid) {
+    /// Marks an attached or spawned process as terminated.
+    pub fn mark_dead(&self, pid: Pid) {
         if let Some(p) = self.procs.write().get_mut(&pid) {
             p.alive = false;
         }
@@ -225,22 +227,32 @@ impl Cluster {
         &self.shared
     }
 
-    /// Spawns a simulated process named `name` on `node` running `f`.
-    pub fn spawn<R: Send + 'static>(
-        &self,
-        name: &str,
-        node: NodeId,
-        f: impl FnOnce() -> R + Send + 'static,
-    ) -> SimHandle<R> {
+    /// Registers a simulated process named `name` on `node` without giving
+    /// it a thread: whoever holds the context runs the process's steps
+    /// through [`enter`]. The pid stays alive until
+    /// [`ClusterShared::mark_dead`].
+    pub fn attach(&self, name: &str, node: NodeId) -> Arc<ProcessCtx> {
         let (pid, clock) = self.shared.register(node, name);
-        let ctx = Arc::new(ProcessCtx::new(
+        Arc::new(ProcessCtx::new(
             pid,
             node,
             name.to_string(),
             clock,
             self.shared.seed,
             Arc::clone(&self.shared),
-        ));
+        ))
+    }
+
+    /// Spawns a simulated process named `name` on `node` running `f` on a
+    /// thread of its own; the pid dies when `f` returns.
+    pub fn spawn<R: Send + 'static>(
+        &self,
+        name: &str,
+        node: NodeId,
+        f: impl FnOnce() -> R + Send + 'static,
+    ) -> SimHandle<R> {
+        let ctx = self.attach(name, node);
+        let pid = ctx.pid();
         let shared = Arc::clone(&self.shared);
         let join = std::thread::Builder::new()
             .name(format!("{name}.{}", pid.0))

@@ -1,9 +1,10 @@
 //! Per-process context for simulated processes.
 //!
-//! Each simulated process runs on its own OS thread. The thread carries a
-//! [`ProcessCtx`] in thread-local storage giving access to the process's
-//! identity, virtual clock, node placement, deterministic RNG, and the
-//! owning cluster's fabric model.
+//! A thread acting for a simulated process carries its [`ProcessCtx`] in
+//! thread-local storage, giving access to the process's identity, virtual
+//! clock, node placement, deterministic RNG, and the owning cluster's
+//! fabric model. A spawned process has a thread of its own; an attached
+//! one is run, one step at a time, by whichever thread [`enter`]s it.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -128,13 +129,20 @@ thread_local! {
 }
 
 /// Installs `ctx` as the current thread's process context for the duration
-/// of `f`. Used by [`crate::cluster::Cluster::spawn`]; exposed for tests
-/// that want to fake a context.
+/// of `f`, then restores the context that was current before — also when
+/// `f` unwinds. Used by [`crate::cluster::Cluster::spawn`], by the worker
+/// threads a process starts, and by a harness thread running one step of
+/// an [attached](crate::cluster::Cluster::attach) process.
 pub fn enter<R>(ctx: Arc<ProcessCtx>, f: impl FnOnce() -> R) -> R {
-    CURRENT.with(|c| *c.borrow_mut() = Some(ctx));
-    let out = f();
-    CURRENT.with(|c| *c.borrow_mut() = None);
-    out
+    struct Restore(Option<Arc<ProcessCtx>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let outer = self.0.take();
+            CURRENT.with(|c| *c.borrow_mut() = outer);
+        }
+    }
+    let _restore = Restore(CURRENT.with(|c| c.borrow_mut().replace(ctx)));
+    f()
 }
 
 /// The current simulated process's context.
@@ -178,6 +186,41 @@ mod tests {
         let pid = h.join();
         assert!(pid.0 < 100);
         assert!(try_current().is_none());
+    }
+
+    #[test]
+    fn nested_enter_restores_the_outer_context_even_after_a_panic() {
+        let cluster = Cluster::new(ClusterConfig::default());
+        let outer = cluster.attach("outer", 0);
+        let inner = cluster.attach("inner", 1);
+        let outer_pid = outer.pid();
+        enter(outer, || {
+            enter(Arc::clone(&inner), || {
+                assert_eq!(current().pid(), inner.pid())
+            });
+            assert_eq!(current().pid(), outer_pid);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                enter(Arc::clone(&inner), || panic!("step failed"))
+            }));
+            assert!(unwound.is_err());
+            assert_eq!(
+                current().pid(),
+                outer_pid,
+                "unwinding lost the outer context"
+            );
+        });
+        assert!(try_current().is_none());
+    }
+
+    #[test]
+    fn attached_clock_is_visible_through_the_cluster() {
+        let cluster = Cluster::new(ClusterConfig::default());
+        let ctx = cluster.attach("session", 3);
+        enter(Arc::clone(&ctx), || current().advance(250));
+        let clock = cluster.shared().clock_of(ctx.pid()).expect("attached pid");
+        assert_eq!(clock.now(), 250);
+        assert_eq!(cluster.shared().node_of(ctx.pid()), Some(3));
+        assert!(cluster.shared().is_alive(ctx.pid()));
     }
 
     #[test]

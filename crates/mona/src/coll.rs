@@ -618,20 +618,6 @@ impl Communicator {
         }))
     }
 
-    /// Non-blocking reduce (operator must be shareable).
-    pub fn ireduce(
-        &self,
-        data: Vec<u8>,
-        op: Arc<dyn ReduceOp + Send + Sync>,
-        root: usize,
-    ) -> Request {
-        let this = self.clone();
-        Request::pending(self.instance().task_pool().spawn(move || {
-            this.reduce(&data, op.as_ref(), root)
-                .map(|o| o.map(Bytes::from))
-        }))
-    }
-
     /// Non-blocking allreduce (operator must be shareable).
     pub fn iallreduce(&self, data: Vec<u8>, op: Arc<dyn ReduceOp + Send + Sync>) -> Request {
         let this = self.clone();

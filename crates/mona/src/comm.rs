@@ -397,11 +397,6 @@ impl MonaInstance {
         self.arm_fault_detection();
     }
 
-    /// Addresses currently marked dead.
-    pub fn dead_members(&self) -> Vec<Address> {
-        self.dead.lock().clone()
-    }
-
     /// Whether `addr` is marked dead.
     pub fn is_dead(&self, addr: Address) -> bool {
         self.dead.lock().contains(&addr)

@@ -88,13 +88,6 @@ impl std::fmt::Display for MonaError {
 
 impl std::error::Error for MonaError {}
 
-impl MonaError {
-    /// Whether this is a revocation (recoverable by shrink + retry).
-    pub fn is_revoked(&self) -> bool {
-        matches!(self, MonaError::Revoked { .. })
-    }
-}
-
 /// Result alias.
 pub type Result<T> = std::result::Result<T, MonaError>;
 

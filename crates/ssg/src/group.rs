@@ -255,11 +255,6 @@ impl SsgGroup {
         self.frozen.store(false, Ordering::Release);
     }
 
-    /// Whether the group is currently frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.load(Ordering::Acquire)
-    }
-
     /// Runs one SWIM protocol period: merges the virtual clock forward by
     /// one period, expires suspicions, probes one member (with indirect
     /// ping-req fallback), and exchanges piggybacked updates.
@@ -380,11 +375,6 @@ impl SsgGroup {
                 break;
             }
         }
-    }
-
-    /// Direct access to the protocol state (admin/diagnostics).
-    pub fn with_state<R>(&self, f: impl FnOnce(&SwimState) -> R) -> R {
-        f(&self.state.lock())
     }
 
     /// Injects an update as if it had been gossiped to us (failure

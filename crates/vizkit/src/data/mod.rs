@@ -50,14 +50,6 @@ impl DataSet {
         }
     }
 
-    /// The image data inside, if that is what this is.
-    pub fn as_image(&self) -> Option<&ImageData> {
-        match self {
-            DataSet::Image(i) => Some(i),
-            _ => None,
-        }
-    }
-
     /// Summary statistics of the named scalar field in this dataset,
     /// looked up in point data first, then cell data. Empty stats when
     /// the field is absent.

@@ -18,38 +18,42 @@ fn main() {
     let contact = area.contact();
     println!("starting with 1 staging server; data will outgrow it...");
 
-    let (grow_tx, grow_rx) = crossbeam::channel::bounded::<u64>(4);
-    let (grown_tx, grown_rx) = crossbeam::channel::bounded::<Vec<na::Address>>(4);
-
-    let sim = area.client("dwi-proxy", 10, move |s| {
-        let (client, admin) = (&s.client, &s.admin);
-        let script = catalyst::PipelineScript::deep_water_impact(320, 240).to_json();
-        let view = client.view_from(contact).expect("view");
-        admin
+    let sim = area.session("dwi-proxy", 10);
+    let script = catalyst::PipelineScript::deep_water_impact(320, 240).to_json();
+    let handle = sim.run(|s| {
+        let view = s.client.view_from(contact).expect("view");
+        s.admin
             .create_pipeline_on_all(&view, "catalyst", "dwi", &script)
             .expect("deploy");
-        let handle = client.distributed_handle(contact, "dwi").expect("handle");
-        let series = DwiSeries::scaled_down(blocks);
-        let ctx = &s.ctx;
+        s.client.distributed_handle(contact, "dwi").expect("handle")
+    });
+    let series = DwiSeries::scaled_down(blocks);
 
-        for iteration in 0..iterations {
-            if iteration > 0 && iteration % grow_every == 0 {
-                grow_tx.send(iteration).unwrap();
-                let fresh = grown_rx.recv().expect("grown");
+    for iteration in 0..iterations {
+        if iteration > 0 && iteration % grow_every == 0 {
+            // Host side: one more server, then the simulation deploys
+            // the pipeline on it.
+            let fresh = area.grow_on(&[1 + area.daemons().len() / 2]);
+            area.settle();
+            println!(
+                "  [host] +1 server before iteration {iteration} (now {})",
+                area.daemons().len()
+            );
+            sim.run(|s| {
                 for addr in &fresh {
-                    admin
+                    s.admin
                         .create_pipeline(*addr, "catalyst", "dwi", &script)
                         .expect("deploy on newcomer");
                 }
                 handle.refresh_view().expect("refresh");
-            }
+            });
+        }
+        let (servers, span) = sim.run(|s| {
             handle.activate(iteration).expect("activate");
             let servers = handle.members().len();
             for b in 0..blocks {
                 let ds = vizkit::DataSet::UGrid(series.generate_block(iteration + 1, b));
-                let cells = ds.num_cells();
                 let payload = colza_repro::colza::codec::dataset_to_bytes(&ds);
-                let _ = cells;
                 handle
                     .stage(
                         BlockMeta::new("dwi", b as u64, iteration, payload.len()),
@@ -57,44 +61,28 @@ fn main() {
                     )
                     .expect("stage");
             }
-            let before = ctx.now();
+            let before = s.ctx.now();
             handle.execute(iteration).expect("execute");
-            let span = ctx.now() - before;
+            let span = s.ctx.now() - before;
             handle.deactivate(iteration).expect("deactivate");
-            println!(
-                "iteration {iteration:>2}: ~{:>9} cells on {servers} server(s), render {}",
-                series.cells_at(iteration + 1),
-                hpcsim::stats::fmt_ns(span)
-            );
-        }
+            (servers, span)
+        });
+        println!(
+            "iteration {iteration:>2}: ~{:>9} cells on {servers} server(s), render {}",
+            series.cells_at(iteration + 1),
+            hpcsim::stats::fmt_ns(span)
+        );
+    }
 
-        // Scale down: politely ask the extra servers to leave.
+    // Scale down: politely ask the extra servers to leave.
+    sim.run(|s| {
         let view = handle.refresh_view().expect("view");
         for addr in view.iter().skip(1) {
-            admin.request_leave(*addr).expect("leave request");
+            s.admin.request_leave(*addr).expect("leave request");
         }
         println!("asked {} server(s) to leave the staging area", view.len() - 1);
     });
-
-    // Host side: serve growth requests.
-    loop {
-        crossbeam::channel::select! {
-            recv(grow_rx) -> msg => match msg {
-                Ok(iteration) => {
-                    let fresh = area.grow_on(&[1 + area.daemons().len() / 2]);
-                    area.settle();
-                    println!(
-                        "  [host] +1 server before iteration {iteration} (now {})",
-                        area.daemons().len()
-                    );
-                    grown_tx.send(fresh).unwrap();
-                }
-                Err(_) => break,
-            }
-        }
-    }
-
-    sim.join();
+    drop(sim);
     // Daemons asked to leave exit by themselves; shutdown joins them and
     // stops the rest.
     area.shutdown();

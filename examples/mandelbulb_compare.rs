@@ -37,41 +37,38 @@ fn run_once(mode: CommMode, servers: usize, blocks: usize, iterations: u64) -> V
     area.launch(servers, 2);
     let contact = area.contact();
 
-    let times = area
-        .client("sim", 8, move |s| {
-            let (client, admin) = (&s.client, &s.admin);
-            let script = catalyst::PipelineScript::mandelbulb(256, 192).to_json();
-            let view = client.view_from(contact).expect("view");
-            admin
-                .create_pipeline_on_all(&view, "catalyst", "viz", &script)
-                .expect("deploy");
-            let handle = client.distributed_handle(contact, "viz").expect("handle");
-            let bulb = Mandelbulb {
-                dims: [24, 24, 4 * blocks],
-                ..Default::default()
-            };
-            let ctx = &s.ctx;
-            let mut times = Vec::new();
-            for iteration in 0..iterations {
-                handle.activate(iteration).expect("activate");
-                for b in 0..blocks {
-                    let payload =
-                        colza::codec::dataset_to_bytes(&bulb.generate_block(b, blocks));
-                    handle
-                        .stage(
-                            BlockMeta::new("bulb", b as u64, iteration, payload.len()),
-                            &payload,
-                        )
-                        .expect("stage");
-                }
-                let before = ctx.now();
-                handle.execute(iteration).expect("execute");
-                times.push(ctx.now() - before);
-                handle.deactivate(iteration).expect("deactivate");
+    let times = area.session("sim", 8).run(|s| {
+        let (client, admin) = (&s.client, &s.admin);
+        let script = catalyst::PipelineScript::mandelbulb(256, 192).to_json();
+        let view = client.view_from(contact).expect("view");
+        admin
+            .create_pipeline_on_all(&view, "catalyst", "viz", &script)
+            .expect("deploy");
+        let handle = client.distributed_handle(contact, "viz").expect("handle");
+        let bulb = Mandelbulb {
+            dims: [24, 24, 4 * blocks],
+            ..Default::default()
+        };
+        let ctx = &s.ctx;
+        let mut times = Vec::new();
+        for iteration in 0..iterations {
+            handle.activate(iteration).expect("activate");
+            for b in 0..blocks {
+                let payload = colza::codec::dataset_to_bytes(&bulb.generate_block(b, blocks));
+                handle
+                    .stage(
+                        BlockMeta::new("bulb", b as u64, iteration, payload.len()),
+                        &payload,
+                    )
+                    .expect("stage");
             }
-            times
-        })
-        .join();
+            let before = ctx.now();
+            handle.execute(iteration).expect("execute");
+            times.push(ctx.now() - before);
+            handle.deactivate(iteration).expect("deactivate");
+        }
+        times
+    });
     area.shutdown();
     times
 }

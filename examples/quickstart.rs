@@ -21,36 +21,38 @@ fn main() {
         area.daemons().iter().map(|d| d.address().to_string()).collect::<Vec<_>>()
     );
 
-    // 2. A simulation process: deploys the pipeline, stages a block,
-    //    executes, and pulls the rendered image back.
-    let (grow_tx, grow_rx) = crossbeam::channel::bounded::<()>(1);
-    let (grown_tx, grown_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("simulation", 10, move |s| {
-        let (client, admin) = (&s.client, &s.admin);
-
-        // Deploy a Mandelbulb isosurface pipeline on every server.
-        let script = catalyst::PipelineScript::mandelbulb(320, 240).to_json();
-        let view = client.view_from(contact).expect("staging area reachable");
-        admin
+    // 2. A simulation process: deploys a Mandelbulb isosurface pipeline
+    //    on every server. Its steps run on this thread, inside the
+    //    simulated process, one `sim.run` at a time.
+    let sim = area.session("simulation", 10);
+    let script = catalyst::PipelineScript::mandelbulb(320, 240).to_json();
+    let handle = sim.run(|s| {
+        let view = s.client.view_from(contact).expect("staging area reachable");
+        s.admin
             .create_pipeline_on_all(&view, "catalyst", "viz", &script)
             .expect("deploy pipeline");
+        s.client.distributed_handle(contact, "viz").expect("handle")
+    });
+    let bulb = sims::mandelbulb::Mandelbulb::default();
 
-        let handle = client.distributed_handle(contact, "viz").expect("handle");
-        let bulb = sims::mandelbulb::Mandelbulb::default();
-
-        for iteration in 0..2u64 {
-            if iteration == 1 {
-                // Ask the host to grow the staging area mid-run, then
-                // deploy the pipeline on the newcomers.
-                grow_tx.send(()).unwrap();
-                grown_rx.recv().unwrap();
+    for iteration in 0..2u64 {
+        if iteration == 1 {
+            // 3. The host grows the staging area mid-run (the paper's
+            //    job-script trigger): one more daemon on the next free
+            //    node. The simulation then deploys the pipeline on it.
+            area.grow(1);
+            area.settle();
+            sim.run(|s| {
                 let view = handle.refresh_view().expect("grown view");
-                admin
+                s.admin
                     .create_pipeline_on_all(&view, "catalyst", "viz", &script)
                     .expect("deploy on grown view");
                 println!("staging area grew to {} servers", view.len());
-            }
+            });
+        }
 
+        // 4. One iteration: stage blocks, execute, pull the image back.
+        let image = sim.run(|_| {
             handle.activate(iteration).expect("activate (2PC)");
             for block in 0..4u64 {
                 let ds = bulb.generate_block(block as usize, 4);
@@ -68,28 +70,22 @@ fn main() {
                 .expect("fetch")
                 .expect("rendered image at the root");
             handle.deactivate(iteration).expect("deactivate");
+            image
+        });
 
-            let img = vizkit::Image::from_bytes(&image);
-            let path = std::env::temp_dir().join(format!("quickstart_iter{iteration}.ppm"));
-            img.write_ppm(&path).expect("write image");
-            println!(
-                "iteration {iteration}: rendered {}x{} image ({:.1}% coverage) -> {}",
-                img.width,
-                img.height,
-                img.coverage() * 100.0,
-                path.display()
-            );
-        }
-    });
+        let img = vizkit::Image::from_bytes(&image);
+        let path = std::env::temp_dir().join(format!("quickstart_iter{iteration}.ppm"));
+        img.write_ppm(&path).expect("write image");
+        println!(
+            "iteration {iteration}: rendered {}x{} image ({:.1}% coverage) -> {}",
+            img.width,
+            img.height,
+            img.coverage() * 100.0,
+            path.display()
+        );
+    }
 
-    // 3. The host grows the staging area when asked (the paper's job-
-    //    script trigger): one more daemon on the next free node.
-    grow_rx.recv().unwrap();
-    area.grow(1);
-    area.settle();
-    grown_tx.send(()).unwrap();
-
-    sim.join();
+    drop(sim);
     area.shutdown();
     println!("done.");
 }

@@ -10,13 +10,16 @@
 # each commit (a clone of the parent under /root/scratch, say) and
 # alternate which side runs first: the host's CPU rows drift by 10-25 %
 # within an hour, so only interleaved pairs compare (benchmark/README.md).
-# `results/` and `benchmark/out/` stay ignored scratch.
+# `results/` and `benchmark/out/` stay ignored scratch. A run whose result
+# is not `"correct":true`, or that prints no result line, leaves its stderr
+# in perf/failures/<commit>-<label>-<workload>-<utc>.stderr.
 set -e
 
 [ -n "$1" ] || { echo "usage: $0 <label> [workload ...]" >&2; exit 2; }
 label=$1
 shift
 ledger="$(cd "$(dirname "$0")/.." && pwd)/perf/history.jsonl"
+failures="$(dirname "$ledger")/failures"
 mkdir -p "$(dirname "$ledger")"
 
 cd "$(git rev-parse --show-toplevel)"
@@ -35,8 +38,19 @@ seed=42
 for workload in "$@"; do
     # A failed check exits non-zero but still prints its result line: the
     # ledger keeps it (`"correct":false`) and the script carries on.
-    out=$($cmd --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) || true
+    stderr=$(mktemp)
+    out=$($cmd --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+        2>"$stderr") || true
     result=$(printf '%s\n' "$out" | tail -n 1)
+    case $result in
+        '{"correct":true'*) rm -f "$stderr" ;;
+        *)
+            mkdir -p "$failures"
+            kept="$failures/$commit-$label-$workload-$(date -u +%Y%m%dT%H%M%SZ).stderr"
+            mv "$stderr" "$kept"
+            echo "$workload: stderr kept in $kept" >&2
+            ;;
+    esac
     case $result in
         '{'*) ;;
         *) echo "$workload: no result line" >&2; exit 1 ;;

@@ -81,19 +81,17 @@ pub fn assert_each_block_fed_once(area: &colza::StagingArea, blocks: u64, iterat
         .map(|d| d.address())
         .collect();
     // Node 8 is where both suites run their simulation client.
-    let reports = area
-        .client("probe", 8, move |s| {
-            serving
-                .iter()
-                .map(|&addr| {
-                    let report = s.client.pipeline_handle(addr, NULL_PIPELINE).fetch_result();
-                    report
-                        .expect("null backend unreachable")
-                        .expect("null backends report")
-                })
-                .collect::<Vec<_>>()
-        })
-        .join();
+    let reports = area.session("probe", 8).run(|s| {
+        serving
+            .iter()
+            .map(|&addr| {
+                let report = s.client.pipeline_handle(addr, NULL_PIPELINE).fetch_result();
+                report
+                    .expect("null backend unreachable")
+                    .expect("null backends report")
+            })
+            .collect::<Vec<_>>()
+    });
     let mut handed_bytes = 0;
     let mut handed = vec![0u32; blocks as usize];
     for report in reports {

@@ -14,34 +14,34 @@ fn autoscaler_grows_the_staging_area_under_load() {
     area.launch(1, 2);
     let contact = area.contact();
 
-    let (grow_tx, grow_rx) = crossbeam::channel::bounded::<usize>(4);
-    let (grown_tx, grown_rx) = crossbeam::channel::bounded::<Vec<na::Address>>(4);
-
-    let sim = area.client("sim", 10, move |s| {
-        let (client, admin) = (&s.client, &s.admin);
-        let script = catalyst::PipelineScript::deep_water_impact(128, 96).to_json();
-        let view = client.view_from(contact).unwrap();
-        admin
+    let script = catalyst::PipelineScript::deep_water_impact(128, 96).to_json();
+    let sim = area.session("sim", 10);
+    let handle = sim.run(|s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin
             .create_pipeline_on_all(&view, "catalyst", "dwi", &script)
             .unwrap();
-        let handle = client.distributed_handle(contact, "dwi").unwrap();
-        let series = sims::dwi::DwiSeries {
-            total_blocks: 8,
-            scale: 1.0 / 2048.0,
-            iterations: 16,
-        };
-        let ctx = &s.ctx;
-        // Target far below what one server can deliver on the late, heavy
-        // iterations: growth must trigger.
-        let mut scaler = AutoScaler::new(AutoScaleConfig {
-            cooldown_iters: 1,
-            max_servers: 4,
-            ..AutoScaleConfig::with_target(12 * hpcsim::MS)
-        });
-        let mut grew = 0usize;
-        let mut had_join = false;
-        let mut sizes = Vec::new();
-        for iteration in 0..16u64 {
+        s.client.distributed_handle(contact, "dwi").unwrap()
+    });
+    let series = sims::dwi::DwiSeries {
+        total_blocks: 8,
+        scale: 1.0 / 2048.0,
+        iterations: 16,
+    };
+    // Target far below what one server can deliver on the late, heavy
+    // iterations: growth must trigger.
+    let mut scaler = AutoScaler::new(AutoScaleConfig {
+        cooldown_iters: 1,
+        max_servers: 4,
+        ..AutoScaleConfig::with_target(12 * hpcsim::MS)
+    });
+    let mut grew = 0usize;
+    let mut had_join = false;
+    let mut sizes = Vec::new();
+    // Each newcomer goes on a node of its own.
+    let mut next_node = 1usize;
+    for iteration in 0..16u64 {
+        let span = sim.run(|s| {
             handle.activate(iteration).unwrap();
             sizes.push(handle.members().len());
             for b in 0..8usize {
@@ -54,41 +54,34 @@ fn autoscaler_grows_the_staging_area_under_load() {
                     )
                     .unwrap();
             }
-            let before = ctx.now();
+            let before = s.ctx.now();
             handle.execute(iteration).unwrap();
-            let span = ctx.now() - before;
+            let span = s.ctx.now() - before;
             handle.deactivate(iteration).unwrap();
+            span
+        });
 
-            let decision = scaler.observe(span, handle.members().len(), had_join);
-            had_join = false;
-            if let ScaleDecision::Grow(n) = decision {
-                grow_tx.send(n).unwrap();
-                let fresh = grown_rx.recv().unwrap();
+        let decision = scaler.observe(span, handle.members().len(), had_join);
+        had_join = false;
+        if let ScaleDecision::Grow(n) = decision {
+            let nodes: Vec<usize> = (next_node..next_node + n).collect();
+            next_node += n;
+            let fresh = area.grow_on(&nodes);
+            area.settle();
+            sim.run(|s| {
                 for addr in &fresh {
-                    admin
+                    s.admin
                         .create_pipeline(*addr, "catalyst", "dwi", &script)
                         .unwrap();
                 }
                 handle.refresh_view().unwrap();
-                grew += fresh.len();
-                had_join = true;
-            }
+            });
+            grew += fresh.len();
+            had_join = true;
         }
-        (grew, sizes)
-    });
-
-    // Host: serve growth requests until the simulation finishes, each
-    // newcomer on a node of its own.
-    let mut next_node = 1usize;
-    while let Ok(n) = grow_rx.recv() {
-        let nodes: Vec<usize> = (next_node..next_node + n).collect();
-        next_node += n;
-        let fresh = area.grow_on(&nodes);
-        area.settle();
-        grown_tx.send(fresh).unwrap();
     }
+    drop(sim);
 
-    let (grew, sizes) = sim.join();
     assert!(grew >= 1, "the controller never grew the staging area");
     assert_eq!(sizes[0], 1, "started with one server");
     assert!(
@@ -109,10 +102,8 @@ fn shrink_victims_are_chosen_by_staged_load() {
     area.launch(3, 1);
     let contact = area.contact();
 
-    let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
-    let (victim_tx, victim_rx) = crossbeam::channel::bounded::<Vec<na::Address>>(1);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
+    let sim = area.session("sim", 8);
+    let (handle, victims) = sim.run(|s| {
         let view = s.client.view_from(contact).unwrap();
         s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
         let handle = s.client.distributed_handle(contact, "p").unwrap();
@@ -128,16 +119,8 @@ fn shrink_victims_are_chosen_by_staged_load() {
                 )
                 .unwrap();
         }
-        staged_tx.send(()).unwrap();
-        victim_tx
-            .send(drain_aware_victims(&s.admin, &view, 1))
-            .unwrap();
-        done_rx.recv().unwrap();
-        handle.deactivate(0).unwrap();
+        (handle, drain_aware_victims(&s.admin, &view, 1))
     });
-
-    staged_rx.recv().unwrap();
-    let victims = victim_rx.recv().unwrap();
     // Independent expectation, straight from the stores (not the metrics
     // RPC under test): least bytes wins; ties go to the later member.
     let mut loads: Vec<(na::Address, u64)> = area
@@ -155,7 +138,7 @@ fn shrink_victims_are_chosen_by_staged_load() {
         1,
         "each nomination must be counted in the trace"
     );
-    done_tx.send(()).unwrap();
-    sim.join();
+    sim.run(|_| handle.deactivate(0).unwrap());
+    drop(sim);
     area.shutdown();
 }

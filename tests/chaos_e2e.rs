@@ -99,9 +99,8 @@ fn activate_recovers_when_a_provider_crashes_mid_2pc() {
     area.launch(3, 1);
     let contact = area.contact();
 
-    let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (ready_tx, ready_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
+    let sim = area.session("sim", 8);
+    let handle = sim.run(|s| {
         let view = s.client.view_from(contact).unwrap();
         assert_eq!(view.len(), 3);
         s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
@@ -109,28 +108,31 @@ fn activate_recovers_when_a_provider_crashes_mid_2pc() {
         handle.activate(0).unwrap();
         handle.execute(0).unwrap();
         handle.deactivate(0).unwrap();
-
-        // The harness crashes a provider *now*; the next activate walks
-        // straight into the dead member mid-prepare. Abort-and-retry:
-        // each failure refreshes to whatever view the survivors have
-        // converged on by then.
-        ready_tx.send(()).unwrap();
-        killed_rx.recv().unwrap();
-        through_churn("activate never recovered from the crash", &handle, || {
-            handle.activate(1)
-        });
-        let members = handle.members().len();
-        handle.execute(1).unwrap();
-        handle.deactivate(1).unwrap();
-        members
+        handle
     });
 
-    ready_rx.recv().unwrap();
+    // The harness crashes a provider *now*; the next activate walks
+    // straight into the dead member mid-prepare. Abort-and-retry: each
+    // failure refreshes to whatever view the survivors have converged on
+    // by then.
     area.kill(2);
-    killed_tx.send(()).unwrap();
-    // Drive gossip so suspicion matures while the client keeps retrying.
-    area.settle();
-    let members = sim.join();
+    let members = std::thread::scope(|scope| {
+        let client = scope.spawn(|| {
+            sim.run(|_| {
+                through_churn("activate never recovered from the crash", &handle, || {
+                    handle.activate(1)
+                });
+                let members = handle.members().len();
+                handle.execute(1).unwrap();
+                handle.deactivate(1).unwrap();
+                members
+            })
+        });
+        // Drive gossip so suspicion matures while the client keeps retrying.
+        area.settle();
+        client.join().expect("the retrying client panicked")
+    });
+    drop(sim);
     assert_eq!(members, 2, "2PC must complete on the survivor view");
     area.shutdown();
 }
@@ -149,38 +151,32 @@ fn stage_and_execute_complete_through_message_loss() {
     let contact = area.contact();
     let script = catalyst::PipelineScript::mandelbulb(48, 48).to_json();
 
-    let coverage = area
-        .client("sim", 8, move |s| {
-            let view = s.client.view_from(contact).unwrap();
-            s.admin
-                .create_pipeline_on_all(&view, "catalyst", "m", &script)
-                .unwrap();
-            let handle = s.client.distributed_handle(contact, "m").unwrap();
-            let bulb = sims::mandelbulb::Mandelbulb {
-                dims: [12, 12, 12],
-                ..Default::default()
-            };
-            let mut cov = -1.0;
-            for iteration in 0..3u64 {
-                handle.activate(iteration).unwrap();
-                for b in 0..2u64 {
-                    let payload =
-                        colza::codec::dataset_to_bytes(&bulb.generate_block(b as usize, 2));
-                    handle
-                        .stage(
-                            BlockMeta::new("m", b, iteration, payload.len()),
-                            &payload,
-                        )
-                        .unwrap();
-                }
-                handle.execute(iteration).unwrap();
-                let img = handle.fetch_result().unwrap().expect("image");
-                cov = vizkit::Image::from_bytes(&img).coverage();
-                handle.deactivate(iteration).unwrap();
+    let coverage = area.session("sim", 8).run(|s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin
+            .create_pipeline_on_all(&view, "catalyst", "m", &script)
+            .unwrap();
+        let handle = s.client.distributed_handle(contact, "m").unwrap();
+        let bulb = sims::mandelbulb::Mandelbulb {
+            dims: [12, 12, 12],
+            ..Default::default()
+        };
+        let mut cov = -1.0;
+        for iteration in 0..3u64 {
+            handle.activate(iteration).unwrap();
+            for b in 0..2u64 {
+                let payload = colza::codec::dataset_to_bytes(&bulb.generate_block(b as usize, 2));
+                handle
+                    .stage(BlockMeta::new("m", b, iteration, payload.len()), &payload)
+                    .unwrap();
             }
-            cov
-        })
-        .join();
+            handle.execute(iteration).unwrap();
+            let img = handle.fetch_result().unwrap().expect("image");
+            cov = vizkit::Image::from_bytes(&img).coverage();
+            handle.deactivate(iteration).unwrap();
+        }
+        cov
+    });
     assert!(
         area.shared().faults().fault_count() > 0,
         "the plan injected nothing — the scenario tested a clean wire"
@@ -218,18 +214,18 @@ fn elastic_grow_survives_a_partition_that_later_heals() {
     area.shared().faults().heal_partitions();
     area.settle();
 
-    let members = area
-        .client("sim", 8, move |s| {
-            let view = s.client.view_from(contact0).unwrap();
-            s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-            let handle = s.client.distributed_handle(contact0, "p").unwrap();
-            handle.activate(0).unwrap();
-            let n = handle.members().len();
-            handle.execute(0).unwrap();
-            handle.deactivate(0).unwrap();
-            n
-        })
-        .join();
+    let members = area.session("sim", 8).run(|s| {
+        let view = s.client.view_from(contact0).unwrap();
+        s.admin
+            .create_pipeline_on_all(&view, "null", "p", "")
+            .unwrap();
+        let handle = s.client.distributed_handle(contact0, "p").unwrap();
+        handle.activate(0).unwrap();
+        let n = handle.members().len();
+        handle.execute(0).unwrap();
+        handle.deactivate(0).unwrap();
+        n
+    });
     assert_eq!(members, 4, "healed group must serve with all four members");
     area.shutdown();
 }
@@ -402,11 +398,8 @@ fn replica_recovery_run(seed: u64) -> RecoveryOutcome {
     // servers will both compute over the three-member view.
     let victim_addr = area.primary_of("p", 0, 2);
 
-    let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
-    let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
+    let sim = area.session("sim", 8);
+    let handle = sim.run(|s| {
         let view = s.client.view_from(contact).unwrap();
         s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
         let mut handle = s.client.distributed_handle(contact, "p").unwrap();
@@ -421,9 +414,15 @@ fn replica_recovery_run(seed: u64) -> RecoveryOutcome {
                 )
                 .unwrap();
         }
-        staged_tx.send(()).unwrap();
-        killed_rx.recv().unwrap();
+        handle
+    });
 
+    // Quiesced crash point: client between steps, daemons idle. Then
+    // serialized SWIM rounds until both survivors declare the death.
+    area.kill(area.index_of(victim_addr));
+    area.settle();
+
+    sim.run(|_| {
         // The frozen member list still names the dead primary: execute
         // must fail fast and retryably, never hang.
         let r = handle.execute(0);
@@ -437,19 +436,7 @@ fn replica_recovery_run(seed: u64) -> RecoveryOutcome {
         assert_eq!(handle.members().len(), 2);
         handle.activate(0).unwrap();
         handle.execute(0).unwrap();
-        executed_tx.send(()).unwrap();
-        done_rx.recv().unwrap();
-        handle.deactivate(0).unwrap();
     });
-
-    staged_rx.recv().unwrap();
-    // Quiesced crash point: client is blocked, daemons are idle. Then
-    // serialized SWIM rounds until both survivors declare the death.
-    area.kill(area.index_of(victim_addr));
-    area.settle();
-    killed_tx.send(()).unwrap();
-
-    executed_rx.recv().unwrap();
     // Post-execute, pre-deactivate: with k = 2 over 2 survivors, every
     // survivor holds every block, and each block is fed exactly once
     // across the group.
@@ -459,8 +446,8 @@ fn replica_recovery_run(seed: u64) -> RecoveryOutcome {
         assert_eq!(s.staged_bytes(), total_bytes);
     }
     assert_each_block_fed_once(&area, BLOCKS, 0);
-    done_tx.send(()).unwrap();
-    sim.join();
+    sim.run(|_| handle.deactivate(0).unwrap());
+    drop(sim);
 
     let snap = area.shared().trace_snapshot();
     let out = RecoveryOutcome {
@@ -551,10 +538,8 @@ fn collective_crash_run(seed: u64) -> CollectiveCrashOutcome {
     area.crash_after_mona_sends(victim_addr, 2);
 
     let script = catalyst::PipelineScript::mandelbulb(48, 48).to_json();
-    let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
-    let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
+    let sim = area.session("sim", 8);
+    let handle = sim.run(|s| {
         let view = s.client.view_from(contact).unwrap();
         s.admin
             .create_pipeline_on_all(&view, "catalyst", "m", &script)
@@ -577,36 +562,38 @@ fn collective_crash_run(seed: u64) -> CollectiveCrashOutcome {
                 )
                 .unwrap();
         }
-        staged_tx.send(()).unwrap();
-        // The crash lands inside this call's collective; survivors abort
-        // retryably and recovery (refresh + re-activate + re-execute on
-        // the shrunk view) is automatic.
         handle
-            .execute_with_recovery(0)
-            .expect("iteration must recover from the mid-collective crash");
-        let img = handle.fetch_result().unwrap().expect("image");
-        executed_tx.send(()).unwrap();
-        done_rx.recv().unwrap();
-        handle.deactivate(0).unwrap();
-        img
     });
 
-    staged_rx.recv().unwrap();
-    // Wait for the victim's send budget to trip mid-collective, then
-    // make it a real crash — no open mailbox: killing the daemon closes
-    // its endpoint, so survivors' sends to it fail fast with
-    // `Unreachable` and the client's re-probe does too — and run
-    // serialized SWIM rounds until both survivors declare the death.
-    area.wait_crash_tripped(victim_addr);
-    area.kill(area.index_of(victim_addr));
-    area.settle();
+    // The crash lands inside this execute's collective, so the client
+    // blocks in it while the harness acts: survivors abort retryably
+    // and recovery (refresh + re-activate + re-execute on the shrunk
+    // view) is automatic.
+    let img = std::thread::scope(|scope| {
+        let exec = scope.spawn(|| {
+            sim.run(|_| {
+                handle
+                    .execute_with_recovery(0)
+                    .expect("iteration must recover from the mid-collective crash");
+                handle.fetch_result().unwrap().expect("image")
+            })
+        });
+        // Wait for the victim's send budget to trip mid-collective, then
+        // make it a real crash — no open mailbox: killing the daemon
+        // closes its endpoint, so survivors' sends to it fail fast with
+        // `Unreachable` and the client's re-probe does too — and run
+        // serialized SWIM rounds until both survivors declare the death.
+        area.wait_crash_tripped(victim_addr);
+        area.kill(area.index_of(victim_addr));
+        area.settle();
+        exec.join().unwrap()
+    });
 
-    executed_rx.recv().unwrap();
     // Post-recovery, pre-deactivate: every block is fed exactly once
     // across the surviving group.
     assert_each_block_fed_once(&area, BLOCKS, 0);
-    done_tx.send(()).unwrap();
-    let img = sim.join();
+    sim.run(|_| handle.deactivate(0).unwrap());
+    drop(sim);
 
     let snap = area.shared().trace_snapshot();
     let out = CollectiveCrashOutcome {
@@ -702,11 +689,8 @@ fn codec_crash_run(seed: u64) -> CodecCrashOutcome {
     let victim_addr = area.primary_of("g", 0, 2);
 
     let script = catalyst::PipelineScript::gray_scott(48, 48).to_json();
-    let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
-    let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
+    let sim = area.session("sim", 8);
+    let handle = sim.run(|s| {
         let view = s.client.view_from(contact).unwrap();
         s.admin
             .create_pipeline_on_all(&view, "catalyst", "g", &script)
@@ -734,9 +718,14 @@ fn codec_crash_run(seed: u64) -> CodecCrashOutcome {
                 .stage(BlockMeta::new("g", b, 1, payload.len()), &payload)
                 .unwrap();
         }
-        staged_tx.send(()).unwrap();
-        killed_rx.recv().unwrap();
+        handle
+    });
 
+    // Quiesced crash point: client between steps, daemons idle.
+    area.kill(area.index_of(victim_addr));
+    area.settle();
+
+    let img = sim.run(|_| {
         // The frozen member list still names the dead primary.
         let r = handle.execute(1);
         assert!(
@@ -747,28 +736,17 @@ fn codec_crash_run(seed: u64) -> CodecCrashOutcome {
         assert_eq!(handle.members().len(), 2);
         handle.activate(1).unwrap();
         handle.execute(1).unwrap();
-        let img = handle.fetch_result().unwrap().expect("image");
-        executed_tx.send(()).unwrap();
-        done_rx.recv().unwrap();
-        handle.deactivate(1).unwrap();
-        img
+        handle.fetch_result().unwrap().expect("image")
     });
 
-    staged_rx.recv().unwrap();
-    // Quiesced crash point: client is blocked, daemons are idle.
-    area.kill(area.index_of(victim_addr));
-    area.settle();
-    killed_tx.send(()).unwrap();
-
-    executed_rx.recv().unwrap();
     // Post-recovery, pre-deactivate: both survivors hold every iteration-1
     // block and each block fed exactly one backend.
     for d in area.daemons() {
         assert_eq!(d.provider().store().len(), BLOCKS as usize);
     }
     assert_each_block_fed_once(&area, BLOCKS, 1);
-    done_tx.send(()).unwrap();
-    let img = sim.join();
+    sim.run(|_| handle.deactivate(1).unwrap());
+    drop(sim);
 
     let snap = area.shared().trace_snapshot();
     // Every reconstructed plain a push carried was received in full.
@@ -832,9 +810,8 @@ fn request_leave_during_staging_loses_no_block() {
     // must provably survive the departure.
     let victim_addr = area.primary_of("p", 0, 1);
 
-    let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
+    let sim = area.session("sim", 8);
+    let handle = sim.run(|s| {
         let view = s.client.view_from(contact).unwrap();
         s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
         let handle = s.client.distributed_handle(contact, "p").unwrap();
@@ -864,14 +841,9 @@ fn request_leave_during_staging_loses_no_block() {
             }
             handle.execute(0)
         });
-        executed_tx.send(()).unwrap();
-        done_rx.recv().unwrap();
-        through_churn("deactivate never completed", &handle, || {
-            handle.deactivate(0)
-        });
+        handle
     });
 
-    executed_rx.recv().unwrap();
     // Wait for the departure to fully settle — drain finished (the
     // leaver's store is empty) and the survivors no longer list it — so
     // holdings are quiescent before asserting on them.
@@ -895,8 +867,12 @@ fn request_leave_during_staging_loses_no_block() {
     }
     assert_eq!(held_bytes, total_bytes, "bytes lost or duplicated");
     assert_each_block_fed_once(&area, BLOCKS, 0);
-    done_tx.send(()).unwrap();
-    sim.join();
+    sim.run(|_| {
+        through_churn("deactivate never completed", &handle, || {
+            handle.deactivate(0)
+        })
+    });
+    drop(sim);
 
     // The leaver may have already shut down on its own; stopping an
     // exited daemon just joins it.
@@ -912,11 +888,9 @@ fn killed_server_is_detected_under_one_percent_loss() {
     let mut area = StagingArea::new(faulty(plan));
     area.launch(3, 1);
     let contact = area.contact();
-    let victim_addr = area.daemons()[2].address();
 
-    let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (ready_tx, ready_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
+    let sim = area.session("sim", 8);
+    let handle = sim.run(|s| {
         let view = s.client.view_from(contact).unwrap();
         assert_eq!(view.len(), 3);
         s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
@@ -924,12 +898,12 @@ fn killed_server_is_detected_under_one_percent_loss() {
         handle.activate(0).unwrap();
         handle.execute(0).unwrap();
         handle.deactivate(0).unwrap();
+        handle
+    });
 
-        ready_tx.send(()).unwrap();
-        killed_rx.recv().unwrap();
-        wait_until("the contact dropped the victim", || {
-            s.client.view_from(contact).map(|v| !v.contains(&victim_addr)) == Ok(true)
-        });
+    area.kill(2);
+    area.settle();
+    let n = sim.run(|_| {
         handle.refresh_view().unwrap();
         handle.activate(1).unwrap();
         let n = handle.members().len();
@@ -937,12 +911,7 @@ fn killed_server_is_detected_under_one_percent_loss() {
         handle.deactivate(1).unwrap();
         n
     });
-
-    ready_rx.recv().unwrap();
-    area.kill(2);
-    area.settle();
-    killed_tx.send(()).unwrap();
-    let n = sim.join();
+    drop(sim);
     assert_eq!(n, 2, "protocol must continue on the survivors despite loss");
     area.shutdown();
 }
@@ -1017,11 +986,8 @@ fn tenant_crash_run(seed: u64) -> TenantCrashOutcome {
     // the client and the servers share.
     let victim_addr = area.primary_of("noisy", 0, 2);
 
-    let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
-    let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (recovered_tx, recovered_rx) = crossbeam::channel::bounded::<()>(1);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
+    let sim = area.session("sim", 8);
+    let (wb, noisy, noisy_payload, client_refusals) = sim.run(|s| {
         let (client, admin) = (&s.client, &s.admin);
         let view = client.view_from(contact).unwrap();
         admin.create_pipeline_on_all(&view, "null", "wb", "").unwrap();
@@ -1054,9 +1020,15 @@ fn tenant_crash_run(seed: u64) -> TenantCrashOutcome {
             }
         }
         assert!(refusals >= 1, "the flood never hit the quota");
-        staged_tx.send(()).unwrap();
-        killed_rx.recv().unwrap();
+        (wb, noisy, noisy_payload, refusals)
+    });
 
+    // Quiesced crash point: client between steps, daemons idle. Then
+    // serialized SWIM rounds until both survivors declare the death.
+    area.kill(area.index_of(victim_addr));
+    area.settle();
+
+    sim.run(|_| {
         // The frozen views still name the dead member: executes fail
         // fast and retryably; recovery is refresh + re-activate (the
         // commit sync promotes replicas and re-replicates) + execute.
@@ -1071,35 +1043,8 @@ fn tenant_crash_run(seed: u64) -> TenantCrashOutcome {
             handle.activate(0).unwrap();
             handle.execute(0).unwrap();
         }
-        recovered_tx.send(()).unwrap();
-        done_rx.recv().unwrap();
-        wb.deactivate(0).unwrap();
-        noisy.deactivate(0).unwrap();
-
-        // The release freed the noisy tenant's quota: a backed-off stage
-        // for the next iteration goes straight through on the shrunk,
-        // repaired staging area.
-        noisy.activate(1).unwrap();
-        noisy
-            .stage_with_backpressure(
-                BlockMeta::new("f", 0, 1, NOISY_BLOCK),
-                &noisy_payload,
-                Duration::from_secs(2),
-            )
-            .expect("post-release stage must ride through");
-        noisy.execute(1).unwrap();
-        noisy.deactivate(1).unwrap();
-        refusals
     });
 
-    staged_rx.recv().unwrap();
-    // Quiesced crash point: client is blocked, daemons are idle. Then
-    // serialized SWIM rounds until both survivors declare the death.
-    area.kill(area.index_of(victim_addr));
-    area.settle();
-    killed_tx.send(()).unwrap();
-
-    recovered_rx.recv().unwrap();
     // Post-recovery, pre-deactivate: with k = 2 over 2 survivors, the
     // well-behaved tenant's blocks are fully replicated — every survivor
     // holds all of them — regardless of what the noisy flood did.
@@ -1136,8 +1081,25 @@ fn tenant_crash_run(seed: u64) -> TenantCrashOutcome {
             "survivor {addr} holds {noisy_bytes} noisy bytes over quota {quota}"
         );
     }
-    done_tx.send(()).unwrap();
-    let client_refusals = sim.join();
+    sim.run(|_| {
+        wb.deactivate(0).unwrap();
+        noisy.deactivate(0).unwrap();
+
+        // The release freed the noisy tenant's quota: a backed-off stage
+        // for the next iteration goes straight through on the shrunk,
+        // repaired staging area.
+        noisy.activate(1).unwrap();
+        noisy
+            .stage_with_backpressure(
+                BlockMeta::new("f", 0, 1, NOISY_BLOCK),
+                &noisy_payload,
+                Duration::from_secs(2),
+            )
+            .expect("post-release stage must ride through");
+        noisy.execute(1).unwrap();
+        noisy.deactivate(1).unwrap();
+    });
+    drop(sim);
 
     let snap = area.shared().trace_snapshot();
     let out = TenantCrashOutcome {
@@ -1227,10 +1189,8 @@ fn triggered_crash_run(seed: u64) -> TriggeredCrashOutcome {
     ];
     let script = s.to_json();
 
-    let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
-    let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
+    let sim = area.session("sim", 8);
+    let handle = sim.run(|s| {
         let view = s.client.view_from(contact).unwrap();
         s.admin
             .create_pipeline_on_all(&view, "catalyst", "t", &script)
@@ -1250,27 +1210,28 @@ fn triggered_crash_run(seed: u64) -> TriggeredCrashOutcome {
                 .stage(BlockMeta::new("t", b, 0, payload.len()), &payload)
                 .unwrap();
         }
-        staged_tx.send(()).unwrap();
-        // The crash lands inside this call's collectives — possibly the
-        // fused stats allreduce the trigger itself is evaluating over.
-        let outcome = handle
-            .execute_with_recovery(0)
-            .expect("triggered iteration must recover from the crash");
-        let img = handle.fetch_result().unwrap().expect("image");
-        executed_tx.send(()).unwrap();
-        done_rx.recv().unwrap();
-        handle.deactivate(0).unwrap();
-        (outcome, img)
+        handle
     });
 
-    staged_rx.recv().unwrap();
-    area.wait_crash_tripped(victim_addr);
-    area.kill(area.index_of(victim_addr));
-    area.settle();
-
-    executed_rx.recv().unwrap();
-    done_tx.send(()).unwrap();
-    let (outcome, img) = sim.join();
+    // The crash lands inside this execute's collectives — possibly the
+    // fused stats allreduce the trigger itself is evaluating over — so
+    // the client blocks in it while the harness acts.
+    let (outcome, img) = std::thread::scope(|scope| {
+        let exec = scope.spawn(|| {
+            sim.run(|_| {
+                let outcome = handle
+                    .execute_with_recovery(0)
+                    .expect("triggered iteration must recover from the crash");
+                (outcome, handle.fetch_result().unwrap().expect("image"))
+            })
+        });
+        area.wait_crash_tripped(victim_addr);
+        area.kill(area.index_of(victim_addr));
+        area.settle();
+        exec.join().unwrap()
+    });
+    sim.run(|_| handle.deactivate(0).unwrap());
+    drop(sim);
 
     let snap = area.shared().trace_snapshot();
     let out = TriggeredCrashOutcome {

@@ -1,7 +1,8 @@
 //! A stopped daemon must give its OS threads back (margo pools, the
-//! progress loop, MoNA's workers), and the `StagingArea` harness must
-//! clean up after itself. The thread count is process-wide, so all of
-//! this is one test, alone in its binary, running its checks in turn.
+//! progress loop, MoNA's workers), a dropped client session its margo
+//! threads, and the `StagingArea` harness must clean up after itself.
+//! The thread count is process-wide, so all of this is one test, alone
+//! in its binary, running its checks in turn.
 #![cfg(target_os = "linux")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,6 +33,7 @@ fn stopped_daemons_release_their_threads() {
     let idle = os_threads();
     spawn_stop_cycles_release_their_threads();
     area_lifecycle_leaves_no_thread_and_no_connection_file(idle);
+    dropped_session_releases_its_threads();
     concurrent_areas_never_share_a_connection_file();
     tick_until_panics_with_its_label_instead_of_hanging();
 }
@@ -72,6 +74,30 @@ fn area_lifecycle_leaves_no_thread_and_no_connection_file(idle: usize) {
     area.shutdown();
     assert!(!conn.exists(), "shutdown must remove {conn:?}");
     assert_threads_return_to(idle, "a shut-down area must give every daemon thread back");
+}
+
+/// A session is a client process with no thread of its own: creating
+/// one, running a call in it and dropping it gives back every thread its
+/// margo instance started, and ends the process.
+fn dropped_session_releases_its_threads() {
+    let mut area = StagingArea::new(ClusterConfig::aries());
+    area.launch(1, 1);
+    let contact = area.contact();
+    let baseline = os_threads();
+
+    let sim = area.session("sim", 8);
+    assert!(os_threads() > baseline, "a session's margo owns threads");
+    let view = sim.run(|s| s.client.view_from(contact).unwrap());
+    assert_eq!(view, vec![contact]);
+    let pid = sim.ctx.pid();
+    assert!(area.shared().is_alive(pid));
+    drop(sim);
+    assert!(
+        !area.shared().is_alive(pid),
+        "dropping a session ends its process"
+    );
+    assert_threads_return_to(baseline, "a dropped session must give its threads back");
+    area.shutdown();
 }
 
 /// Two areas launched at the same time in one process bootstrap through

@@ -75,42 +75,43 @@ fn elastic_grow_and_admin_shrink_under_load() {
     let contact = area.contact();
     let script = catalyst::PipelineScript::mandelbulb(48, 48).to_json();
 
-    let (grow_tx, grow_rx) = crossbeam::channel::bounded::<()>(1);
-    let (grown_tx, grown_rx) = crossbeam::channel::bounded::<na::Address>(1);
-
-    let sim = area.client("sim", 8, move |s| {
-        let admin = &s.admin;
+    let sim = area.session("sim", 8);
+    let handle = sim.run(|s| {
         let view = s.client.view_from(contact).unwrap();
-        admin
+        s.admin
             .create_pipeline_on_all(&view, "catalyst", "m", &script)
             .unwrap();
-        let handle = s.client.distributed_handle(contact, "m").unwrap();
-        let bulb = sims::mandelbulb::Mandelbulb {
-            dims: [12, 12, 12],
-            ..Default::default()
-        };
+        s.client.distributed_handle(contact, "m").unwrap()
+    });
+    let bulb = sims::mandelbulb::Mandelbulb {
+        dims: [12, 12, 12],
+        ..Default::default()
+    };
 
-        let mut server_counts = Vec::new();
-        for iteration in 0..4u64 {
-            if iteration == 1 {
-                grow_tx.send(()).unwrap();
-                let fresh = grown_rx.recv().unwrap();
-                admin
-                    .create_pipeline(fresh, "catalyst", "m", &script)
+    let mut counts = Vec::new();
+    for iteration in 0..4u64 {
+        if iteration == 1 {
+            let fresh = area.grow_on(&[4]);
+            area.settle();
+            sim.run(|s| {
+                s.admin
+                    .create_pipeline(fresh[0], "catalyst", "m", &script)
                     .unwrap();
                 handle.refresh_view().unwrap();
-            }
+            });
+        }
+        let members = sim.run(|s| {
             if iteration == 3 {
                 // Scale down: ask the newest member to leave, wait for the
                 // view to shrink, then keep iterating.
                 let view = handle.refresh_view().unwrap();
-                admin.request_leave(*view.last().unwrap()).unwrap();
+                s.admin.request_leave(*view.last().unwrap()).unwrap();
                 wait_until("the leaver left the client's view", || {
                     handle.refresh_view().map(|v| v.len()) == Ok(view.len() - 1)
                 });
             }
             handle.activate(iteration).unwrap();
-            server_counts.push(handle.members().len());
+            let members = handle.members().len();
             for b in 0..4u64 {
                 let payload =
                     colza::codec::dataset_to_bytes(&bulb.generate_block(b as usize, 4));
@@ -123,16 +124,11 @@ fn elastic_grow_and_admin_shrink_under_load() {
             }
             handle.execute(iteration).unwrap();
             handle.deactivate(iteration).unwrap();
-        }
-        server_counts
-    });
-
-    grow_rx.recv().unwrap();
-    let fresh = area.grow_on(&[4]);
-    area.settle();
-    grown_tx.send(fresh[0]).unwrap();
-
-    let counts = sim.join();
+            members
+        });
+        counts.push(members);
+    }
+    drop(sim);
     assert_eq!(counts[0], 2);
     assert_eq!(counts[1], 3, "grew before iteration 1");
     assert_eq!(counts[3], 2, "shrank before iteration 3");
@@ -147,69 +143,120 @@ fn all_three_pipelines_render_through_the_catalyst_backend() {
     let mut area = StagingArea::new(ClusterConfig::aries());
     area.launch(1, 1);
     let contact = area.contact();
-    let coverages = area
-        .client("sim", 8, move |s| {
-            let (client, admin) = (&s.client, &s.admin);
-            let view = client.view_from(contact).unwrap();
-            let mut out = Vec::new();
+    let coverages = area.session("sim", 8).run(|s| {
+        let (client, admin) = (&s.client, &s.admin);
+        let view = client.view_from(contact).unwrap();
+        let mut out = Vec::new();
 
-            // Gray-Scott (contour + clip), Mandelbulb (contour), DWI
-            // (merge + volume) on the same staging area.
-            let mut gs = sims::gray_scott::GrayScott::serial(
-                16,
-                sims::gray_scott::GrayScottParams::default(),
-            );
-            gs.run(30, None).unwrap();
-            let bulb = sims::mandelbulb::Mandelbulb {
-                dims: [16, 16, 16],
-                ..Default::default()
-            };
-            let dwi = sims::dwi::DwiSeries::scaled_down(2);
-            let cases: Vec<(&str, String, Vec<vizkit::DataSet>)> = vec![
-                (
-                    "gs",
-                    catalyst::PipelineScript::gray_scott(64, 64).to_json(),
-                    vec![gs.to_dataset()],
-                ),
-                (
-                    "bulb",
-                    catalyst::PipelineScript::mandelbulb(64, 64).to_json(),
-                    vec![bulb.generate_block(0, 1)],
-                ),
-                (
-                    "dwi",
-                    catalyst::PipelineScript::deep_water_impact(64, 64).to_json(),
-                    (0..2)
-                        .map(|b| vizkit::DataSet::UGrid(dwi.generate_block(20, b)))
-                        .collect(),
-                ),
-            ];
-            for (name, script, blocks) in cases {
-                admin
-                    .create_pipeline_on_all(&view, "catalyst", name, &script)
+        // Gray-Scott (contour + clip), Mandelbulb (contour), DWI
+        // (merge + volume) on the same staging area.
+        let mut gs =
+            sims::gray_scott::GrayScott::serial(16, sims::gray_scott::GrayScottParams::default());
+        gs.run(30, None).unwrap();
+        let bulb = sims::mandelbulb::Mandelbulb {
+            dims: [16, 16, 16],
+            ..Default::default()
+        };
+        let dwi = sims::dwi::DwiSeries::scaled_down(2);
+        let cases: Vec<(&str, String, Vec<vizkit::DataSet>)> = vec![
+            (
+                "gs",
+                catalyst::PipelineScript::gray_scott(64, 64).to_json(),
+                vec![gs.to_dataset()],
+            ),
+            (
+                "bulb",
+                catalyst::PipelineScript::mandelbulb(64, 64).to_json(),
+                vec![bulb.generate_block(0, 1)],
+            ),
+            (
+                "dwi",
+                catalyst::PipelineScript::deep_water_impact(64, 64).to_json(),
+                (0..2)
+                    .map(|b| vizkit::DataSet::UGrid(dwi.generate_block(20, b)))
+                    .collect(),
+            ),
+        ];
+        for (name, script, blocks) in cases {
+            admin
+                .create_pipeline_on_all(&view, "catalyst", name, &script)
+                .unwrap();
+            let handle = client.distributed_handle(contact, name).unwrap();
+            handle.activate(0).unwrap();
+            for (b, ds) in blocks.iter().enumerate() {
+                let payload = colza::codec::dataset_to_bytes(ds);
+                handle
+                    .stage(BlockMeta::new(name, b as u64, 0, payload.len()), &payload)
                     .unwrap();
-                let handle = client.distributed_handle(contact, name).unwrap();
-                handle.activate(0).unwrap();
-                for (b, ds) in blocks.iter().enumerate() {
-                    let payload = colza::codec::dataset_to_bytes(ds);
-                    handle
-                        .stage(
-                            BlockMeta::new(name, b as u64, 0, payload.len()),
-                            &payload,
-                        )
-                        .unwrap();
-                }
-                handle.execute(0).unwrap();
-                let img = handle.fetch_result().unwrap().expect("image");
-                handle.deactivate(0).unwrap();
-                out.push((name, vizkit::Image::from_bytes(&img).coverage()));
             }
-            out
-        })
-        .join();
+            handle.execute(0).unwrap();
+            let img = handle.fetch_result().unwrap().expect("image");
+            handle.deactivate(0).unwrap();
+            out.push((name, vizkit::Image::from_bytes(&img).coverage()));
+        }
+        out
+    });
     for (name, cov) in coverages {
         assert!(cov > 0.0, "{name} rendered an empty image");
     }
+    area.shutdown();
+}
+
+/// A script naming a field the staged data lacks fails `execute` with an
+/// error naming the field — not a server-side panic that leaves the
+/// client waiting out its retry deadline — and the same servers go on to
+/// execute a valid pipeline. Two servers and one block: the server that
+/// holds no block must fail the collective `execute` too, not wait in
+/// it for a peer that already gave up.
+#[test]
+fn contouring_a_missing_field_fails_execute_and_the_server_keeps_serving() {
+    let mut area = StagingArea::new(ClusterConfig::aries());
+    area.launch(2, 1);
+    let contact = area.contact();
+    let mut gs =
+        sims::gray_scott::GrayScott::serial(16, sims::gray_scott::GrayScottParams::default());
+    gs.run(30, None).unwrap();
+    let payload = colza::codec::dataset_to_bytes(&gs.to_dataset());
+    let mut broken = catalyst::PipelineScript::gray_scott(32, 32);
+    broken.filters[0] = catalyst::FilterSpec::Contour {
+        field: "nope".to_string(),
+        isovalues: vec![0.3],
+    };
+    let valid = catalyst::PipelineScript::gray_scott(32, 32);
+
+    area.session("sim", 8).run(|s| {
+        let view = s.client.view_from(contact).unwrap();
+        assert_eq!(view.len(), 2);
+        let run = |name: &str, script: &catalyst::PipelineScript| {
+            s.admin
+                .create_pipeline_on_all(&view, "catalyst", name, &script.to_json())
+                .unwrap();
+            let mut handle = s.client.distributed_handle(contact, name).unwrap();
+            // A lost reply would only time out: keep that short.
+            handle.set_heavy_retry(margo::RetryConfig {
+                deadline: Some(std::time::Duration::from_secs(5)),
+                ..Default::default()
+            });
+            handle.activate(0).unwrap();
+            // Stage on the second member, so the first, whose reply the
+            // client reports, holds no block.
+            let block = (0..)
+                .find(|&b| area.primary_of(name, b, 1) != handle.members()[0])
+                .unwrap();
+            handle
+                .stage(BlockMeta::new(name, block, 0, payload.len()), &payload)
+                .unwrap();
+            let executed = handle.execute(0);
+            handle.deactivate(0).unwrap();
+            executed
+        };
+        let err = run("broken", &broken).expect_err("contouring a missing field must fail");
+        assert!(
+            err.to_string().contains("\"nope\""),
+            "error must name the field: {err}"
+        );
+        run("gs", &valid).expect("the same server executes a valid pipeline");
+    });
     area.shutdown();
 }
 
@@ -218,11 +265,9 @@ fn killed_server_is_detected_and_protocol_recovers() {
     let mut area = StagingArea::new(ClusterConfig::aries());
     area.launch(3, 1);
     let contact = area.contact();
-    let victim_addr = area.daemons()[2].address();
 
-    let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (ready_tx, ready_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
+    let sim = area.session("sim", 8);
+    let handle = sim.run(|s| {
         let view = s.client.view_from(contact).unwrap();
         assert_eq!(view.len(), 3);
         s.admin
@@ -232,13 +277,13 @@ fn killed_server_is_detected_and_protocol_recovers() {
         handle.activate(0).unwrap();
         handle.execute(0).unwrap();
         handle.deactivate(0).unwrap();
+        handle
+    });
 
-        // Wait for the harness to crash a server and SWIM to notice.
-        ready_tx.send(()).unwrap();
-        killed_rx.recv().unwrap();
-        wait_until("the contact dropped the victim", || {
-            s.client.view_from(contact).map(|v| !v.contains(&victim_addr)) == Ok(true)
-        });
+    // Crash a server and drive gossip until every survivor dropped it.
+    area.kill(2);
+    area.settle();
+    let n = sim.run(|_| {
         // The 2PC in activate adopts the survivor view; the protocol keeps
         // working on 2 servers.
         handle.refresh_view().unwrap();
@@ -248,13 +293,7 @@ fn killed_server_is_detected_and_protocol_recovers() {
         handle.deactivate(1).unwrap();
         n
     });
-
-    ready_rx.recv().unwrap();
-    area.kill(2);
-    // Drive gossip so suspicion matures (ticks also advance rounds).
-    area.settle();
-    killed_tx.send(()).unwrap();
-    let n = sim.join();
+    drop(sim);
     assert_eq!(n, 2, "protocol must continue on the survivors");
     area.shutdown();
 }

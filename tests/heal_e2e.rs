@@ -73,11 +73,8 @@ fn suppressed_heal_run(seed: u64) -> SuppressedHealOutcome {
     // Arm the chaos rule: this member's departure is never observed.
     area.shared().faults().suppress_departure_now(victim_addr.0);
 
-    let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
-    let (healed_tx, healed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
+    let sim = area.session("sim", 8);
+    let handle = sim.run(|s| {
         let view = s.client.view_from(contact).unwrap();
         s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
         let mut handle = s.client.distributed_handle(contact, "p").unwrap();
@@ -89,28 +86,10 @@ fn suppressed_heal_run(seed: u64) -> SuppressedHealOutcome {
                 .stage(BlockMeta::new("x", b, 0, payload.len()), &payload)
                 .unwrap();
         }
-        staged_tx.send(()).unwrap();
-        healed_rx.recv().unwrap();
-        // The frozen member list still names the dead primary: execute
-        // fails fast and retryably; the scrub already restored full
-        // redundancy, so re-activating on the survivor view finds
-        // nothing left to move.
-        let r = handle.execute(0);
-        assert!(
-            matches!(&r, Err(e) if e.is_retryable()),
-            "execute against the crashed member must fail retryably: {r:?}"
-        );
-        handle.refresh_view().unwrap();
-        assert_eq!(handle.members().len(), 2);
-        handle.activate(0).unwrap();
-        handle.execute(0).unwrap();
-        executed_tx.send(()).unwrap();
-        done_rx.recv().unwrap();
-        handle.deactivate(0).unwrap();
+        handle
     });
 
-    staged_rx.recv().unwrap();
-    // Quiesced crash point: client blocked, daemons idle.
+    // Quiesced crash point: client between steps, daemons idle.
     area.kill(area.index_of(victim_addr));
     area.settle();
     // The reactive path had every chance to fire by now — it must not
@@ -130,13 +109,26 @@ fn suppressed_heal_run(seed: u64) -> SuppressedHealOutcome {
             "every survivor must hold every block after the scrub"
         );
     }
-    healed_tx.send(()).unwrap();
 
-    executed_rx.recv().unwrap();
+    sim.run(|_| {
+        // The frozen member list still names the dead primary: execute
+        // fails fast and retryably; the scrub already restored full
+        // redundancy, so re-activating on the survivor view finds
+        // nothing left to move.
+        let r = handle.execute(0);
+        assert!(
+            matches!(&r, Err(e) if e.is_retryable()),
+            "execute against the crashed member must fail retryably: {r:?}"
+        );
+        handle.refresh_view().unwrap();
+        assert_eq!(handle.members().len(), 2);
+        handle.activate(0).unwrap();
+        handle.execute(0).unwrap();
+    });
     // Post-execute, pre-deactivate: each block fed exactly one backend.
     assert_each_block_fed_once(&area, BLOCKS, 0);
-    done_tx.send(()).unwrap();
-    sim.join();
+    sim.run(|_| handle.deactivate(0).unwrap());
+    drop(sim);
 
     let snap = area.shared().trace_snapshot();
     let out = SuppressedHealOutcome {
@@ -199,11 +191,8 @@ fn double_crash_run(seed: u64) -> DoubleCrashOutcome {
     let contact = area.contact();
     let first_victim = area.primary_of("p", 0, 2);
 
-    let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
-    let (healed_tx, healed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
+    let sim = area.session("sim", 8);
+    let handle = sim.run(|s| {
         let view = s.client.view_from(contact).unwrap();
         s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
         let mut handle = s.client.distributed_handle(contact, "p").unwrap();
@@ -215,23 +204,9 @@ fn double_crash_run(seed: u64) -> DoubleCrashOutcome {
                 .stage(BlockMeta::new("x", b, 0, payload.len()), &payload)
                 .unwrap();
         }
-        staged_tx.send(()).unwrap();
-        healed_rx.recv().unwrap();
-        let r = handle.execute(0);
-        assert!(
-            matches!(&r, Err(e) if e.is_retryable()),
-            "execute against the crashed members must fail retryably: {r:?}"
-        );
-        handle.refresh_view().unwrap();
-        assert_eq!(handle.members().len(), 2);
-        handle.activate(0).unwrap();
-        handle.execute(0).unwrap();
-        executed_tx.send(()).unwrap();
-        done_rx.recv().unwrap();
-        handle.deactivate(0).unwrap();
+        handle
     });
 
-    staged_rx.recv().unwrap();
     area.kill(area.index_of(first_victim));
     area.settle();
 
@@ -259,12 +234,21 @@ fn double_crash_run(seed: u64) -> DoubleCrashOutcome {
             "every survivor must hold every block after the double heal"
         );
     }
-    healed_tx.send(()).unwrap();
 
-    executed_rx.recv().unwrap();
+    sim.run(|_| {
+        let r = handle.execute(0);
+        assert!(
+            matches!(&r, Err(e) if e.is_retryable()),
+            "execute against the crashed members must fail retryably: {r:?}"
+        );
+        handle.refresh_view().unwrap();
+        assert_eq!(handle.members().len(), 2);
+        handle.activate(0).unwrap();
+        handle.execute(0).unwrap();
+    });
     assert_each_block_fed_once(&area, BLOCKS, 0);
-    done_tx.send(()).unwrap();
-    sim.join();
+    sim.run(|_| handle.deactivate(0).unwrap());
+    drop(sim);
 
     let out = DoubleCrashOutcome {
         trace_export: area.fault_trace_export(),
@@ -318,11 +302,8 @@ fn quota_refused_drain_parks_blocks_and_scrub_reclaims_them() {
     );
     let generous = TenancyConfig::enforcing().with_tenant("t", TenantConfig::default());
 
-    let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
-    let (left_tx, left_rx) = crossbeam::channel::bounded::<()>(1);
-    let (relaxed_tx, relaxed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (healed_tx, healed_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
+    let sim = area.session("sim", 8);
+    sim.run(|s| {
         let admin = &s.admin;
         let view = s.client.view_from(contact).unwrap();
         admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
@@ -336,32 +317,17 @@ fn quota_refused_drain_parks_blocks_and_scrub_reclaims_them() {
                 .stage(BlockMeta::new("x", b, 0, payload.len()), &payload)
                 .unwrap();
         }
-        staged_tx.send(()).unwrap();
-        // The harness stops the non-contact daemon; its drain is refused
-        // at the survivor's quota and the leftovers ride the handoff.
-        left_rx.recv().unwrap();
-        // Raise the quota so the next scrub pass can finally place the
-        // parked copies (the re-offer-on-next-pass satellite).
-        admin.set_tenancy(contact, &generous).unwrap();
-        relaxed_tx.send(()).unwrap();
-        healed_rx.recv().unwrap();
-        // The healed survivor is the whole deployment now: one poll of
-        // the convergence probe must pass.
-        assert_eq!(
-            admin.wait_healthy(&[contact], 4, |_| {}),
-            Some(1),
-            "healed single-survivor deployment must report healthy"
-        );
     });
 
-    staged_rx.recv().unwrap();
     let leaver_held = area.daemons()[1].provider().store().len();
     assert!(
         leaver_held >= 1,
         "the leaver must hold staged blocks for the scenario to bite"
     );
-    // Stop = drain + (on refusal) handoff. The tight quota guarantees
-    // the survivor cannot absorb the full set through the normal drain.
+    // Stop the non-contact daemon. Stop = drain + (on refusal) handoff:
+    // its drain is refused at the survivor's quota and the leftovers
+    // ride the handoff. The tight quota guarantees the survivor cannot
+    // absorb the full set through the normal drain.
     area.stop(1);
     // The goodbye may be refused while the iteration keeps the group
     // frozen; serialized probe rounds then mature suspicion into death.
@@ -393,8 +359,9 @@ fn quota_refused_drain_parks_blocks_and_scrub_reclaims_them() {
         "refused copies must stay parked for the next pass"
     );
 
-    left_tx.send(()).unwrap();
-    relaxed_rx.recv().unwrap();
+    // Raise the quota so the next scrub pass can finally place the
+    // parked copies: a refused copy is re-offered on the next pass.
+    sim.run(|s| s.admin.set_tenancy(contact, &generous).unwrap());
     // Next pass after the quota raise: every parked copy lands.
     let second = survivor.scrub_sync();
     assert!(second.reclaimed >= 1, "raised quota must reclaim the parked copies");
@@ -417,8 +384,16 @@ fn quota_refused_drain_parks_blocks_and_scrub_reclaims_them() {
         second.reclaimed,
         "reclaim counter must match the report"
     );
-    healed_tx.send(()).unwrap();
-    sim.join();
+    // The healed survivor is the whole deployment now: one poll of the
+    // convergence probe must pass.
+    sim.run(|s| {
+        assert_eq!(
+            s.admin.wait_healthy(&[contact], 4, |_| {}),
+            Some(1),
+            "healed single-survivor deployment must report healthy"
+        );
+    });
+    drop(sim);
     area.shutdown();
 }
 
@@ -450,19 +425,13 @@ fn supervisor_replaces_crash_and_wait_healthy_converges() {
         .group()
         .observe(move |e| ev2.lock().unwrap().push(e));
 
-    let (staged_tx, staged_rx) = crossbeam::channel::bounded::<()>(1);
-    let (killed_tx, killed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (recovered_tx, recovered_rx) = crossbeam::channel::bounded::<()>(1);
-    let (replaced_tx, replaced_rx) = crossbeam::channel::bounded::<Address>(1);
-    let (staged2_tx, staged2_rx) = crossbeam::channel::bounded::<()>(1);
-    let (scrubbed_tx, scrubbed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (executed_tx, executed_rx) = crossbeam::channel::bounded::<()>(1);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(1);
-    let sim = area.client("sim", 8, move |s| {
-        let (client, admin) = (&s.client, &s.admin);
-        let view = client.view_from(contact).unwrap();
-        admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let mut handle = client.distributed_handle(contact, "p").unwrap();
+    let sim = area.session("sim", 8);
+    let handle = sim.run(|s| {
+        let view = s.client.view_from(contact).unwrap();
+        s.admin
+            .create_pipeline_on_all(&view, "null", "p", "")
+            .unwrap();
+        let mut handle = s.client.distributed_handle(contact, "p").unwrap();
         handle.set_replication(2);
         handle.activate(0).unwrap();
         for b in 0..BLOCKS {
@@ -471,9 +440,14 @@ fn supervisor_replaces_crash_and_wait_healthy_converges() {
                 .stage(BlockMeta::new("x", b, 0, payload.len()), &payload)
                 .unwrap();
         }
-        staged_tx.send(()).unwrap();
-        killed_rx.recv().unwrap();
+        handle
+    });
 
+    let mut supervisor = Supervisor::new();
+    area.kill(area.index_of(victim_addr));
+    area.settle();
+
+    sim.run(|_| {
         // Finish the interrupted iteration on the survivors; deactivate
         // unfreezes the group so the replacement can join.
         let r = handle.execute(0);
@@ -486,48 +460,7 @@ fn supervisor_replaces_crash_and_wait_healthy_converges() {
         handle.activate(0).unwrap();
         handle.execute(0).unwrap();
         handle.deactivate(0).unwrap();
-        recovered_tx.send(()).unwrap();
-
-        // The replacement is in — but unverified: no clean scrub pass
-        // yet, so the deployment must NOT yet report healthy.
-        let newcomer = replaced_rx.recv().unwrap();
-        let view = client.view_from(contact).unwrap();
-        assert_eq!(view.len(), 3, "the replacement must be in the view");
-        assert!(
-            !admin.healthy(&view),
-            "an unverified Joining replacement must not count as healthy"
-        );
-        admin.create_pipeline(newcomer, "null", "p", "").unwrap();
-
-        // The next iteration runs over the replaced trio.
-        handle.refresh_view().unwrap();
-        assert_eq!(handle.members().len(), 3);
-        handle.activate(1).unwrap();
-        for b in 0..BLOCKS {
-            let payload = Bytes::from(vec![b as u8 + 1; 256]);
-            handle
-                .stage(BlockMeta::new("x", b, 1, payload.len()), &payload)
-                .unwrap();
-        }
-        staged2_tx.send(()).unwrap();
-        scrubbed_rx.recv().unwrap();
-        assert_eq!(
-            admin.wait_healthy(&view, 4, |_| {}),
-            Some(1),
-            "replaced and scrubbed deployment must report healthy"
-        );
-        handle.execute(1).unwrap();
-        executed_tx.send(()).unwrap();
-        done_rx.recv().unwrap();
-        handle.deactivate(1).unwrap();
     });
-
-    staged_rx.recv().unwrap();
-    let mut supervisor = Supervisor::new();
-    area.kill(area.index_of(victim_addr));
-    area.settle();
-    killed_tx.send(()).unwrap();
-    recovered_rx.recv().unwrap();
 
     // Feed the watcher's event stream to the supervisor: exactly one
     // Replace for the crash, regardless of how many SWIM events the
@@ -555,9 +488,31 @@ fn supervisor_replaces_crash_and_wait_healthy_converges() {
         ServerLifecycle::Joining,
         "a fresh replacement with no commit and no clean scrub is Joining"
     );
-    replaced_tx.send(newcomer).unwrap();
 
-    staged2_rx.recv().unwrap();
+    let view = sim.run(|s| {
+        // The replacement is in — but unverified: no clean scrub pass
+        // yet, so the deployment must NOT yet report healthy.
+        let view = s.client.view_from(contact).unwrap();
+        assert_eq!(view.len(), 3, "the replacement must be in the view");
+        assert!(
+            !s.admin.healthy(&view),
+            "an unverified Joining replacement must not count as healthy"
+        );
+        s.admin.create_pipeline(newcomer, "null", "p", "").unwrap();
+
+        // The next iteration runs over the replaced trio.
+        handle.refresh_view().unwrap();
+        assert_eq!(handle.members().len(), 3);
+        handle.activate(1).unwrap();
+        for b in 0..BLOCKS {
+            let payload = Bytes::from(vec![b as u8 + 1; 256]);
+            handle
+                .stage(BlockMeta::new("x", b, 1, payload.len()), &payload)
+                .unwrap();
+        }
+        view
+    });
+
     // Mid-iteration scrub over the trio verifies every holding against
     // the ring and gives each server the clean pass `healthy` demands.
     area.scrub_until_steady(8);
@@ -566,9 +521,15 @@ fn supervisor_replaces_crash_and_wait_healthy_converges() {
         ServerLifecycle::Ready,
         "a clean scrub pass flips the replacement to Ready"
     );
-    scrubbed_tx.send(()).unwrap();
 
-    executed_rx.recv().unwrap();
+    sim.run(|s| {
+        assert_eq!(
+            s.admin.wait_healthy(&view, 4, |_| {}),
+            Some(1),
+            "replaced and scrubbed deployment must report healthy"
+        );
+        handle.execute(1).unwrap();
+    });
     assert_each_block_fed_once(&area, BLOCKS, 1);
 
     // An *expected* departure must not trigger a second replacement.
@@ -580,7 +541,7 @@ fn supervisor_replaces_crash_and_wait_healthy_converges() {
         "an expected shrink departure is voluntary, not a crash"
     );
 
-    done_tx.send(()).unwrap();
-    sim.join();
+    sim.run(|_| handle.deactivate(1).unwrap());
+    drop(sim);
     area.shutdown();
 }

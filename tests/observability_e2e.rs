@@ -53,39 +53,37 @@ fn run_scenario_with_codec(
     // and would perturb the virtual clocks nondeterministically.
     let contact = area.launch_bare();
 
-    let (report, client_end_ns) = area
-        .client("client", 1, move |s| {
-            let (client, admin) = (&s.client, &s.admin);
-            let view = client.view_from(contact).unwrap();
-            assert_eq!(view, vec![contact]);
-            admin.create_pipeline(contact, "null", "p", "").unwrap();
-            let mut handle = client.distributed_handle(contact, "p").unwrap();
-            if let Some(cfg) = codec {
-                handle.set_codec(cfg);
+    let (report, client_end_ns) = area.session("client", 1).run(|s| {
+        let (client, admin) = (&s.client, &s.admin);
+        let view = client.view_from(contact).unwrap();
+        assert_eq!(view, vec![contact]);
+        admin.create_pipeline(contact, "null", "p", "").unwrap();
+        let mut handle = client.distributed_handle(contact, "p").unwrap();
+        if let Some(cfg) = codec {
+            handle.set_codec(cfg);
+        }
+        for iteration in 0..ITERATIONS {
+            handle.activate(iteration).unwrap();
+            for block in 0..BLOCKS {
+                let payload = Bytes::from(vec![block as u8; block_len(iteration, block)]);
+                handle
+                    .stage(
+                        BlockMeta::new("p", block, iteration, payload.len()),
+                        &payload,
+                    )
+                    .unwrap();
             }
-            for iteration in 0..ITERATIONS {
-                handle.activate(iteration).unwrap();
-                for block in 0..BLOCKS {
-                    let payload = Bytes::from(vec![block as u8; block_len(iteration, block)]);
-                    handle
-                        .stage(
-                            BlockMeta::new("p", block, iteration, payload.len()),
-                            &payload,
-                        )
-                        .unwrap();
-                }
-                handle.execute(iteration).unwrap();
-                handle.deactivate(iteration).unwrap();
-            }
-            // End-of-workload timestamp, taken *before* the metrics scrape:
-            // the scrape's reply size depends on how many counters exist, so
-            // its wire time legitimately differs between traced and dark
-            // runs and must not count against the zero-cost property.
-            let now = s.ctx.now();
-            let report = admin.metrics(contact).unwrap();
-            (report, now)
-        })
-        .join();
+            handle.execute(iteration).unwrap();
+            handle.deactivate(iteration).unwrap();
+        }
+        // End-of-workload timestamp, taken *before* the metrics scrape:
+        // the scrape's reply size depends on how many counters exist, so
+        // its wire time legitimately differs between traced and dark
+        // runs and must not count against the zero-cost property.
+        let now = s.ctx.now();
+        let report = admin.metrics(contact).unwrap();
+        (report, now)
+    });
     area.shutdown();
 
     let snapshot = area.shared().trace_snapshot();
@@ -390,29 +388,27 @@ fn per_tenant_usage_reconciles_with_codec_and_store_counters() {
     // and would perturb the virtual clocks nondeterministically.
     let contact = area.launch_bare();
 
-    let mid_report = area
-        .client("client", 1, move |s| {
-            let (client, admin) = (&s.client, &s.admin);
-            client.view_from(contact).unwrap();
-            admin.create_pipeline(contact, "null", "p", "").unwrap();
-            let mut handle = client.distributed_handle(contact, "p").unwrap();
-            // Compressed staging: on-store bytes differ from plain bytes,
-            // so the staged/decoded split in the usage report is real.
-            handle.set_codec(colza::CodecConfig::uniform(colza::CodecSpec::ShuffleLz));
-            handle.activate(0).unwrap();
-            for block in 0..BLOCKS {
-                let payload = Bytes::from(vec![block as u8; block_len(0, block)]);
-                handle
-                    .stage(BlockMeta::new("p", block, 0, payload.len()), &payload)
-                    .unwrap();
-            }
-            // Scrape while the blocks are held (post-stage, pre-release).
-            let report = admin.metrics(contact).unwrap();
-            handle.execute(0).unwrap();
-            handle.deactivate(0).unwrap();
-            report
-        })
-        .join();
+    let mid_report = area.session("client", 1).run(|s| {
+        let (client, admin) = (&s.client, &s.admin);
+        client.view_from(contact).unwrap();
+        admin.create_pipeline(contact, "null", "p", "").unwrap();
+        let mut handle = client.distributed_handle(contact, "p").unwrap();
+        // Compressed staging: on-store bytes differ from plain bytes,
+        // so the staged/decoded split in the usage report is real.
+        handle.set_codec(colza::CodecConfig::uniform(colza::CodecSpec::ShuffleLz));
+        handle.activate(0).unwrap();
+        for block in 0..BLOCKS {
+            let payload = Bytes::from(vec![block as u8; block_len(0, block)]);
+            handle
+                .stage(BlockMeta::new("p", block, 0, payload.len()), &payload)
+                .unwrap();
+        }
+        // Scrape while the blocks are held (post-stage, pre-release).
+        let report = admin.metrics(contact).unwrap();
+        handle.execute(0).unwrap();
+        handle.deactivate(0).unwrap();
+        report
+    });
     area.shutdown();
     let snap = area.shared().trace_snapshot();
 
@@ -523,29 +519,27 @@ fn trigger_counters_and_fused_collective_reconcile() {
         colza::codec::dataset_to_bytes(&vizkit::DataSet::UGrid(g))
     }
 
-    let outcomes = area
-        .client("client", 1, move |s| {
-            let (client, admin) = (&s.client, &s.admin);
-            client.view_from(contact).unwrap();
-            let mut script = catalyst::PipelineScript::deep_water_impact(32, 24);
-            script.triggers = vec![catalyst::TriggerSpec::new("max(v02) > 3.0", "run")];
-            admin
-                .create_pipeline(contact, "catalyst", "t", &script.to_json())
+    let outcomes = area.session("client", 1).run(|s| {
+        let (client, admin) = (&s.client, &s.admin);
+        client.view_from(contact).unwrap();
+        let mut script = catalyst::PipelineScript::deep_water_impact(32, 24);
+        script.triggers = vec![catalyst::TriggerSpec::new("max(v02) > 3.0", "run")];
+        admin
+            .create_pipeline(contact, "catalyst", "t", &script.to_json())
+            .unwrap();
+        let handle = client.distributed_handle(contact, "t").unwrap();
+        let mut outcomes = Vec::new();
+        for iteration in 0..TRIG_ITERS {
+            handle.activate(iteration).unwrap();
+            let payload = voxel_payload(if iteration % 2 == 0 { 5.0 } else { 1.0 });
+            handle
+                .stage(BlockMeta::new("t", 0, iteration, payload.len()), &payload)
                 .unwrap();
-            let handle = client.distributed_handle(contact, "t").unwrap();
-            let mut outcomes = Vec::new();
-            for iteration in 0..TRIG_ITERS {
-                handle.activate(iteration).unwrap();
-                let payload = voxel_payload(if iteration % 2 == 0 { 5.0 } else { 1.0 });
-                handle
-                    .stage(BlockMeta::new("t", 0, iteration, payload.len()), &payload)
-                    .unwrap();
-                outcomes.push(handle.execute(iteration).unwrap());
-                handle.deactivate(iteration).unwrap();
-            }
-            outcomes
-        })
-        .join();
+            outcomes.push(handle.execute(iteration).unwrap());
+            handle.deactivate(iteration).unwrap();
+        }
+        outcomes
+    });
     area.shutdown();
     let snap = area.shared().trace_snapshot();
 

@@ -11,7 +11,6 @@
 //! modeled queueing — is a pure function of the protocol, so two runs
 //! with the same seed must export byte-identical traces.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -89,8 +88,8 @@ fn run_scenario(seed: u64) -> RunOutput {
     area.shared().tracer().set_enabled(true);
     let contact = area.launch_bare();
 
-    let (usage_mid, wb_latencies, backpressure_elapsed_ns, client_end_ns) = area
-        .client("client", 1, move |s| {
+    let (usage_mid, wb_latencies, backpressure_elapsed_ns, client_end_ns) =
+        area.session("client", 1).run(|s| {
             let (client, admin, ctx) = (&s.client, &s.admin, &s.ctx);
             let view = client.view_from(contact).unwrap();
             assert_eq!(view, vec![contact]);
@@ -186,8 +185,7 @@ fn run_scenario(seed: u64) -> RunOutput {
             noisy.deactivate(it + 1).unwrap();
 
             (usage_mid, wb_latencies, backpressure_elapsed_ns, ctx.now())
-        })
-        .join();
+        });
     area.shutdown();
 
     let snapshot = area.shared().trace_snapshot();
@@ -314,8 +312,9 @@ fn same_seed_tenant_runs_export_byte_identical_traces() {
 
 /// Backpressure resolves, not just expires: a stage blocked on the quota
 /// succeeds as soon as the tenant's earlier iteration releases. The
-/// blocked stage runs on a helper thread sharing the client's simulated
-/// process (the `istage` pattern) while the main thread deactivates.
+/// blocked stage runs on a scoped thread inside the client's simulated
+/// process (the `istage` pattern) while the session's own step
+/// deactivates.
 #[test]
 fn backpressure_succeeds_once_a_release_frees_quota() {
     let mut area = StagingArea::new(hpcsim::ClusterConfig {
@@ -325,17 +324,15 @@ fn backpressure_succeeds_once_a_release_frees_quota() {
     });
     let contact = area.launch_bare();
 
-    area
-        .client("client", 1, move |s| {
-            let (client, admin) = (&s.client, &s.admin);
-            client.view_from(contact).unwrap();
-            admin.create_pipeline(contact, "null", "noisy", "").unwrap();
-            admin.set_tenancy(contact, &policy()).unwrap();
+    area.session("client", 1).run(|s| {
+        let (client, admin) = (&s.client, &s.admin);
+        client.view_from(contact).unwrap();
+        admin.create_pipeline(contact, "null", "noisy", "").unwrap();
+        admin.set_tenancy(contact, &policy()).unwrap();
 
-            let mut handle = client.distributed_handle(contact, "noisy").unwrap();
-            handle.set_tenant("noisy");
-            let handle = Arc::new(handle);
-            let payload = Bytes::from(vec![0xAAu8; NOISY_BLOCK]);
+        let mut handle = client.distributed_handle(contact, "noisy").unwrap();
+        handle.set_tenant("noisy");
+        let payload = Bytes::from(vec![0xAAu8; NOISY_BLOCK]);
 
             // Iteration 0 holds the whole quota.
             handle.activate(0).unwrap();
@@ -345,24 +342,19 @@ fn backpressure_succeeds_once_a_release_frees_quota() {
                     .unwrap();
             }
 
-            // A next-iteration block backs off on the full quota while
-            // this thread finishes iteration 0; the release frees the
-            // bytes and the blocked stage completes within its budget.
-            let ctx = Arc::clone(&s.ctx);
-            let h2 = Arc::clone(&handle);
-            let p2 = payload.clone();
-            let blocked = std::thread::Builder::new()
-                .name("blocked-stage".to_string())
-                .spawn(move || {
-                    hpcsim::process::enter(ctx, move || {
-                        h2.stage_with_backpressure(
-                            BlockMeta::new("f", 0, 1, NOISY_BLOCK),
-                            &p2,
-                            Duration::from_secs(2),
-                        )
-                    })
+        // A next-iteration block backs off on the full quota while
+        // this thread finishes iteration 0; the release frees the
+        // bytes and the blocked stage completes within its budget.
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| {
+                s.run(|_| {
+                    handle.stage_with_backpressure(
+                        BlockMeta::new("f", 0, 1, NOISY_BLOCK),
+                        &payload,
+                        Duration::from_secs(2),
+                    )
                 })
-                .unwrap();
+            });
             // Give the blocked stage time to bounce at least once.
             std::thread::sleep(Duration::from_millis(5));
             handle.execute(0).unwrap();
@@ -371,13 +363,13 @@ fn backpressure_succeeds_once_a_release_frees_quota() {
                 .join()
                 .expect("blocked stage panicked")
                 .expect("stage must succeed once the release freed quota");
+        });
 
-            // The freed-and-reused quota is visible in the scrape.
-            let usage = admin.tenant_usage(contact).unwrap();
-            let noisy = usage.iter().find(|u| u.tenant == "noisy").unwrap();
-            assert_eq!(noisy.staged_bytes, NOISY_BLOCK as u64);
-            assert_eq!(noisy.blocks, 1);
-        })
-        .join();
+        // The freed-and-reused quota is visible in the scrape.
+        let usage = admin.tenant_usage(contact).unwrap();
+        let noisy = usage.iter().find(|u| u.tenant == "noisy").unwrap();
+        assert_eq!(noisy.staged_bytes, NOISY_BLOCK as u64);
+        assert_eq!(noisy.blocks, 1);
+    });
     area.shutdown();
 }

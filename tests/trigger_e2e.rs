@@ -24,7 +24,7 @@ fn dwi_run(seed: u64, script: String) -> (Vec<ExecOutcome>, Vec<u64>) {
     );
     let contact = area.contact();
 
-    let sim = area.client("sim", 8, move |s| {
+    let out = area.session("sim", 8).run(|s| {
         let view = s.client.view_from(contact).unwrap();
         s.admin
             .create_pipeline_on_all(&view, "catalyst", "dwi", &script)
@@ -60,8 +60,6 @@ fn dwi_run(seed: u64, script: String) -> (Vec<ExecOutcome>, Vec<u64>) {
         }
         (outcomes, execute_ns)
     });
-
-    let out = sim.join();
     area.shutdown();
     out
 }
