@@ -21,7 +21,7 @@ fn main() {
         "run", "detect", "recover ms(v)", "wall ms", "aborted", "recovered", "revokes", "promoted"
     );
 
-    let result = recovery::run(runs, blocks);
+    let result = recovery::run(runs, blocks, 42);
     for row in &result.rows {
         println!(
             "{:>4} {:>8} {:>14.2} {:>12.2} {:>8} {:>10} {:>8} {:>9}",

@@ -13,12 +13,12 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
-use colza::{BlockMeta, StagingArea, Supervisor, SupervisorAction};
+use colza::{ServerLifecycle, StagingArea, Supervisor, SupervisorAction};
 use hpcsim::stats::fmt_ns;
 use na::Address;
 
-const REPLICATION: usize = 2;
+use super::crash::{self, assert_each_block_fed_once, NULL_PIPELINE, REPLICATION};
+
 /// Default virtual-time bound on crash → healthy (generous: SWIM
 /// suspicion must mature, the replacement must bootstrap and join, and
 /// scrub passes must go clean).
@@ -46,6 +46,8 @@ pub struct Row {
     pub crash_to_healthy_ns: u64,
     pub healthy_polls: u32,
     pub healthy_converged: bool,
+    /// The supervisor made exactly one `Replace` decision, for the
+    /// victim, and holds it `Dead`.
     pub supervisor_replaced: bool,
     pub scrub_passes: u64,
     pub copies_pushed: u64,
@@ -73,13 +75,15 @@ fn missing_copies(area: &StagingArea, blocks: u64) -> u64 {
         .sum()
 }
 
-/// One crash-and-heal episode, on the same `StagingArea` steps as the
-/// heal test suite: harness-driven daemons (no self-ticking), a
-/// mid-iteration kill, client recovery on the survivor view, a
+/// One crash-and-heal episode: harness-driven daemons (no self-ticking),
+/// a mid-iteration kill, client recovery on the survivor view, a
 /// supervisor-classified replacement through the normal join path, and —
 /// with the scrubber on — serialized scrub passes that restore
-/// redundancy and verify the newcomer before the health probe runs.
-fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
+/// redundancy and verify the newcomer before the health probe runs. The
+/// heal suite runs the `scrub_on` episode as its supervised-replacement
+/// test; what holds in both modes is asserted here, the rest is judged
+/// by [`check`].
+pub fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
     let mode = if scrub_on { "scrub_on" } else { "scrub_off" };
     let mut area = StagingArea::harness_driven(hpcsim::ClusterConfig {
         seed,
@@ -93,7 +97,7 @@ fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
     // client's contact must be a survivor (it asks it for fresh views
     // after the kill), and the same survivor's event stream drives the
     // supervisor.
-    let victim_addr = area.primary_of("p", 0, REPLICATION);
+    let victim_addr = area.primary_of(NULL_PIPELINE, 0, REPLICATION);
     let watcher = area
         .daemons()
         .iter()
@@ -107,26 +111,8 @@ fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
         .group()
         .observe(move |e| ev2.lock().push(e));
 
-    let stage_all = |handle: &colza::DistributedPipelineHandle, it: u64| {
-        for b in 0..blocks {
-            let payload = Bytes::from(vec![b as u8 + 1; 256 * (b as usize + 1)]);
-            handle
-                .stage(BlockMeta::new("x", b, it, payload.len()), &payload)
-                .unwrap();
-        }
-    };
     let sim = area.session("sim", 16);
-    let handle = sim.run(|s| {
-        let view = s.client.view_from(contact).unwrap();
-        s.admin
-            .create_pipeline_on_all(&view, "null", "p", "")
-            .unwrap();
-        let mut handle = s.client.distributed_handle(contact, "p").unwrap();
-        handle.set_replication(REPLICATION);
-        handle.activate(0).unwrap();
-        stage_all(&handle, 0);
-        handle
-    });
+    let handle = sim.run(|s| crash::stage_replicated(s, contact, blocks, 256));
 
     let t_crash = area.now_ns();
     area.kill(area.index_of(victim_addr));
@@ -143,14 +129,10 @@ fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
     }
     let missing_after_heal_window = missing_copies(&area, blocks);
 
+    // Finish the interrupted iteration on the survivors; deactivate
+    // unfreezes the group so the replacement can join.
     sim.run(|_| {
-        // Finish the interrupted iteration on the survivors; deactivate
-        // unfreezes the group so the replacement can join.
-        let r = handle.execute(0);
-        assert!(matches!(&r, Err(e) if e.is_retryable()));
-        handle.refresh_view().unwrap();
-        handle.activate(0).unwrap();
-        handle.execute(0).unwrap();
+        crash::recover_on_survivors(&handle, 0, servers - 1);
         handle.deactivate(0).unwrap();
     });
 
@@ -165,21 +147,47 @@ fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
             SupervisorAction::Ignore => None,
         })
         .collect();
-    let supervisor_replaced = replaces == vec![victim_addr];
+    let supervisor_replaced = replaces == vec![victim_addr]
+        && supervisor.lifecycle_of(victim_addr) == Some(ServerLifecycle::Dead);
+    // The replacement joins on a fresh node through the normal join
+    // path (stale connection-file entries for the dead member are
+    // tolerated).
     let newcomer = area.grow(1)[0];
     area.settle();
+    let newcomer_state = |area: &StagingArea| area.daemons().last().unwrap().provider().lifecycle();
+    assert_eq!(
+        newcomer_state(&area),
+        ServerLifecycle::Joining,
+        "a fresh replacement with no commit and no clean scrub is Joining"
+    );
 
     let view = sim.run(|s| {
-        s.admin.create_pipeline(newcomer, "null", "p", "").unwrap();
+        // The replacement is in — but unverified: no clean scrub pass
+        // yet, so the deployment must not report healthy.
         let view = s.client.view_from(contact).unwrap();
+        assert_eq!(view.len(), servers, "the replacement must be in the view");
+        assert!(
+            !s.admin.healthy(&view),
+            "an unverified Joining replacement must not count as healthy"
+        );
+        s.admin
+            .create_pipeline(newcomer, "null", NULL_PIPELINE, "")
+            .unwrap();
+        // The next iteration runs over the replaced deployment.
         handle.refresh_view().unwrap();
+        assert_eq!(handle.members().len(), servers);
         handle.activate(1).unwrap();
-        stage_all(&handle, 1);
+        crash::stage_blocks(&handle, 1, blocks, 256);
         view
     });
+    // Mid-iteration scrub: verifies every holding against the ring and
+    // gives each server the clean pass `healthy` demands.
     if scrub_on {
         scrubbed.append(&mut area.scrub_until_steady(8));
     }
+    // Iteration 1's commit — and a clean scrub pass, where one ran —
+    // caught the replacement up.
+    assert_eq!(newcomer_state(&area), ServerLifecycle::Ready);
     // The probe: with the scrubber on this converges on the first poll;
     // with it off no server has a verified pass, so it can't.
     let polls = sim.run(|s| s.admin.wait_healthy(&view, 3, |_| {}));
@@ -188,10 +196,9 @@ fn run_mode(scrub_on: bool, servers: usize, blocks: u64, seed: u64) -> Row {
     } else {
         0
     };
-    sim.run(|_| {
-        handle.execute(1).unwrap();
-        handle.deactivate(1).unwrap();
-    });
+    sim.run(|_| handle.execute(1).unwrap());
+    assert_each_block_fed_once(&area, blocks, 1);
+    sim.run(|_| handle.deactivate(1).unwrap());
     drop(sim);
     area.shutdown();
 
@@ -234,10 +241,10 @@ pub fn check(rows: &[Row], bound_ns: u64) -> Vec<String> {
         if row.mode == "scrub_on" {
             // The tentpole gate: redundancy restored, replacement
             // supervised in, health converged — in bounded time.
-            if !row.healthy_converged || !row.supervisor_replaced {
+            if row.healthy_polls != 1 || !row.supervisor_replaced {
                 violations.push(format!(
-                    "{at}: healthy={} replaced={}",
-                    row.healthy_converged, row.supervisor_replaced
+                    "{at}: healthy after {} polls, replaced={}",
+                    row.healthy_polls, row.supervisor_replaced
                 ));
             }
             if row.missing_after_heal_window != 0 || row.copies_pushed == 0 {
@@ -290,5 +297,26 @@ mod tests {
             v[0].contains("scrub_off N=3") && v[0].contains("healthy=true"),
             "{v:?}"
         );
+
+        // A healed row whose probe needed a second poll is named too.
+        let healed = || Row {
+            mode: "scrub_on",
+            servers: 3,
+            missing_after_crash: 3,
+            crash_to_healthy_ns: 1,
+            healthy_polls: 1,
+            healthy_converged: true,
+            supervisor_replaced: true,
+            copies_pushed: 3,
+            ..Default::default()
+        };
+        assert!(check(&[healed()], DEFAULT_BOUND_NS).is_empty());
+        let slow = Row {
+            healthy_polls: 2,
+            ..healed()
+        };
+        let v = check(&[healed(), slow], DEFAULT_BOUND_NS);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("healthy after 2 polls"), "{v:?}");
     }
 }

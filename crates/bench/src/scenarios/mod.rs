@@ -3,9 +3,11 @@
 //! a pure `check(&rows) -> Vec<String>` names every violation. The
 //! `bench_*` / `table2_reduce` mains print the rows and hand `check` to
 //! [`crate::report::finish`]; `tests/gates.rs` calls the same pair at
-//! smoke scale.
+//! smoke scale, and the root e2e suites call it with their own seed.
+//! [`crash`] holds the steps the crash scenarios share.
 
 pub mod coll;
+pub mod crash;
 pub mod heal;
 pub mod recovery;
 pub mod store;

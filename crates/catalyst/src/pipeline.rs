@@ -120,7 +120,7 @@ impl CatalystPipeline {
         let spec = &self.script.render;
         let mut plan = RenderPlan::default();
         let mut precomputed = None;
-        let missing = self.first_missing_field(blocks);
+        let failing = self.first_failing_stage(blocks);
 
         if !self.triggers.is_empty() {
             let _sp = hpcsim::trace::span("catalyst", "catalyst.trigger.eval");
@@ -141,8 +141,8 @@ impl CatalystPipeline {
                     acc.merge(&b.field_stats(name));
                 }
             }
-            let stats = global_stats(ctrl, local_blocks_bounds(blocks), &local, missing)?;
-            self.fail_on_missing_field(stats.missing_field)?;
+            let stats = global_stats(ctrl, local_blocks_bounds(blocks), &local, failing)?;
+            self.fail_at_stage(stats.failing_stage)?;
             let decision = {
                 let mut st = self.trigger_state.lock();
                 self.triggers
@@ -187,10 +187,10 @@ impl CatalystPipeline {
         let mut produce = || -> Result<LocalRender, String> {
             match spec.mode {
                 RenderMode::Surface => {
-                    self.render_surface_local(blocks, ctrl, &plan, precomputed.as_ref(), missing)
+                    self.render_surface_local(blocks, ctrl, &plan, precomputed.as_ref(), failing)
                 }
                 RenderMode::Volume => {
-                    self.render_volume_local(blocks, ctrl, &plan, precomputed.as_ref(), missing)
+                    self.render_volume_local(blocks, ctrl, &plan, precomputed.as_ref(), failing)
                 }
             }
         };
@@ -238,14 +238,14 @@ impl CatalystPipeline {
         ctrl: &Controller,
         plan: &RenderPlan,
         precomputed: Option<&GlobalStats>,
-        missing: u64,
+        failing: u64,
     ) -> Result<LocalRender, String> {
         let spec = &self.script.render;
         // Run the filter chain on each block and merge the surfaces —
-        // unless a filter's field is missing here, which the stats
-        // allreduce below turns into every rank's error.
+        // unless a stage cannot run here, which the stats allreduce
+        // below turns into every rank's error.
         let mut merged = PolyData::new();
-        for block in blocks.iter().filter(|_| missing == ALL_FIELDS_PRESENT) {
+        for block in blocks.iter().filter(|_| failing == NO_FAILING_STAGE) {
             let poly = self.apply_filters(block, plan)?;
             if merged.points.is_empty() {
                 merged = poly;
@@ -270,8 +270,8 @@ impl CatalystPipeline {
                         local.insert(f.to_string(), s);
                     }
                 }
-                let stats = global_stats(ctrl, merged.bounds(), &local, missing)?;
-                self.fail_on_missing_field(stats.missing_field)?;
+                let stats = global_stats(ctrl, merged.bounds(), &local, failing)?;
+                self.fail_at_stage(stats.failing_stage)?;
                 stats
             }
         };
@@ -305,7 +305,7 @@ impl CatalystPipeline {
         ctrl: &Controller,
         plan: &RenderPlan,
         precomputed: Option<&GlobalStats>,
-        missing: u64,
+        failing: u64,
     ) -> Result<LocalRender, String> {
         let spec = &self.script.render;
         let field = spec
@@ -329,7 +329,7 @@ impl CatalystPipeline {
         // contributes a transparent frame. One whose blocks lack the field
         // resamples nothing either; the stats allreduce below turns that
         // into every rank's error.
-        let vol = (merged.num_cells() > 0 && missing == ALL_FIELDS_PRESENT)
+        let vol = (merged.num_cells() > 0 && failing == NO_FAILING_STAGE)
             .then(|| filters::resample_to_image(&merged, field, dims, f32::NEG_INFINITY));
 
         let stats = match precomputed {
@@ -344,8 +344,8 @@ impl CatalystPipeline {
                         .unwrap_or_else(ArrayStats::empty);
                     local.insert(field.to_string(), s);
                 }
-                let stats = global_stats(ctrl, merged.bounds(), &local, missing)?;
-                self.fail_on_missing_field(stats.missing_field)?;
+                let stats = global_stats(ctrl, merged.bounds(), &local, failing)?;
+                self.fail_at_stage(stats.failing_stage)?;
                 stats
             }
         };
@@ -418,13 +418,15 @@ impl CatalystPipeline {
         }
     }
 
-    /// The first script stage that names a field this rank's blocks lack:
-    /// filter `i` is `i`, the volume render is `filters.len()`. The vizkit
-    /// filters panic on a missing field, and a panic would take the
-    /// server's handler thread down, so the script is checked against the
-    /// data first. The walk mirrors [`Self::apply_filters`] and stops
-    /// where that reports a type mismatch.
-    fn first_missing_field(&self, blocks: &[DataSet]) -> u64 {
+    /// The first script stage that cannot run on this rank's blocks, as
+    /// a [`stage_failure`] code: filter `i` is stage `i`, the render is
+    /// stage `filters.len()`. A stage fails when the data lacks the field
+    /// it names (the vizkit filters panic on that, and a panic would take
+    /// the server's handler thread down) or when it gets the wrong data
+    /// type, including a surface render whose chain ends in no surface.
+    /// The walk mirrors [`Self::apply_filters`], so the failure is known
+    /// before the first collective and every rank can agree on it there.
+    fn first_failing_stage(&self, blocks: &[DataSet]) -> u64 {
         let filters = &self.script.filters;
         let first = match (self.script.render.mode, self.script.render.field.as_deref()) {
             (RenderMode::Volume, Some(field)) => {
@@ -433,7 +435,7 @@ impl CatalystPipeline {
                 let ugrids = || blocks.iter().filter_map(|b| b.as_ugrid());
                 let cells: usize = ugrids().map(|g| g.num_cells()).sum();
                 (cells > 0 && ugrids().any(|g| g.cell_data.get(field).is_none()))
-                    .then_some(filters.len())
+                    .then(|| stage_failure(filters.len(), false))
             }
             (RenderMode::Volume, None) => None,
             (RenderMode::Surface, _) => blocks
@@ -445,37 +447,45 @@ impl CatalystPipeline {
                         cur = match (f, cur) {
                             (FilterSpec::Contour { field, .. }, Some(DataSet::Image(img))) => {
                                 if img.point_data.get(field).is_none() {
-                                    return Some(i);
+                                    return Some(stage_failure(i, false));
                                 }
                                 None
                             }
                             // Thresholding keeps every cell array.
                             (FilterSpec::Threshold { field, .. }, Some(DataSet::UGrid(g))) => {
                                 if g.cell_data.get(field).is_none() {
-                                    return Some(i);
+                                    return Some(stage_failure(i, false));
                                 }
                                 cur
                             }
                             (FilterSpec::Clip { .. }, None | Some(DataSet::Poly(_))) => cur,
-                            _ => return None,
+                            _ => return Some(stage_failure(i, true)),
                         };
                     }
-                    None
+                    (!matches!(cur, None | Some(DataSet::Poly(_))))
+                        .then(|| stage_failure(filters.len(), true))
                 })
                 .min(),
         };
-        first.map_or(ALL_FIELDS_PRESENT, |i| i as u64)
+        first.unwrap_or(NO_FAILING_STAGE)
     }
 
-    /// Every rank's error for the stage the stats allreduce agreed lacks
-    /// its field (the least index any rank reported), so each server
-    /// fails the same `execute` with the same message.
-    fn fail_on_missing_field(&self, at: u64) -> Result<(), String> {
-        if at == ALL_FIELDS_PRESENT {
+    /// Every rank's error for the stage the stats allreduce agreed cannot
+    /// run (the least code any rank reported), so each server fails the
+    /// same `execute` with the same message.
+    fn fail_at_stage(&self, code: u64) -> Result<(), String> {
+        if code == NO_FAILING_STAGE {
             return Ok(());
         }
+        let filter = self.script.filters.get((code >> 1) as usize);
+        if code & 1 == 1 {
+            return Err(match filter {
+                Some(f) => format!("filter {f:?} cannot apply to the current data type"),
+                None => "pipeline must end in surface geometry for surface rendering".to_string(),
+            });
+        }
         let render_field = self.script.render.field.as_deref().unwrap_or("");
-        let (stage, kind, field) = match self.script.filters.get(at as usize) {
+        let (stage, kind, field) = match filter {
             Some(FilterSpec::Contour { field, .. }) => ("contour", "point", field.as_str()),
             Some(FilterSpec::Threshold { field, .. }) => ("threshold", "cell", field.as_str()),
             _ => ("volume render", "cell", render_field),
@@ -511,9 +521,15 @@ impl CatalystPipeline {
     }
 }
 
-/// [`CatalystPipeline::first_missing_field`] when every field the script
-/// names is present.
-const ALL_FIELDS_PRESENT: u64 = u64::MAX;
+/// [`CatalystPipeline::first_failing_stage`] when every stage can run.
+const NO_FAILING_STAGE: u64 = u64::MAX;
+
+/// The code of a failing script stage: the stage index, then whether it
+/// got the wrong data type rather than missing a field. Folding codes by
+/// `min` picks the earliest stage, and one reason for it on every rank.
+fn stage_failure(stage: usize, wrong_type: bool) -> u64 {
+    (stage as u64) << 1 | wrong_type as u64
+}
 
 /// Per-execution render adjustments from fired triggers.
 #[derive(Debug, Clone)]
@@ -550,8 +566,8 @@ pub struct GlobalStats {
     pub bounds: (Vec3, Vec3),
     /// Global per-field statistics, keyed by field name.
     pub fields: BTreeMap<String, ArrayStats>,
-    /// The least [`CatalystPipeline::first_missing_field`] of any rank.
-    missing_field: u64,
+    /// The least [`CatalystPipeline::first_failing_stage`] of any rank.
+    failing_stage: u64,
 }
 
 impl GlobalStats {
@@ -595,12 +611,12 @@ fn local_blocks_bounds(blocks: &[DataSet]) -> Option<(Vec3, Vec3)> {
 /// must pass the same field set, which callers derive from the script
 /// alone, never from the data. `min`, `max`, `range` and `mean` of every
 /// field all fall out of this single collective, and so does the least
-/// `missing_field` index (8 bytes at the end).
+/// `failing_stage` code (8 bytes at the end).
 fn global_stats(
     ctrl: &Controller,
     local_bounds: Option<(Vec3, Vec3)>,
     local_fields: &BTreeMap<String, ArrayStats>,
-    missing_field: u64,
+    failing_stage: u64,
 ) -> Result<GlobalStats, String> {
     hpcsim::trace::counter_add("colza.trigger.stats.collectives", 1);
     let (lo, hi) = local_bounds.unwrap_or((
@@ -617,7 +633,7 @@ fn global_stats(
         payload.extend_from_slice(&s.sum.to_le_bytes());
         payload.extend_from_slice(&s.count.to_le_bytes());
     }
-    payload.extend_from_slice(&missing_field.to_le_bytes());
+    payload.extend_from_slice(&failing_stage.to_le_bytes());
     let nfields = local_fields.len();
     let tail = 24 + 32 * nfields;
     let fold = move |acc: &mut [u8], other: &[u8]| {
@@ -669,11 +685,11 @@ fn global_stats(
             },
         );
     }
-    let missing_field = u64::from_le_bytes(out[tail..tail + 8].try_into().unwrap());
+    let failing_stage = u64::from_le_bytes(out[tail..tail + 8].try_into().unwrap());
     Ok(GlobalStats {
         bounds,
         fields,
-        missing_field,
+        failing_stage,
     })
 }
 
@@ -762,11 +778,11 @@ mod tests {
         };
         let pipe = CatalystPipeline::new(script, CatalystConfig::default());
         let block = sphere_block(8, [0.0; 3]);
-        assert_eq!(pipe.first_missing_field(std::slice::from_ref(&block)), 0);
+        assert_eq!(pipe.first_failing_stage(std::slice::from_ref(&block)), 0);
         let err = pipe.execute(&[block], &ctrl).unwrap_err();
         assert_eq!(err, "contour: the staged data has no point field \"nope\"");
         // A rank without blocks finds nothing missing locally.
-        assert_eq!(pipe.first_missing_field(&[]), ALL_FIELDS_PRESENT);
+        assert_eq!(pipe.first_failing_stage(&[]), NO_FAILING_STAGE);
 
         let mut volume = PipelineScript::deep_water_impact(16, 16);
         volume.render.field = Some("nope".to_string());
@@ -809,10 +825,19 @@ mod tests {
     fn type_mismatch_is_an_error() {
         let pipe = CatalystPipeline::new(surface_script(), CatalystConfig::default());
         // Contour expects ImageData; feed it an unstructured block.
-        let err = pipe
-            .execute(&[voxel_block(1.0)], &serial_ctrl())
-            .unwrap_err();
+        let ugrid = voxel_block(1.0);
+        let code = pipe.first_failing_stage(std::slice::from_ref(&ugrid));
+        assert_eq!(code, stage_failure(0, true));
+        let err = pipe.execute(&[ugrid], &serial_ctrl()).unwrap_err();
         assert!(err.contains("cannot apply"), "{err}");
+        // A chain that ends in no surface fails at the render stage.
+        let mut bare = surface_script();
+        bare.filters.clear();
+        let pipe = CatalystPipeline::new(bare, CatalystConfig::default());
+        let err = pipe
+            .execute(&[sphere_block(8, [0.0; 3])], &serial_ctrl())
+            .unwrap_err();
+        assert!(err.contains("must end in surface"), "{err}");
     }
 
     #[test]
@@ -892,7 +917,7 @@ mod tests {
             &ctrl,
             Some((vec3(0.0, -1.0, 2.0), vec3(3.0, 4.0, 5.0))),
             &local,
-            ALL_FIELDS_PRESENT,
+            NO_FAILING_STAGE,
         )
         .unwrap();
         assert_eq!(g.bounds, (vec3(0.0, -1.0, 2.0), vec3(3.0, 4.0, 5.0)));
@@ -905,7 +930,7 @@ mod tests {
         // All-empty bounds fall back to the unit box.
         let g = global_stats(&ctrl, None, &BTreeMap::new(), 3).unwrap();
         assert_eq!(g.bounds, (vec3(0.0, 0.0, 0.0), vec3(1.0, 1.0, 1.0)));
-        assert_eq!(g.missing_field, 3);
+        assert_eq!(g.failing_stage, 3);
     }
 
     #[test]

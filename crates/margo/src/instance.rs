@@ -1,6 +1,8 @@
 //! The margo instance: progress loop, handler registry, forward path.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -384,9 +386,21 @@ impl MargoInstance {
                                 caller,
                                 endpoint: Arc::clone(&this.endpoint),
                             };
-                            match handler(&env.body, &ctx) {
-                                Ok(body) => Reply::Ok(body),
-                                Err(m) => Reply::Err(m),
+                            // A panicking handler still replies (and completes its
+                            // dedup entry): otherwise every retry would be dropped
+                            // as in flight until the caller's deadline, and the
+                            // pool would lose the worker thread.
+                            let run = AssertUnwindSafe(|| handler(&env.body, &ctx));
+                            match std::panic::catch_unwind(run) {
+                                Ok(Ok(body)) => Reply::Ok(body),
+                                Ok(Err(m)) => Reply::Err(m),
+                                Err(panic) => {
+                                    hpcsim::trace::counter_add("rpc.handler.panicked", 1);
+                                    Reply::Err(format!(
+                                        "handler panicked: {}",
+                                        panic_message(&*panic)
+                                    ))
+                                }
                             }
                         }
                         None => Reply::Err(format!("__no_such_rpc__:{}", env.name)),
@@ -419,6 +433,16 @@ impl MargoInstance {
 impl Drop for MargoInstance {
     fn drop(&mut self) {
         self.finalize();
+    }
+}
+
+/// The message a `panic!` carried, when it is a string.
+fn panic_message(panic: &(dyn Any + Send)) -> &str {
+    match panic.downcast_ref::<&str>() {
+        Some(m) => m,
+        None => panic
+            .downcast_ref::<String>()
+            .map_or("<non-string payload>", |m| m),
     }
 }
 
@@ -531,6 +555,52 @@ mod tests {
         })
         .join();
         server.join();
+    }
+
+    #[test]
+    fn a_panicking_handler_replies_and_the_pool_keeps_serving() {
+        let (c, f) = setup();
+        c.shared().tracer().set_enabled(true);
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let f2 = f.clone();
+        let server = c.spawn("server", 0, move || {
+            let margo = MargoInstance::init(&f2);
+            margo.register("boom", |_: (), _| -> std::result::Result<u8, String> {
+                panic!("no such field")
+            });
+            margo.register("ping", |_: (), _| Ok(7u8));
+            let stop = argo::Eventual::<()>::new();
+            let s2 = stop.clone();
+            margo.register("stop", move |_: (), _| {
+                s2.set(());
+                Ok(())
+            });
+            tx.send(margo.address()).unwrap();
+            stop.wait();
+            margo.finalize();
+        });
+        let addr = rx.recv().unwrap();
+        c.spawn("client", 1, move || {
+            let margo = MargoInstance::init(&f);
+            let deadline = Some(Duration::from_secs(5));
+            // One panic per control-pool worker: neither may be lost.
+            for _ in 0..2 {
+                let start = Instant::now();
+                let r: Result<u8> = margo.forward_timeout(addr, "boom", &(), deadline);
+                assert_eq!(
+                    r,
+                    Err(RpcError::Handler("handler panicked: no such field".into()))
+                );
+                assert!(start.elapsed() < Duration::from_secs(1), "reply came late");
+            }
+            let v: u8 = margo.forward_timeout(addr, "ping", &(), deadline).unwrap();
+            assert_eq!(v, 7);
+            let _: () = margo.forward(addr, "stop", &()).unwrap();
+        })
+        .join();
+        server.join();
+        let snap = c.shared().trace_snapshot();
+        assert_eq!(snap.counter_total("rpc.handler.panicked"), 2);
     }
 
     #[test]

@@ -15,9 +15,12 @@
 //!   to detect dead servers,
 //! * argument/response encoding uses the [`wire`] codec.
 //!
-//! RPC failures carry a [`RpcError`]; handler panics are not caught (a
-//! handler panic is a bug in the service, as in the C original where it
-//! would abort the daemon).
+//! RPC failures carry a [`RpcError`]. A handler that panics still
+//! answers: its caller gets `RpcError::Handler("handler panicked: ..")`,
+//! a retry of the same request replays that reply, the pool keeps the
+//! worker thread, and `rpc.handler.panicked` counts the event. The panic
+//! is a bug in the service all the same; the process's panic hook still
+//! sees it.
 
 mod instance;
 mod protocol;

@@ -19,7 +19,7 @@ use na::Fabric;
 
 fn main() {
     let seed = colza_repro::chaos_seed();
-    let plan = colza_repro::rpc_scoped(
+    let plan = colza_bench::scenarios::crash::rpc_scoped(
         FaultPlan::seeded(seed)
             .with_loss(0.20)
             .with_delay(0.3, 10_000, 80_000),

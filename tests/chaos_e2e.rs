@@ -20,7 +20,12 @@ use colza::{
     BlockMeta, ColzaError, DistributedPipelineHandle, PriorityClass, StagingArea, TenancyConfig,
     TenantConfig,
 };
-use colza_repro::{assert_each_block_fed_once, chaos_seed, promoted_blocks, rpc_scoped};
+use colza_bench::scenarios::crash::{
+    assert_each_block_fed_once, driven_trio, iterate_on_fresh_view, null_iteration,
+    promoted_blocks, recover_on_survivors, rpc_scoped, stage_replicated,
+};
+use colza_bench::scenarios::recovery;
+use colza_repro::chaos_seed;
 use hpcsim::{ClusterConfig, FaultPlan};
 use margo::{MargoInstance, RetryConfig};
 use na::Fabric;
@@ -31,25 +36,6 @@ fn faulty(plan: FaultPlan) -> ClusterConfig {
         faults: plan,
         ..ClusterConfig::aries()
     }
-}
-
-/// The boot every deterministic run shares: three harness-driven daemons
-/// (every SWIM round a serialized `tick_sync` from this thread, so the
-/// run is a pure function of the seed), tracer on, all migration pinned
-/// to the 2PC boundary, gossip converged by sixty fixed rounds.
-fn driven_trio(plan: FaultPlan, tune: impl FnOnce(&mut colza::DaemonConfig)) -> StagingArea {
-    let mut area = StagingArea::harness_driven(faulty(plan));
-    area.shared().tracer().set_enabled(true);
-    area.config_mut().auto_repair = false;
-    tune(area.config_mut());
-    area.launch(3, 1);
-    area.tick_rounds(60);
-    assert!(
-        area.daemons().iter().all(|d| d.view().len() == 3),
-        "serialized gossip failed to converge: {:?}",
-        area.daemons().iter().map(|d| d.view().len()).collect::<Vec<_>>()
-    );
-    area
 }
 
 /// Retries `op` through retryable failures (a draining refusal, a dead
@@ -75,21 +61,6 @@ fn through_churn<T>(
     out.expect("wait_until returned")
 }
 
-/// The heavy-RPC policy of a client facing a fail-silent server. Short
-/// per-try: the victim's reply is swallowed, so the call to it must be
-/// re-probed (and fail `Unreachable` once the harness closes the
-/// endpoint) without a ten-second stall.
-fn crash_probe_retry() -> RetryConfig {
-    RetryConfig {
-        max_attempts: 0,
-        base_delay: Duration::from_millis(5),
-        max_delay: Duration::from_millis(100),
-        per_try_timeout: Duration::from_secs(2),
-        deadline: Some(Duration::from_secs(120)),
-        ..Default::default()
-    }
-}
-
 /// A provider crashes in the middle of the activate 2PC. The prepare
 /// round fails fast on the dead endpoint, the coordinator aborts, and the
 /// client's retry loop adopts the survivor view once SWIM notices.
@@ -100,16 +71,7 @@ fn activate_recovers_when_a_provider_crashes_mid_2pc() {
     let contact = area.contact();
 
     let sim = area.session("sim", 8);
-    let handle = sim.run(|s| {
-        let view = s.client.view_from(contact).unwrap();
-        assert_eq!(view.len(), 3);
-        s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let handle = s.client.distributed_handle(contact, "p").unwrap();
-        handle.activate(0).unwrap();
-        handle.execute(0).unwrap();
-        handle.deactivate(0).unwrap();
-        handle
-    });
+    let handle = sim.run(|s| null_iteration(s, contact, 3));
 
     // The harness crashes a provider *now*; the next activate walks
     // straight into the dead member mid-prepare. Abort-and-retry: each
@@ -362,9 +324,7 @@ fn injected_faults_reconcile_with_observed_counters() {
 struct RecoveryOutcome {
     /// Canonical (sorted, line-per-record) export of the fault trace.
     trace_export: String,
-    /// Replicas promoted to primary, at either promotion point: the
-    /// commit-boundary sync (`colza.store.promoted.blocks`) or the
-    /// execute-time role pass (`colza.store.exec.promoted`).
+    /// Replica promotions at either promotion point.
     promoted: u64,
     /// `colza.store.recv.blocks`: blocks received over server pushes.
     pushed: u64,
@@ -399,44 +359,14 @@ fn replica_recovery_run(seed: u64) -> RecoveryOutcome {
     let victim_addr = area.primary_of("p", 0, 2);
 
     let sim = area.session("sim", 8);
-    let handle = sim.run(|s| {
-        let view = s.client.view_from(contact).unwrap();
-        s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let mut handle = s.client.distributed_handle(contact, "p").unwrap();
-        handle.set_replication(2);
-        handle.activate(0).unwrap();
-        for b in 0..BLOCKS {
-            let payload = Bytes::from(vec![b as u8 + 1; 256 * (b as usize + 1)]);
-            handle
-                .stage(
-                    BlockMeta::new("x", b, 0, payload.len()),
-                    &payload,
-                )
-                .unwrap();
-        }
-        handle
-    });
+    let handle = sim.run(|s| stage_replicated(s, contact, BLOCKS, 256));
 
     // Quiesced crash point: client between steps, daemons idle. Then
     // serialized SWIM rounds until both survivors declare the death.
     area.kill(area.index_of(victim_addr));
     area.settle();
 
-    sim.run(|_| {
-        // The frozen member list still names the dead primary: execute
-        // must fail fast and retryably, never hang.
-        let r = handle.execute(0);
-        assert!(
-            matches!(&r, Err(e) if e.is_retryable()),
-            "execute against the crashed member must fail retryably: {r:?}"
-        );
-        // Recovery: fresh view, re-activate the same iteration (the
-        // commit sync promotes replicas), execute from the replicas.
-        handle.refresh_view().unwrap();
-        assert_eq!(handle.members().len(), 2);
-        handle.activate(0).unwrap();
-        handle.execute(0).unwrap();
-    });
+    sim.run(|_| recover_on_survivors(&handle, 0, 2));
     // Post-execute, pre-deactivate: with k = 2 over 2 survivors, every
     // survivor holds every block, and each block is fed exactly once
     // across the group.
@@ -483,131 +413,6 @@ fn crashed_primary_recovers_from_replicas_deterministically() {
     assert_eq!(a, b, "recovery outcomes diverged for one seed");
 }
 
-/// Everything one run of the mid-collective crash scenario produced that
-/// must be identical across runs with the same seed.
-#[derive(Debug, PartialEq)]
-struct CollectiveCrashOutcome {
-    /// Canonical (sorted, line-per-record) export of the fault trace —
-    /// here exclusively `Crash` records for the victim's swallowed
-    /// outbound sends.
-    trace_export: String,
-    /// The final rendered image, byte for byte.
-    image: Vec<u8>,
-    /// `colza.exec.aborted`: execute handlers that aborted on a revoked
-    /// communicator (one per survivor).
-    aborted: u64,
-    /// `colza.exec.recoveries`: client-side abort-and-recover cycles.
-    recoveries: u64,
-    /// `mona.revoke.sent`: revoke notices delivered to survivors.
-    revoke_sent: u64,
-    /// Replica promotions at either promotion point.
-    promoted: u64,
-}
-
-/// One deterministic run of the ISSUE acceptance scenario: a staging
-/// server is killed *inside a MoNA collective round* of `execute`. The
-/// kill switch is a send-count crash rule — the victim's Nth MoNA-plane
-/// send is its moment of death, and everything outbound from the node is
-/// silently dropped from then on — so death lands at the same protocol
-/// step every run. Survivors revoke the communicator instead of hanging,
-/// their execute handlers reply `IterationAborted`, and the client's
-/// `execute_with_recovery` re-runs the activate 2PC on the shrunk view
-/// and re-executes the iteration from store replicas.
-///
-/// The randomized planes stay clean (no loss): the client's recovery
-/// spinning is wall-clock-paced, and seq-consuming randomization would
-/// couple the fault stream to host timing. The chaos here is the crash.
-fn collective_crash_run(seed: u64) -> CollectiveCrashOutcome {
-    const BLOCKS: u64 = 4;
-    let plan = rpc_scoped(FaultPlan::seeded(seed));
-    // The per-operation deadline backstop is armed but generous: SWIM
-    // (harness-driven, fast) detects the death first; the deadline only
-    // protects against a failure detector that never fires.
-    let mut area = driven_trio(plan, |cfg| {
-        cfg.mona.fault.recv_deadline = Some(Duration::from_secs(5));
-    });
-    let contact = area.contact();
-
-    // The victim is block 0's primary under the ring the client and the
-    // servers share, so its crash provably forces replica promotion.
-    // Arm the kill switch: the victim's 3rd MoNA-plane send — inside the
-    // execute collectives (a 3-rank collective is send-light, so the
-    // budget must be small to land mid-stream) — is the last thing it
-    // ever produces.
-    let victim_addr = area.primary_of("m", 0, 2);
-    area.crash_after_mona_sends(victim_addr, 2);
-
-    let script = catalyst::PipelineScript::mandelbulb(48, 48).to_json();
-    let sim = area.session("sim", 8);
-    let handle = sim.run(|s| {
-        let view = s.client.view_from(contact).unwrap();
-        s.admin
-            .create_pipeline_on_all(&view, "catalyst", "m", &script)
-            .unwrap();
-        let mut handle = s.client.distributed_handle(contact, "m").unwrap();
-        handle.set_replication(2);
-        handle.set_heavy_retry(crash_probe_retry());
-        let bulb = sims::mandelbulb::Mandelbulb {
-            dims: [12, 12, 12],
-            ..Default::default()
-        };
-        handle.activate(0).unwrap();
-        for b in 0..BLOCKS {
-            let payload =
-                colza::codec::dataset_to_bytes(&bulb.generate_block(b as usize, BLOCKS as usize));
-            handle
-                .stage(
-                    BlockMeta::new("m", b, 0, payload.len()),
-                    &payload,
-                )
-                .unwrap();
-        }
-        handle
-    });
-
-    // The crash lands inside this execute's collective, so the client
-    // blocks in it while the harness acts: survivors abort retryably
-    // and recovery (refresh + re-activate + re-execute on the shrunk
-    // view) is automatic.
-    let img = std::thread::scope(|scope| {
-        let exec = scope.spawn(|| {
-            sim.run(|_| {
-                handle
-                    .execute_with_recovery(0)
-                    .expect("iteration must recover from the mid-collective crash");
-                handle.fetch_result().unwrap().expect("image")
-            })
-        });
-        // Wait for the victim's send budget to trip mid-collective, then
-        // make it a real crash — no open mailbox: killing the daemon
-        // closes its endpoint, so survivors' sends to it fail fast with
-        // `Unreachable` and the client's re-probe does too — and run
-        // serialized SWIM rounds until both survivors declare the death.
-        area.wait_crash_tripped(victim_addr);
-        area.kill(area.index_of(victim_addr));
-        area.settle();
-        exec.join().unwrap()
-    });
-
-    // Post-recovery, pre-deactivate: every block is fed exactly once
-    // across the surviving group.
-    assert_each_block_fed_once(&area, BLOCKS, 0);
-    sim.run(|_| handle.deactivate(0).unwrap());
-    drop(sim);
-
-    let snap = area.shared().trace_snapshot();
-    let out = CollectiveCrashOutcome {
-        trace_export: area.fault_trace_export(),
-        image: img,
-        aborted: snap.counter_total("colza.exec.aborted"),
-        recoveries: snap.counter_total("colza.exec.recoveries"),
-        revoke_sent: snap.counter_total("mona.revoke.sent"),
-        promoted: promoted_blocks(&snap),
-    };
-    area.shutdown();
-    out
-}
-
 /// ISSUE acceptance: a server killed mid-execute — inside a MoNA
 /// collective round, via the send-count crash rule — causes no hang.
 /// Survivors get `Revoked` and abort, the client re-activates on the
@@ -615,22 +420,24 @@ fn collective_crash_run(seed: u64) -> CollectiveCrashOutcome {
 /// runs produce byte-identical output and fault traces.
 #[test]
 fn mid_collective_crash_aborts_and_recovers_deterministically() {
-    let seed = chaos_seed();
-    let a = collective_crash_run(seed);
-    assert_eq!(a.aborted, 2, "both survivors must abort the iteration");
-    assert!(a.recoveries >= 1, "the client must run abort-and-recover");
-    assert!(a.revoke_sent >= 1, "survivors must exchange revoke notices");
-    assert!(a.promoted >= 1, "the victim's primaries must be promoted");
-    assert!(
-        !a.trace_export.is_empty(),
-        "the crash rule must have swallowed the victim's sends"
+    let report = recovery::run(2, 4, chaos_seed());
+    let violations = recovery::check(&report);
+    assert!(violations.is_empty(), "{violations:#?}");
+    let outcome = |r: &recovery::Row| {
+        (
+            r.trace_export.clone(),
+            r.image.0.clone(),
+            [r.aborted, r.recoveries, r.revoke_sent, r.promoted],
+        )
+    };
+    let [a, b] = &report.rows[..] else {
+        unreachable!("two runs")
+    };
+    assert_eq!(
+        outcome(a),
+        outcome(b),
+        "crash-recovery outcomes diverged for one seed"
     );
-    assert!(
-        vizkit::Image::from_bytes(&a.image).coverage() > 0.0,
-        "recovered iteration rendered an empty image"
-    );
-    let b = collective_crash_run(seed);
-    assert_eq!(a, b, "crash-recovery outcomes diverged for one seed");
 }
 
 /// Everything one run of the codec crash-repair scenario produced that
@@ -726,16 +533,7 @@ fn codec_crash_run(seed: u64) -> CodecCrashOutcome {
     area.settle();
 
     let img = sim.run(|_| {
-        // The frozen member list still names the dead primary.
-        let r = handle.execute(1);
-        assert!(
-            matches!(&r, Err(e) if e.is_retryable()),
-            "execute against the crashed member must fail retryably: {r:?}"
-        );
-        handle.refresh_view().unwrap();
-        assert_eq!(handle.members().len(), 2);
-        handle.activate(1).unwrap();
-        handle.execute(1).unwrap();
+        recover_on_survivors(&handle, 1, 2);
         handle.fetch_result().unwrap().expect("image")
     });
 
@@ -890,27 +688,11 @@ fn killed_server_is_detected_under_one_percent_loss() {
     let contact = area.contact();
 
     let sim = area.session("sim", 8);
-    let handle = sim.run(|s| {
-        let view = s.client.view_from(contact).unwrap();
-        assert_eq!(view.len(), 3);
-        s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let handle = s.client.distributed_handle(contact, "p").unwrap();
-        handle.activate(0).unwrap();
-        handle.execute(0).unwrap();
-        handle.deactivate(0).unwrap();
-        handle
-    });
+    let handle = sim.run(|s| null_iteration(s, contact, 3));
 
     area.kill(2);
     area.settle();
-    let n = sim.run(|_| {
-        handle.refresh_view().unwrap();
-        handle.activate(1).unwrap();
-        let n = handle.members().len();
-        handle.execute(1).unwrap();
-        handle.deactivate(1).unwrap();
-        n
-    });
+    let n = sim.run(|_| iterate_on_fresh_view(&handle, 1));
     drop(sim);
     assert_eq!(n, 2, "protocol must continue on the survivors despite loss");
     area.shutdown();
@@ -1029,19 +811,8 @@ fn tenant_crash_run(seed: u64) -> TenantCrashOutcome {
     area.settle();
 
     sim.run(|_| {
-        // The frozen views still name the dead member: executes fail
-        // fast and retryably; recovery is refresh + re-activate (the
-        // commit sync promotes replicas and re-replicates) + execute.
         for handle in [&wb, &noisy] {
-            let r = handle.execute(0);
-            assert!(
-                matches!(&r, Err(e) if e.is_retryable()),
-                "execute against the crashed member must fail retryably: {r:?}"
-            );
-            handle.refresh_view().unwrap();
-            assert_eq!(handle.members().len(), 2);
-            handle.activate(0).unwrap();
-            handle.execute(0).unwrap();
+            recover_on_survivors(handle, 0, 2);
         }
     });
 
@@ -1164,18 +935,9 @@ struct TriggeredCrashOutcome {
 /// land inside the fused stats allreduce itself, so recovery must
 /// re-evaluate the trigger from scratch on the shrunk view: the
 /// surviving ranks rebuild identical global stats from store replicas
-/// and reach the same `run` decision.
+/// and reach the same `run` decision. The set-up is the recovery
+/// scenario's, with a triggered script.
 fn triggered_crash_run(seed: u64) -> TriggeredCrashOutcome {
-    const BLOCKS: u64 = 4;
-    let plan = rpc_scoped(FaultPlan::seeded(seed));
-    let mut area = driven_trio(plan, |cfg| {
-        cfg.mona.fault.recv_deadline = Some(Duration::from_secs(5));
-    });
-    let contact = area.contact();
-
-    let victim_addr = area.primary_of("t", 0, 2);
-    area.crash_after_mona_sends(victim_addr, 2);
-
     // A triggered mandelbulb: the escape field tops out near 30, so the
     // gate fires on this iteration's data, and the reparam keeps the
     // contour fed from the same fused stats the gate consumed.
@@ -1187,31 +949,8 @@ fn triggered_crash_run(seed: u64) -> TriggeredCrashOutcome {
             "contour(iterations, mean(iterations) + range(iterations) / 4)",
         ),
     ];
-    let script = s.to_json();
-
-    let sim = area.session("sim", 8);
-    let handle = sim.run(|s| {
-        let view = s.client.view_from(contact).unwrap();
-        s.admin
-            .create_pipeline_on_all(&view, "catalyst", "t", &script)
-            .unwrap();
-        let mut handle = s.client.distributed_handle(contact, "t").unwrap();
-        handle.set_replication(2);
-        handle.set_heavy_retry(crash_probe_retry());
-        let bulb = sims::mandelbulb::Mandelbulb {
-            dims: [12, 12, 12],
-            ..Default::default()
-        };
-        handle.activate(0).unwrap();
-        for b in 0..BLOCKS {
-            let payload =
-                colza::codec::dataset_to_bytes(&bulb.generate_block(b as usize, BLOCKS as usize));
-            handle
-                .stage(BlockMeta::new("t", b, 0, payload.len()), &payload)
-                .unwrap();
-        }
-        handle
-    });
+    let (mut area, sim, handle, victim_addr) =
+        recovery::stage_for_crash(seed, "t", &s.to_json(), 4);
 
     // The crash lands inside this execute's collectives — possibly the
     // fused stats allreduce the trigger itself is evaluating over — so

@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use colza::daemon::{wait_until, Session};
 use colza::{BlockMeta, StagingArea};
+use colza_bench::scenarios::crash;
 use hpcsim::ClusterConfig;
 use margo::MargoInstance;
 use na::Fabric;
@@ -205,9 +206,10 @@ fn all_three_pipelines_render_through_the_catalyst_backend() {
 /// A script naming a field the staged data lacks fails `execute` with an
 /// error naming the field — not a server-side panic that leaves the
 /// client waiting out its retry deadline — and the same servers go on to
-/// execute a valid pipeline. Two servers and one block: the server that
-/// holds no block must fail the collective `execute` too, not wait in
-/// it for a peer that already gave up.
+/// execute a valid pipeline. A filter handed the wrong data type (a
+/// contour over a DWI grid) fails the same way. Two servers and one
+/// block: the server that holds no block must fail the collective
+/// `execute` too, not wait in it for a peer that already gave up.
 #[test]
 fn contouring_a_missing_field_fails_execute_and_the_server_keeps_serving() {
     let mut area = StagingArea::new(ClusterConfig::aries());
@@ -223,11 +225,14 @@ fn contouring_a_missing_field_fails_execute_and_the_server_keeps_serving() {
         isovalues: vec![0.3],
     };
     let valid = catalyst::PipelineScript::gray_scott(32, 32);
+    // Contour needs image data: a DWI block is the wrong data type.
+    let dwi = sims::dwi::DwiSeries::scaled_down(4).generate_block(1, 0);
+    let dwi = colza::codec::dataset_to_bytes(&vizkit::DataSet::UGrid(dwi));
 
     area.session("sim", 8).run(|s| {
         let view = s.client.view_from(contact).unwrap();
         assert_eq!(view.len(), 2);
-        let run = |name: &str, script: &catalyst::PipelineScript| {
+        let run = |name: &str, script: &catalyst::PipelineScript, payload: &bytes::Bytes| {
             s.admin
                 .create_pipeline_on_all(&view, "catalyst", name, &script.to_json())
                 .unwrap();
@@ -244,18 +249,24 @@ fn contouring_a_missing_field_fails_execute_and_the_server_keeps_serving() {
                 .find(|&b| area.primary_of(name, b, 1) != handle.members()[0])
                 .unwrap();
             handle
-                .stage(BlockMeta::new(name, block, 0, payload.len()), &payload)
+                .stage(BlockMeta::new(name, block, 0, payload.len()), payload)
                 .unwrap();
             let executed = handle.execute(0);
             handle.deactivate(0).unwrap();
             executed
         };
-        let err = run("broken", &broken).expect_err("contouring a missing field must fail");
+        let err =
+            run("broken", &broken, &payload).expect_err("contouring a missing field must fail");
         assert!(
             err.to_string().contains("\"nope\""),
             "error must name the field: {err}"
         );
-        run("gs", &valid).expect("the same server executes a valid pipeline");
+        let err = run("dwi", &valid, &dwi).expect_err("contouring a DWI grid must fail");
+        assert!(
+            err.to_string().contains("cannot apply"),
+            "error must name the type mismatch: {err}"
+        );
+        run("gs", &valid, &payload).expect("the same server executes a valid pipeline");
     });
     area.shutdown();
 }
@@ -267,32 +278,14 @@ fn killed_server_is_detected_and_protocol_recovers() {
     let contact = area.contact();
 
     let sim = area.session("sim", 8);
-    let handle = sim.run(|s| {
-        let view = s.client.view_from(contact).unwrap();
-        assert_eq!(view.len(), 3);
-        s.admin
-            .create_pipeline_on_all(&view, "null", "p", "")
-            .unwrap();
-        let handle = s.client.distributed_handle(contact, "p").unwrap();
-        handle.activate(0).unwrap();
-        handle.execute(0).unwrap();
-        handle.deactivate(0).unwrap();
-        handle
-    });
+    let handle = sim.run(|s| crash::null_iteration(s, contact, 3));
 
     // Crash a server and drive gossip until every survivor dropped it.
     area.kill(2);
     area.settle();
-    let n = sim.run(|_| {
-        // The 2PC in activate adopts the survivor view; the protocol keeps
-        // working on 2 servers.
-        handle.refresh_view().unwrap();
-        handle.activate(1).unwrap();
-        let n = handle.members().len();
-        handle.execute(1).unwrap();
-        handle.deactivate(1).unwrap();
-        n
-    });
+    // The 2PC in activate adopts the survivor view; the protocol keeps
+    // working on 2 servers.
+    let n = sim.run(|_| crash::iterate_on_fresh_view(&handle, 1));
     drop(sim);
     assert_eq!(n, 2, "protocol must continue on the survivors");
     area.shutdown();

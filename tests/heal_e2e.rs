@@ -10,14 +10,15 @@
 //! own, every SWIM round and scrub pass is serialized from the harness
 //! thread, and two same-seed runs must produce byte-identical outcomes.
 
-use std::sync::Arc;
-
 use bytes::Bytes;
 use colza::{
-    BlockMeta, ScrubReport, ServerLifecycle, StagingArea, Supervisor, SupervisorAction,
-    TenancyConfig, TenantConfig,
+    BlockMeta, ScrubReport, StagingArea, Supervisor, SupervisorAction, TenancyConfig, TenantConfig,
 };
-use colza_repro::{assert_each_block_fed_once, chaos_seed, rpc_scoped};
+use colza_bench::scenarios::crash::{
+    assert_each_block_fed_once, recover_on_survivors, rpc_scoped, stage_replicated,
+};
+use colza_bench::scenarios::heal;
+use colza_repro::chaos_seed;
 use hpcsim::{ClusterConfig, FaultPlan};
 use na::Address;
 
@@ -74,20 +75,7 @@ fn suppressed_heal_run(seed: u64) -> SuppressedHealOutcome {
     area.shared().faults().suppress_departure_now(victim_addr.0);
 
     let sim = area.session("sim", 8);
-    let handle = sim.run(|s| {
-        let view = s.client.view_from(contact).unwrap();
-        s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let mut handle = s.client.distributed_handle(contact, "p").unwrap();
-        handle.set_replication(2);
-        handle.activate(0).unwrap();
-        for b in 0..BLOCKS {
-            let payload = Bytes::from(vec![b as u8 + 1; 256 * (b as usize + 1)]);
-            handle
-                .stage(BlockMeta::new("x", b, 0, payload.len()), &payload)
-                .unwrap();
-        }
-        handle
-    });
+    let handle = sim.run(|s| stage_replicated(s, contact, BLOCKS, 256));
 
     // Quiesced crash point: client between steps, daemons idle.
     area.kill(area.index_of(victim_addr));
@@ -110,21 +98,9 @@ fn suppressed_heal_run(seed: u64) -> SuppressedHealOutcome {
         );
     }
 
-    sim.run(|_| {
-        // The frozen member list still names the dead primary: execute
-        // fails fast and retryably; the scrub already restored full
-        // redundancy, so re-activating on the survivor view finds
-        // nothing left to move.
-        let r = handle.execute(0);
-        assert!(
-            matches!(&r, Err(e) if e.is_retryable()),
-            "execute against the crashed member must fail retryably: {r:?}"
-        );
-        handle.refresh_view().unwrap();
-        assert_eq!(handle.members().len(), 2);
-        handle.activate(0).unwrap();
-        handle.execute(0).unwrap();
-    });
+    // The scrub already restored full redundancy, so re-activating on
+    // the survivor view finds nothing left to move.
+    sim.run(|_| recover_on_survivors(&handle, 0, 2));
     // Post-execute, pre-deactivate: each block fed exactly one backend.
     assert_each_block_fed_once(&area, BLOCKS, 0);
     sim.run(|_| handle.deactivate(0).unwrap());
@@ -192,20 +168,7 @@ fn double_crash_run(seed: u64) -> DoubleCrashOutcome {
     let first_victim = area.primary_of("p", 0, 2);
 
     let sim = area.session("sim", 8);
-    let handle = sim.run(|s| {
-        let view = s.client.view_from(contact).unwrap();
-        s.admin.create_pipeline_on_all(&view, "null", "p", "").unwrap();
-        let mut handle = s.client.distributed_handle(contact, "p").unwrap();
-        handle.set_replication(2);
-        handle.activate(0).unwrap();
-        for b in 0..BLOCKS {
-            let payload = Bytes::from(vec![b as u8 + 1; 128 * (b as usize + 1)]);
-            handle
-                .stage(BlockMeta::new("x", b, 0, payload.len()), &payload)
-                .unwrap();
-        }
-        handle
-    });
+    let handle = sim.run(|s| stage_replicated(s, contact, BLOCKS, 128));
 
     area.kill(area.index_of(first_victim));
     area.settle();
@@ -235,17 +198,7 @@ fn double_crash_run(seed: u64) -> DoubleCrashOutcome {
         );
     }
 
-    sim.run(|_| {
-        let r = handle.execute(0);
-        assert!(
-            matches!(&r, Err(e) if e.is_retryable()),
-            "execute against the crashed members must fail retryably: {r:?}"
-        );
-        handle.refresh_view().unwrap();
-        assert_eq!(handle.members().len(), 2);
-        handle.activate(0).unwrap();
-        handle.execute(0).unwrap();
-    });
+    sim.run(|_| recover_on_survivors(&handle, 0, 2));
     assert_each_block_fed_once(&area, BLOCKS, 0);
     sim.run(|_| handle.deactivate(0).unwrap());
     drop(sim);
@@ -399,149 +352,25 @@ fn quota_refused_drain_parks_blocks_and_scrub_reclaims_them() {
 
 /// Tentpole acceptance: the supervisor classifies a crash (vs. a
 /// voluntary leave), a replacement daemon joins through the normal join
-/// path once the interrupted iteration unfreezes, the scrubber verifies
-/// its holdings (flipping it Joining → Ready), and `wait_healthy`
-/// converges over the replaced deployment — while an expected shrink
-/// departure triggers no replacement.
+/// path once the interrupted iteration unfreezes (Joining until the next
+/// iteration commits on it, Ready after), the scrubber verifies its
+/// holdings, and `wait_healthy` converges over the replaced deployment
+/// — while an expected shrink departure triggers no replacement. The
+/// episode is the heal scenario's scrub-on one: it asserts what holds in
+/// both modes itself, and `heal::check` judges the rest from its row.
 #[test]
 fn supervisor_replaces_crash_and_wait_healthy_converges() {
-    const BLOCKS: u64 = 4;
-    let mut area = driven_area(FaultPlan::default(), false, 3);
-    let victim_addr = area.primary_of("p", 0, 2);
-    // The client's contact must survive the crash (it keeps asking this
-    // address for fresh views after the kill), and the supervisor must
-    // observe membership from a survivor: the first daemon that is
-    // definitely not the victim serves as both.
-    let watcher = area
-        .daemons()
-        .iter()
-        .find(|d| d.address() != victim_addr)
-        .unwrap();
-    let contact = watcher.address();
-    let events = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let ev2 = Arc::clone(&events);
-    watcher
-        .provider()
-        .group()
-        .observe(move |e| ev2.lock().unwrap().push(e));
+    let row = heal::run_mode(true, 3, 4, chaos_seed());
+    let violations = heal::check(std::slice::from_ref(&row), heal::DEFAULT_BOUND_NS);
+    assert!(violations.is_empty(), "{violations:#?}");
 
-    let sim = area.session("sim", 8);
-    let handle = sim.run(|s| {
-        let view = s.client.view_from(contact).unwrap();
-        s.admin
-            .create_pipeline_on_all(&view, "null", "p", "")
-            .unwrap();
-        let mut handle = s.client.distributed_handle(contact, "p").unwrap();
-        handle.set_replication(2);
-        handle.activate(0).unwrap();
-        for b in 0..BLOCKS {
-            let payload = Bytes::from(vec![b as u8 + 1; 256]);
-            handle
-                .stage(BlockMeta::new("x", b, 0, payload.len()), &payload)
-                .unwrap();
-        }
-        handle
-    });
-
+    // An *expected* departure must not trigger a replacement.
     let mut supervisor = Supervisor::new();
-    area.kill(area.index_of(victim_addr));
-    area.settle();
-
-    sim.run(|_| {
-        // Finish the interrupted iteration on the survivors; deactivate
-        // unfreezes the group so the replacement can join.
-        let r = handle.execute(0);
-        assert!(
-            matches!(&r, Err(e) if e.is_retryable()),
-            "execute against the crashed member must fail retryably: {r:?}"
-        );
-        handle.refresh_view().unwrap();
-        assert_eq!(handle.members().len(), 2);
-        handle.activate(0).unwrap();
-        handle.execute(0).unwrap();
-        handle.deactivate(0).unwrap();
-    });
-
-    // Feed the watcher's event stream to the supervisor: exactly one
-    // Replace for the crash, regardless of how many SWIM events the
-    // death produced.
-    let seen: Vec<ssg::Event> = events.lock().unwrap().clone();
-    let replaces: Vec<Address> = seen
-        .iter()
-        .filter_map(|e| match supervisor.observe(e) {
-            SupervisorAction::Replace(addr) => Some(addr),
-            SupervisorAction::Ignore => None,
-        })
-        .collect();
-    assert_eq!(replaces, vec![victim_addr], "exactly one replacement decision");
-    assert_eq!(
-        supervisor.lifecycle_of(victim_addr),
-        Some(ServerLifecycle::Dead)
-    );
-
-    // Spawn the replacement on a fresh node through the normal join path
-    // (stale connection-file entries for the dead member are tolerated).
-    let newcomer = area.grow(1)[0];
-    area.settle();
-    assert_eq!(
-        area.daemons().last().unwrap().provider().lifecycle(),
-        ServerLifecycle::Joining,
-        "a fresh replacement with no commit and no clean scrub is Joining"
-    );
-
-    let view = sim.run(|s| {
-        // The replacement is in — but unverified: no clean scrub pass
-        // yet, so the deployment must NOT yet report healthy.
-        let view = s.client.view_from(contact).unwrap();
-        assert_eq!(view.len(), 3, "the replacement must be in the view");
-        assert!(
-            !s.admin.healthy(&view),
-            "an unverified Joining replacement must not count as healthy"
-        );
-        s.admin.create_pipeline(newcomer, "null", "p", "").unwrap();
-
-        // The next iteration runs over the replaced trio.
-        handle.refresh_view().unwrap();
-        assert_eq!(handle.members().len(), 3);
-        handle.activate(1).unwrap();
-        for b in 0..BLOCKS {
-            let payload = Bytes::from(vec![b as u8 + 1; 256]);
-            handle
-                .stage(BlockMeta::new("x", b, 1, payload.len()), &payload)
-                .unwrap();
-        }
-        view
-    });
-
-    // Mid-iteration scrub over the trio verifies every holding against
-    // the ring and gives each server the clean pass `healthy` demands.
-    area.scrub_until_steady(8);
-    assert_eq!(
-        area.daemons().last().unwrap().provider().lifecycle(),
-        ServerLifecycle::Ready,
-        "a clean scrub pass flips the replacement to Ready"
-    );
-
-    sim.run(|s| {
-        assert_eq!(
-            s.admin.wait_healthy(&view, 4, |_| {}),
-            Some(1),
-            "replaced and scrubbed deployment must report healthy"
-        );
-        handle.execute(1).unwrap();
-    });
-    assert_each_block_fed_once(&area, BLOCKS, 1);
-
-    // An *expected* departure must not trigger a second replacement.
-    let leaver = area.daemons()[0].address();
+    let leaver = Address(0);
     supervisor.expect_leave(leaver);
     assert_eq!(
         supervisor.observe(&ssg::Event::Died(leaver)),
         SupervisorAction::Ignore,
         "an expected shrink departure is voluntary, not a crash"
     );
-
-    sim.run(|_| handle.deactivate(1).unwrap());
-    drop(sim);
-    area.shutdown();
 }
