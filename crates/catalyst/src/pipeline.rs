@@ -1,10 +1,11 @@
 //! Pipeline execution.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::Mutex;
-use vizkit::data::{ArrayStats, DataSet, PolyData, UnstructuredGrid};
+use vizkit::data::{ArrayStats, DataSet, ImageData, PolyData, UnstructuredGrid};
 use vizkit::filters;
 use vizkit::math::{vec3, Vec3};
 use vizkit::render::{render_surface, render_volume, Camera, ColorMap, Image, TransferFunction};
@@ -86,11 +87,6 @@ impl CatalystPipeline {
         &self.script
     }
 
-    /// The compiled trigger program.
-    pub fn triggers(&self) -> &TriggerProgram {
-        &self.triggers
-    }
-
     /// Whether the first-execute initialization has already been paid.
     pub fn is_initialized(&self) -> bool {
         self.initialized.load(Ordering::Acquire)
@@ -117,10 +113,31 @@ impl CatalystPipeline {
         ctrl: &Controller,
         iteration: u64,
     ) -> Result<PipelineOutcome, String> {
+        self.execute_checked(blocks, self.first_failing_stage(blocks), ctrl, iteration)
+    }
+
+    /// The collective side of [`Self::execute_reactive`] on a rank whose
+    /// staged blocks do not parse as datasets: it joins the same
+    /// collectives with no blocks and the unreadable-block code, so every
+    /// rank fails this `execute` with one error instead of the others
+    /// waiting for this rank in the stats allreduce.
+    pub fn execute_unreadable(&self, ctrl: &Controller) -> Result<PipelineOutcome, String> {
+        self.execute_checked(&[], UNREADABLE_BLOCK, ctrl, 0)
+    }
+
+    /// The one execute path. `failing` is this rank's pre-collective
+    /// stage code; the first stats agreement turns any rank's code into
+    /// every rank's error.
+    fn execute_checked(
+        &self,
+        blocks: &[DataSet],
+        failing: u64,
+        ctrl: &Controller,
+        iteration: u64,
+    ) -> Result<PipelineOutcome, String> {
         let spec = &self.script.render;
         let mut plan = RenderPlan::default();
-        let mut precomputed = None;
-        let failing = self.first_failing_stage(blocks);
+        let mut agreed = None;
 
         if !self.triggers.is_empty() {
             let _sp = hpcsim::trace::span("catalyst", "catalyst.trigger.eval");
@@ -165,10 +182,10 @@ impl CatalystPipeline {
                         plan.contours.insert(field, vec![value]);
                     }
                     Reparam::Range { lo, hi } => plan.range = Some((lo, hi)),
-                    Reparam::CameraZoom(z) => plan.zoom = z,
+                    Reparam::CameraZoom(z) => plan.zoom = Some(z),
                 }
             }
-            precomputed = Some(stats);
+            agreed = Some(stats);
         }
 
         let ctx = hpcsim::process::try_current();
@@ -179,22 +196,112 @@ impl CatalystPipeline {
                 ctx.advance(self.config.init_cost_ns);
             }
         }
-        let charge = |f: &mut dyn FnMut() -> Result<LocalRender, String>| match &ctx {
-            Some(ctx) => ctx.charge_compute(f),
-            None => f(),
-        };
 
-        let mut produce = || -> Result<LocalRender, String> {
-            match spec.mode {
+        let produce = || -> Result<(Image, f32), String> {
+            // This rank's share, computed only where every stage can run:
+            // a failing code fails every rank at the agreement below.
+            let runs = failing == NO_FAILING_STAGE;
+            let (bounds, share) = match spec.mode {
                 RenderMode::Surface => {
-                    self.render_surface_local(blocks, ctrl, &plan, precomputed.as_ref(), failing)
+                    // The check walk passed every block, so the run walk,
+                    // making the same decisions, yields every surface.
+                    let mut merged = PolyData::new();
+                    let surfaces = blocks.iter().filter(|_| runs);
+                    for poly in surfaces.filter_map(|b| self.walk(b, Some(&plan)).ok()) {
+                        if merged.points.is_empty() {
+                            merged = poly.into_owned();
+                        } else {
+                            merged.append(&poly);
+                        }
+                    }
+                    (merged.bounds(), Share::Surface(merged))
                 }
                 RenderMode::Volume => {
-                    self.render_volume_local(blocks, ctrl, &plan, precomputed.as_ref(), failing)
+                    let field = spec
+                        .field
+                        .as_deref()
+                        .ok_or("volume rendering needs a field")?;
+                    let ugrids: Vec<&UnstructuredGrid> =
+                        blocks.iter().filter_map(|b| b.as_ugrid()).collect();
+                    let grid = filters::merge_blocks(&ugrids);
+                    let dims = if spec.adaptive_resample {
+                        // Grid resolution tracks the local mesh size, so
+                        // rendering cost grows with the data (real
+                        // unstructured volume rendering behaves this way).
+                        let n = ((grid.num_cells() as f64).cbrt() * 1.6).clamp(16.0, 96.0) as usize;
+                        [n, n, n]
+                    } else {
+                        spec.resample_dims
+                    };
+                    // A server that holds no block has no cell field to
+                    // resample: it contributes a transparent frame.
+                    let volume = (grid.num_cells() > 0 && runs)
+                        .then(|| filters::resample_to_image(&grid, field, dims, f32::NEG_INFINITY));
+                    let bounds = grid.bounds();
+                    let share = Share::Volume {
+                        grid,
+                        field,
+                        dims,
+                        volume,
+                    };
+                    (bounds, share)
                 }
-            }
+            };
+
+            // The one stats agreement on camera framing and color range,
+            // unless the trigger evaluation already ran it.
+            let stats = match agreed {
+                Some(stats) => stats,
+                None => {
+                    let mut local = BTreeMap::new();
+                    if let (None, Some(f)) = (spec.range, spec.field.as_deref()) {
+                        let array = match &share {
+                            Share::Surface(merged) => merged.point_data.get(f),
+                            Share::Volume { grid, .. } => grid.cell_data.get(f),
+                        };
+                        let field_stats = array.map_or_else(ArrayStats::empty, |a| a.stats());
+                        local.insert(f.to_string(), field_stats);
+                    }
+                    let stats = global_stats(ctrl, bounds, &local, failing)?;
+                    self.fail_at_stage(stats.failing_stage)?;
+                    stats
+                }
+            };
+
+            let camera = self.camera(stats.bounds, plan.zoom);
+            let range = plan
+                .range
+                .or(spec.range)
+                .unwrap_or_else(|| stats.field_range(spec.field.as_deref()));
+            let colors = ColorMap::by_name(&spec.colormap, range);
+            let (w, h) = (spec.width, spec.height);
+            let image = match &share {
+                Share::Surface(merged) => {
+                    render_surface(merged, &camera, &colors, spec.field.as_deref(), w, h)
+                }
+                Share::Volume { volume: None, .. } => Image::new(w, h),
+                Share::Volume {
+                    field,
+                    dims,
+                    volume: Some(volume),
+                    ..
+                } => {
+                    let top = spec.max_opacity;
+                    let opacity = vec![(0.0, 0.0), (0.35, top * 0.3), (1.0, top)];
+                    let tf = TransferFunction::with_opacity(colors, opacity);
+                    let (lo, hi) = stats.bounds;
+                    let step = ((hi - lo).length() / dims[0].max(16) as f32).max(1e-3);
+                    render_volume(volume, field, &camera, &tf, w, h, step)
+                }
+            };
+            // Only volume blending reads the depth, to order the ranks.
+            let center = bounds.map_or(camera.focal_point, |(lo, hi)| (lo + hi) * 0.5);
+            Ok((image, camera.view_depth(center)))
         };
-        let local = charge(&mut produce)?;
+        let (image, view_depth) = match &ctx {
+            Some(ctx) => ctx.charge_compute(produce),
+            None => produce(),
+        }?;
 
         // Composite across the staging area through the converted
         // communicator (the vtkIceTContext path).
@@ -204,7 +311,7 @@ impl CatalystPipeline {
             RenderMode::Volume => {
                 // Visibility order: ranks sorted by view depth, resolved
                 // at the root from gathered local depths.
-                let depth_bytes = local.view_depth.to_le_bytes();
+                let depth_bytes = view_depth.to_le_bytes();
                 let gathered = ctrl.comm().gather(&depth_bytes, 0)?;
                 let order = gathered.map(|parts| {
                     let mut order: Vec<usize> = (0..parts.len()).collect();
@@ -220,7 +327,7 @@ impl CatalystPipeline {
         };
         let image = icet::composite(
             icet_comm.as_ref(),
-            local.image,
+            image,
             op,
             strategy,
             order.as_deref(),
@@ -232,202 +339,69 @@ impl CatalystPipeline {
         })
     }
 
-    fn render_surface_local(
+    /// The one walk over the script's filter chain for one block: a
+    /// single match over (filter, current data kind) decides whether each
+    /// stage can run and what it yields. A stage cannot run when the data
+    /// lacks the field it names (the vizkit filters panic on that, and a
+    /// panic would take the server's handler thread down) or when it gets
+    /// the wrong data kind, including a chain that ends in no surface.
+    /// With a `plan` the walk runs the filters on the borrowed block;
+    /// without one it only checks them, handing each stage's input on as
+    /// a stand-in of the kind it yields (thresholding keeps every cell
+    /// array, and no stage after a contour reads a field). Returns the
+    /// surface, or the failing stage's [`stage_failure`] code.
+    fn walk<'a>(
         &self,
-        blocks: &[DataSet],
-        ctrl: &Controller,
-        plan: &RenderPlan,
-        precomputed: Option<&GlobalStats>,
-        failing: u64,
-    ) -> Result<LocalRender, String> {
-        let spec = &self.script.render;
-        // Run the filter chain on each block and merge the surfaces —
-        // unless a stage cannot run here, which the stats allreduce
-        // below turns into every rank's error.
-        let mut merged = PolyData::new();
-        for block in blocks.iter().filter(|_| failing == NO_FAILING_STAGE) {
-            let poly = self.apply_filters(block, plan)?;
-            if merged.points.is_empty() {
-                merged = poly;
-            } else {
-                merged.append(&poly);
-            }
-        }
-        // Collective consensus on camera framing and color range — one
-        // fused allreduce carrying bounds and any needed field stats
-        // (reused from the trigger evaluation when it already ran one).
-        let stats = match precomputed {
-            Some(s) => s.clone(),
-            None => {
-                let mut local = BTreeMap::new();
-                if spec.range.is_none() && plan.range.is_none() {
-                    if let Some(f) = spec.field.as_deref() {
-                        let s = merged
-                            .point_data
-                            .get(f)
-                            .map(|a| a.stats())
-                            .unwrap_or_else(ArrayStats::empty);
-                        local.insert(f.to_string(), s);
-                    }
-                }
-                let stats = global_stats(ctrl, merged.bounds(), &local, failing)?;
-                self.fail_at_stage(stats.failing_stage)?;
-                stats
-            }
-        };
-        let camera = self.camera(stats.bounds, plan.zoom);
-        let range = plan
-            .range
-            .or(spec.range)
-            .unwrap_or_else(|| stats.field_range(spec.field.as_deref()));
-        let colors = ColorMap::by_name(&spec.colormap, range);
-        let image = render_surface(
-            &merged,
-            &camera,
-            &colors,
-            spec.field.as_deref(),
-            spec.width,
-            spec.height,
-        );
-        let center = merged
-            .bounds()
-            .map(|(lo, hi)| (lo + hi) * 0.5)
-            .unwrap_or_default();
-        Ok(LocalRender {
-            view_depth: camera.view_depth(center),
-            image,
-        })
-    }
-
-    fn render_volume_local(
-        &self,
-        blocks: &[DataSet],
-        ctrl: &Controller,
-        plan: &RenderPlan,
-        precomputed: Option<&GlobalStats>,
-        failing: u64,
-    ) -> Result<LocalRender, String> {
-        let spec = &self.script.render;
-        let field = spec
-            .field
-            .as_deref()
-            .ok_or("volume rendering needs a field")?;
-        // Merge this rank's unstructured blocks and resample.
-        let ugrids: Vec<&UnstructuredGrid> =
-            blocks.iter().filter_map(|b| b.as_ugrid()).collect();
-        let merged = filters::merge_blocks(&ugrids);
-        let dims = if spec.adaptive_resample {
-            // Grid resolution tracks the local mesh size, so rendering
-            // cost grows with the data (real unstructured volume
-            // rendering behaves this way).
-            let n = ((merged.num_cells() as f64).cbrt() * 1.6).clamp(16.0, 96.0) as usize;
-            [n, n, n]
-        } else {
-            spec.resample_dims
-        };
-        // A server that holds no block has no cell field to resample: it
-        // contributes a transparent frame. One whose blocks lack the field
-        // resamples nothing either; the stats allreduce below turns that
-        // into every rank's error.
-        let vol = (merged.num_cells() > 0 && failing == NO_FAILING_STAGE)
-            .then(|| filters::resample_to_image(&merged, field, dims, f32::NEG_INFINITY));
-
-        let stats = match precomputed {
-            Some(s) => s.clone(),
-            None => {
-                let mut local = BTreeMap::new();
-                if spec.range.is_none() && plan.range.is_none() {
-                    let s = merged
-                        .cell_data
-                        .get(field)
-                        .map(|a| a.stats())
-                        .unwrap_or_else(ArrayStats::empty);
-                    local.insert(field.to_string(), s);
-                }
-                let stats = global_stats(ctrl, merged.bounds(), &local, failing)?;
-                self.fail_at_stage(stats.failing_stage)?;
-                stats
-            }
-        };
-        let camera = self.camera(stats.bounds, plan.zoom);
-        let range = plan
-            .range
-            .or(spec.range)
-            .unwrap_or_else(|| stats.field_range(Some(field)));
-        let tf = TransferFunction::with_opacity(
-            ColorMap::by_name(&spec.colormap, range),
-            vec![(0.0, 0.0), (0.35, spec.max_opacity * 0.3), (1.0, spec.max_opacity)],
-        );
-        let step = {
-            let (lo, hi) = stats.bounds;
-            ((hi - lo).length() / dims[0].max(16) as f32).max(1e-3)
-        };
-        let image = match &vol {
-            None => Image::new(spec.width, spec.height),
-            Some(vol) => render_volume(vol, field, &camera, &tf, spec.width, spec.height, step),
-        };
-        let center = merged
-            .bounds()
-            .map(|(lo, hi)| (lo + hi) * 0.5)
-            .unwrap_or(camera.focal_point);
-        Ok(LocalRender {
-            view_depth: camera.view_depth(center),
-            image,
-        })
-    }
-
-    /// Runs the filter chain on one block, ending in a surface. Contour
-    /// isovalues may be re-parameterized by a fired trigger.
-    fn apply_filters(&self, block: &DataSet, plan: &RenderPlan) -> Result<PolyData, String> {
-        enum Working {
-            Img(vizkit::ImageData),
-            UG(UnstructuredGrid),
-            Poly(PolyData),
-        }
+        block: &'a DataSet,
+        plan: Option<&RenderPlan>,
+    ) -> Result<Cow<'a, PolyData>, u64> {
         let mut cur = match block {
-            DataSet::Image(i) => Working::Img(i.clone()),
-            DataSet::UGrid(g) => Working::UG(g.clone()),
-            DataSet::Poly(p) => Working::Poly(p.clone()),
+            DataSet::Image(img) => Working::Image(img),
+            DataSet::UGrid(g) => Working::Grid(Cow::Borrowed(g)),
+            DataSet::Poly(p) => Working::Surface(Cow::Borrowed(p)),
         };
-        for f in &self.script.filters {
+        for (i, f) in self.script.filters.iter().enumerate() {
             cur = match (f, cur) {
-                (FilterSpec::Contour { field, isovalues }, Working::Img(img)) => {
-                    let values = plan.contours.get(field).unwrap_or(isovalues);
-                    Working::Poly(filters::contour(&img, field, values))
+                (FilterSpec::Contour { field, isovalues }, Working::Image(img)) => {
+                    if img.point_data.get(field).is_none() {
+                        return Err(stage_failure(i, false));
+                    }
+                    // A fired trigger may re-parameterize the isovalues.
+                    let values = plan.map(|p| p.contours.get(field).unwrap_or(isovalues));
+                    let surface = values.map(|v| filters::contour(img, field, v));
+                    Working::Surface(Cow::Owned(surface.unwrap_or_default()))
                 }
-                (FilterSpec::Clip { origin, normal }, Working::Poly(p)) => {
-                    let plane = filters::Plane::through(
-                        Vec3::from_array(*origin),
-                        Vec3::from_array(*normal),
-                    );
-                    Working::Poly(filters::clip(&p, plane))
+                (FilterSpec::Clip { origin, normal }, Working::Surface(p)) => {
+                    let (o, n) = (Vec3::from_array(*origin), Vec3::from_array(*normal));
+                    let plane = filters::Plane::through(o, n);
+                    Working::Surface(match plan {
+                        Some(_) => Cow::Owned(filters::clip(&p, plane)),
+                        None => p,
+                    })
                 }
-                (FilterSpec::Threshold { field, min, max }, Working::UG(g)) => {
-                    Working::UG(filters::threshold_cells(&g, field, *min, *max))
+                (FilterSpec::Threshold { field, min, max }, Working::Grid(g)) => {
+                    if g.cell_data.get(field).is_none() {
+                        return Err(stage_failure(i, false));
+                    }
+                    Working::Grid(match plan {
+                        Some(_) => Cow::Owned(filters::threshold_cells(&g, field, *min, *max)),
+                        None => g,
+                    })
                 }
-                (f, _) => {
-                    return Err(format!("filter {f:?} cannot apply to the current data type"))
-                }
+                _ => return Err(stage_failure(i, true)),
             };
         }
         match cur {
-            Working::Poly(p) => Ok(p),
-            Working::Img(_) | Working::UG(_) => {
-                Err("pipeline must end in surface geometry for surface rendering".to_string())
-            }
+            Working::Surface(p) => Ok(p),
+            _ => Err(stage_failure(self.script.filters.len(), true)),
         }
     }
 
     /// The first script stage that cannot run on this rank's blocks, as
     /// a [`stage_failure`] code: filter `i` is stage `i`, the render is
-    /// stage `filters.len()`. A stage fails when the data lacks the field
-    /// it names (the vizkit filters panic on that, and a panic would take
-    /// the server's handler thread down) or when it gets the wrong data
-    /// type, including a surface render whose chain ends in no surface.
-    /// The walk mirrors [`Self::apply_filters`], so the failure is known
-    /// before the first collective and every rank can agree on it there.
+    /// stage `filters.len()`. Known before the first collective, so every
+    /// rank can agree on it there.
     fn first_failing_stage(&self, blocks: &[DataSet]) -> u64 {
-        let filters = &self.script.filters;
         let first = match (self.script.render.mode, self.script.render.field.as_deref()) {
             (RenderMode::Volume, Some(field)) => {
                 // Resampling reads the merged grid, which keeps only the
@@ -435,37 +409,12 @@ impl CatalystPipeline {
                 let ugrids = || blocks.iter().filter_map(|b| b.as_ugrid());
                 let cells: usize = ugrids().map(|g| g.num_cells()).sum();
                 (cells > 0 && ugrids().any(|g| g.cell_data.get(field).is_none()))
-                    .then(|| stage_failure(filters.len(), false))
+                    .then(|| stage_failure(self.script.filters.len(), false))
             }
             (RenderMode::Volume, None) => None,
-            (RenderMode::Surface, _) => blocks
-                .iter()
-                .filter_map(|block| {
-                    // `None` once a contour has turned the data into a surface.
-                    let mut cur = Some(block);
-                    for (i, f) in filters.iter().enumerate() {
-                        cur = match (f, cur) {
-                            (FilterSpec::Contour { field, .. }, Some(DataSet::Image(img))) => {
-                                if img.point_data.get(field).is_none() {
-                                    return Some(stage_failure(i, false));
-                                }
-                                None
-                            }
-                            // Thresholding keeps every cell array.
-                            (FilterSpec::Threshold { field, .. }, Some(DataSet::UGrid(g))) => {
-                                if g.cell_data.get(field).is_none() {
-                                    return Some(stage_failure(i, false));
-                                }
-                                cur
-                            }
-                            (FilterSpec::Clip { .. }, None | Some(DataSet::Poly(_))) => cur,
-                            _ => return Some(stage_failure(i, true)),
-                        };
-                    }
-                    (!matches!(cur, None | Some(DataSet::Poly(_))))
-                        .then(|| stage_failure(filters.len(), true))
-                })
-                .min(),
+            (RenderMode::Surface, _) => {
+                blocks.iter().filter_map(|b| self.walk(b, None).err()).min()
+            }
         };
         first.unwrap_or(NO_FAILING_STAGE)
     }
@@ -474,10 +423,13 @@ impl CatalystPipeline {
     /// run (the least code any rank reported), so each server fails the
     /// same `execute` with the same message.
     fn fail_at_stage(&self, code: u64) -> Result<(), String> {
-        if code == NO_FAILING_STAGE {
-            return Ok(());
-        }
-        let filter = self.script.filters.get((code >> 1) as usize);
+        let filter = match code {
+            NO_FAILING_STAGE => return Ok(()),
+            UNREADABLE_BLOCK => {
+                return Err("unreadable staged block: a server's data does not parse".to_string())
+            }
+            _ => self.script.filters.get((code >> 1) as usize - 1),
+        };
         if code & 1 == 1 {
             return Err(match filter {
                 Some(f) => format!("filter {f:?} cannot apply to the current data type"),
@@ -495,7 +447,7 @@ impl CatalystPipeline {
         ))
     }
 
-    fn camera(&self, bounds: (Vec3, Vec3), zoom: f64) -> Camera {
+    fn camera(&self, bounds: (Vec3, Vec3), zoom: Option<f64>) -> Camera {
         let mut cam = match self.script.render.camera {
             Some(CameraSpec {
                 position,
@@ -513,7 +465,7 @@ impl CatalystPipeline {
         };
         // A camera(zoom) trigger scales the eye's distance to the feature
         // bounds by 1/zoom (zoom > 1 moves in).
-        if zoom.is_finite() && zoom > 0.0 && zoom != 1.0 {
+        if let Some(zoom) = zoom.filter(|z| z.is_finite() && *z > 0.0 && *z != 1.0) {
             let dir = cam.position - cam.focal_point;
             cam.position = cam.focal_point + dir * (1.0 / zoom as f32);
         }
@@ -524,48 +476,56 @@ impl CatalystPipeline {
 /// [`CatalystPipeline::first_failing_stage`] when every stage can run.
 const NO_FAILING_STAGE: u64 = u64::MAX;
 
-/// The code of a failing script stage: the stage index, then whether it
-/// got the wrong data type rather than missing a field. Folding codes by
-/// `min` picks the earliest stage, and one reason for it on every rank.
+/// The code of a rank whose staged blocks do not parse: below every stage
+/// code, since no stage can run on data that was never read.
+const UNREADABLE_BLOCK: u64 = 0;
+
+/// The code of a failing script stage: the stage index (offset past the
+/// unreadable-block code), then whether it got the wrong data type rather
+/// than missing a field. Folding codes by `min` picks the earliest stage,
+/// and one reason for it on every rank.
 fn stage_failure(stage: usize, wrong_type: bool) -> u64 {
-    (stage as u64) << 1 | wrong_type as u64
+    (stage as u64 + 1) << 1 | wrong_type as u64
 }
 
 /// Per-execution render adjustments from fired triggers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 struct RenderPlan {
     /// Contour isovalue overrides by filter field.
     contours: BTreeMap<String, Vec<f64>>,
     /// Color-range override.
     range: Option<(f32, f32)>,
-    /// Camera zoom factor (1.0 = as scripted).
-    zoom: f64,
+    /// Camera zoom factor (`None` = as scripted).
+    zoom: Option<f64>,
 }
 
-impl Default for RenderPlan {
-    fn default() -> Self {
-        RenderPlan {
-            contours: BTreeMap::new(),
-            range: None,
-            zoom: 1.0,
-        }
-    }
+/// The data kind between two filter stages of [`CatalystPipeline::walk`].
+enum Working<'a> {
+    Image(&'a ImageData),
+    Grid(Cow<'a, UnstructuredGrid>),
+    Surface(Cow<'a, PolyData>),
 }
 
-struct LocalRender {
-    image: Image,
-    view_depth: f32,
+/// This rank's share of the picture before the stats agreement: the
+/// merged surface, or the merged grid and its resampled volume.
+enum Share<'a> {
+    Surface(PolyData),
+    Volume {
+        grid: UnstructuredGrid,
+        field: &'a str,
+        dims: [usize; 3],
+        volume: Option<ImageData>,
+    },
 }
 
 /// Fused global reduction result: spatial bounds plus per-field summary
 /// statistics, all carried by one allreduce.
-#[derive(Debug, Clone)]
-pub struct GlobalStats {
+struct GlobalStats {
     /// Global axis-aligned bounds (a unit box when every rank is empty,
     /// so cameras stay finite).
-    pub bounds: (Vec3, Vec3),
+    bounds: (Vec3, Vec3),
     /// Global per-field statistics, keyed by field name.
-    pub fields: BTreeMap<String, ArrayStats>,
+    fields: BTreeMap<String, ArrayStats>,
     /// The least [`CatalystPipeline::first_failing_stage`] of any rank.
     failing_stage: u64,
 }
@@ -574,7 +534,7 @@ impl GlobalStats {
     /// The color range for `field`: its global `(min, max)` as `f32`, or
     /// `(0, 1)` when the field is absent/empty everywhere (the historic
     /// `global_range` fallback).
-    pub fn field_range(&self, field: Option<&str>) -> (f32, f32) {
+    fn field_range(&self, field: Option<&str>) -> (f32, f32) {
         field
             .and_then(|f| self.fields.get(f))
             .filter(|s| !s.is_empty())
@@ -585,24 +545,17 @@ impl GlobalStats {
 
 /// Combined bounds of this rank's staged blocks.
 fn local_blocks_bounds(blocks: &[DataSet]) -> Option<(Vec3, Vec3)> {
-    let mut acc: Option<(Vec3, Vec3)> = None;
-    for b in blocks {
-        let bb = match b {
-            DataSet::Image(i) => Some(i.bounds()),
-            DataSet::UGrid(g) => g.bounds(),
-            DataSet::Poly(p) => p.bounds(),
-        };
-        if let Some((lo, hi)) = bb {
-            acc = Some(match acc {
-                None => (lo, hi),
-                Some((alo, ahi)) => (
-                    vec3(alo.x.min(lo.x), alo.y.min(lo.y), alo.z.min(lo.z)),
-                    vec3(ahi.x.max(hi.x), ahi.y.max(hi.y), ahi.z.max(hi.z)),
-                ),
-            });
-        }
-    }
-    acc
+    let bounds = blocks.iter().filter_map(|b| match b {
+        DataSet::Image(i) => Some(i.bounds()),
+        DataSet::UGrid(g) => g.bounds(),
+        DataSet::Poly(p) => p.bounds(),
+    });
+    bounds.reduce(|(alo, ahi), (lo, hi)| {
+        (
+            vec3(alo.x.min(lo.x), alo.y.min(lo.y), alo.z.min(lo.z)),
+            vec3(ahi.x.max(hi.x), ahi.y.max(hi.y), ahi.z.max(hi.z)),
+        )
+    })
 }
 
 /// The fused statistics collective: ONE allreduce carrying the spatial
@@ -769,39 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn a_missing_field_fails_execute_naming_it() {
-        let ctrl = serial_ctrl();
-        let mut script = surface_script();
-        script.filters[0] = FilterSpec::Contour {
-            field: "nope".to_string(),
-            isovalues: vec![1.0],
-        };
-        let pipe = CatalystPipeline::new(script, CatalystConfig::default());
-        let block = sphere_block(8, [0.0; 3]);
-        assert_eq!(pipe.first_failing_stage(std::slice::from_ref(&block)), 0);
-        let err = pipe.execute(&[block], &ctrl).unwrap_err();
-        assert_eq!(err, "contour: the staged data has no point field \"nope\"");
-        // A rank without blocks finds nothing missing locally.
-        assert_eq!(pipe.first_failing_stage(&[]), NO_FAILING_STAGE);
-
-        let mut volume = PipelineScript::deep_water_impact(16, 16);
-        volume.render.field = Some("nope".to_string());
-        let pipe = CatalystPipeline::new(volume.clone(), CatalystConfig::default());
-        let err = pipe.execute(&[voxel_block(5.0)], &ctrl).unwrap_err();
-        assert_eq!(
-            err,
-            "volume render: the staged data has no cell field \"nope\""
-        );
-        // Triggered: the check rides the trigger's stats allreduce.
-        volume.triggers = PipelineScript::deep_water_impact_triggered(16, 16).triggers;
-        let pipe = CatalystPipeline::new(volume, CatalystConfig::default());
-        let err = pipe
-            .execute_reactive(&[voxel_block(5.0)], &ctrl, 0)
-            .unwrap_err();
-        assert!(err.contains("\"nope\""), "{err}");
-    }
-
-    #[test]
     fn serial_volume_pipeline_renders() {
         let pipe = CatalystPipeline::new(
             PipelineScript::deep_water_impact(32, 32),
@@ -821,23 +741,168 @@ mod tests {
         assert_eq!(img.coverage(), 0.0);
     }
 
+    /// A one-voxel grid carrying the cell field `v`, and a one-triangle
+    /// surface carrying the point field `v`.
+    fn ugrid_and_poly_blocks() -> (DataSet, DataSet) {
+        let DataSet::UGrid(mut grid) = voxel_block(5.0) else {
+            unreachable!()
+        };
+        grid.cell_data.set("v", DataArray::F32(vec![5.0]));
+        let mut poly = PolyData::new();
+        poly.points = vec![[0.0; 3], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0]];
+        poly.triangles = vec![[0, 1, 2]];
+        poly.point_data
+            .set("v", DataArray::F32(vec![0.0, 1.0, 2.0]));
+        (DataSet::UGrid(grid), DataSet::Poly(poly))
+    }
+
+    /// Every script stage on every block kind, with its field present and
+    /// absent: each case either renders serially or fails with exactly
+    /// the message its pre-collective stage code names — never a vizkit
+    /// `panic!`.
     #[test]
-    fn type_mismatch_is_an_error() {
-        let pipe = CatalystPipeline::new(surface_script(), CatalystConfig::default());
-        // Contour expects ImageData; feed it an unstructured block.
-        let ugrid = voxel_block(1.0);
-        let code = pipe.first_failing_stage(std::slice::from_ref(&ugrid));
-        assert_eq!(code, stage_failure(0, true));
-        let err = pipe.execute(&[ugrid], &serial_ctrl()).unwrap_err();
-        assert!(err.contains("cannot apply"), "{err}");
+    fn every_stage_renders_or_fails_with_its_agreed_message() {
+        let ctrl = serial_ctrl();
+        let contour = |field: &str| FilterSpec::Contour {
+            field: field.to_string(),
+            isovalues: vec![1.0],
+        };
+        let clip = FilterSpec::Clip {
+            origin: [2.0, 0.0, 0.0],
+            normal: [1.0, 0.0, 0.0],
+        };
+        let threshold = |field: &str| FilterSpec::Threshold {
+            field: field.to_string(),
+            min: 0.0,
+            max: 10.0,
+        };
+        let (ugrid, poly) = ugrid_and_poly_blocks();
+        let blocks = [
+            ("image", sphere_block(8, [0.0; 3])),
+            ("ugrid", ugrid),
+            ("poly", poly),
+        ];
+        let (wrong_type, missing) = (Some(stage_failure(0, true)), Some(stage_failure(0, false)));
+        let mut cases = Vec::new();
+        for field in ["v", "nope"] {
+            let present = field == "v";
+            for (kind, block) in &blocks {
+                let image = *kind == "image";
+                let contour_code = match (image, present) {
+                    (true, true) => None,
+                    (true, false) => missing,
+                    _ => wrong_type,
+                };
+                let threshold_code = match (*kind, present) {
+                    ("ugrid", true) => Some(stage_failure(1, true)),
+                    ("ugrid", false) => missing,
+                    _ => wrong_type,
+                };
+                // The surface render's color field is the filter's field.
+                for (filters, code) in [
+                    (vec![contour(field)], contour_code),
+                    (vec![clip.clone()], wrong_type.filter(|_| *kind != "poly")),
+                    (vec![threshold(field)], threshold_code),
+                ] {
+                    let mut script = surface_script();
+                    script.filters = filters;
+                    script.render.field = Some(field.to_string());
+                    cases.push((
+                        format!("{:?} x {kind}", script.filters),
+                        script,
+                        block.clone(),
+                        code,
+                    ));
+                }
+            }
+        }
         // A chain that ends in no surface fails at the render stage.
         let mut bare = surface_script();
         bare.filters.clear();
-        let pipe = CatalystPipeline::new(bare, CatalystConfig::default());
-        let err = pipe
-            .execute(&[sphere_block(8, [0.0; 3])], &serial_ctrl())
-            .unwrap_err();
-        assert!(err.contains("must end in surface"), "{err}");
+        cases.push(("bare chain".into(), bare, blocks[0].1.clone(), wrong_type));
+        let mut chain = surface_script();
+        chain.filters.push(clip.clone());
+        cases.push((
+            "contour, clip".into(),
+            chain.clone(),
+            blocks[0].1.clone(),
+            None,
+        ));
+        chain.filters.push(threshold("v"));
+        cases.push((
+            "contour, clip, threshold".into(),
+            chain,
+            blocks[0].1.clone(),
+            Some(stage_failure(2, true)),
+        ));
+        // Volume mode reads the render field of the merged grid.
+        let volume = PipelineScript::deep_water_impact(16, 16);
+        let volume_missing = Some(stage_failure(volume.filters.len(), false));
+        cases.push(("volume".into(), volume.clone(), voxel_block(5.0), None));
+        let mut nope = volume;
+        nope.render.field = Some("nope".to_string());
+        cases.push((
+            "volume, no field".into(),
+            nope.clone(),
+            voxel_block(5.0),
+            volume_missing,
+        ));
+        // Triggered: the check rides the trigger's stats allreduce.
+        nope.triggers = PipelineScript::deep_water_impact_triggered(16, 16).triggers;
+        cases.push((
+            "triggered volume, no field".into(),
+            nope,
+            voxel_block(5.0),
+            volume_missing,
+        ));
+
+        for (name, script, block, code) in cases {
+            let pipe = CatalystPipeline::new(script, CatalystConfig::default());
+            let blocks = std::slice::from_ref(&block);
+            assert_eq!(
+                pipe.first_failing_stage(blocks),
+                code.unwrap_or(NO_FAILING_STAGE),
+                "{name}"
+            );
+            // A rank without blocks finds nothing missing locally.
+            assert_eq!(pipe.first_failing_stage(&[]), NO_FAILING_STAGE, "{name}");
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pipe.execute_reactive(blocks, &ctrl, 2)
+            }))
+            .unwrap_or_else(|_| panic!("{name}: reached a vizkit panic"));
+            match code {
+                None => assert!(out.unwrap().image.is_some(), "{name}"),
+                Some(code) => {
+                    let err = out.unwrap_err();
+                    assert_eq!(err, pipe.fail_at_stage(code).unwrap_err(), "{name}");
+                    let named = if code & 1 == 0 {
+                        "\"nope\""
+                    } else if code == stage_failure(pipe.script().filters.len(), true) {
+                        "must end in surface"
+                    } else {
+                        "cannot apply"
+                    };
+                    assert!(err.contains(named), "{name}: {err}");
+                }
+            }
+        }
+        let pipe = CatalystPipeline::new(
+            PipelineScript {
+                filters: vec![contour("nope")],
+                ..surface_script()
+            },
+            CatalystConfig::default(),
+        );
+        let err = pipe.execute(&[blocks[0].1.clone()], &ctrl).unwrap_err();
+        assert_eq!(err, "contour: the staged data has no point field \"nope\"");
+        let mut volume = PipelineScript::deep_water_impact(16, 16);
+        volume.render.field = Some("nope".to_string());
+        let pipe = CatalystPipeline::new(volume, CatalystConfig::default());
+        let err = pipe.execute(&[voxel_block(5.0)], &ctrl).unwrap_err();
+        assert_eq!(
+            err,
+            "volume render: the staged data has no cell field \"nope\""
+        );
     }
 
     #[test]

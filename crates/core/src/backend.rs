@@ -217,11 +217,16 @@ impl Backend for CatalystBackend {
         blocks: &[StagedBlock],
         ctrl: &Controller,
     ) -> std::result::Result<ExecOutcome, String> {
-        let datasets: Vec<vizkit::DataSet> = blocks
+        let datasets: Result<Vec<vizkit::DataSet>> = blocks
             .iter()
-            .map(|b| crate::codec::dataset_from_bytes(&b.data).map_err(|e| e.to_string()))
-            .collect::<std::result::Result<_, _>>()?;
-        let outcome = self.pipeline.execute_reactive(&datasets, ctrl, iteration)?;
+            .map(|b| crate::codec::dataset_from_bytes(&b.data))
+            .collect();
+        // A block that does not parse still joins the collectives, so the
+        // other servers fail this execute with it instead of waiting.
+        let outcome = match &datasets {
+            Ok(datasets) => self.pipeline.execute_reactive(datasets, ctrl, iteration),
+            Err(_) => self.pipeline.execute_unreadable(ctrl),
+        }?;
         if let Some(img) = outcome.image {
             *self.last_image.lock() = Some(img.to_bytes());
         }

@@ -69,52 +69,6 @@ impl VClock {
         self.advance(ns);
         out
     }
-
-    /// Runs `f`, charging this clock with the thread CPU time it consumed.
-    pub fn charge_compute<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.charge_compute_scaled(1.0, f)
-    }
-}
-
-/// Accumulates named virtual-time interval measurements; used by the
-/// experiment harnesses to time `activate`/`stage`/`execute`/`deactivate`.
-#[derive(Debug, Default, Clone)]
-pub struct IntervalRecorder {
-    samples: Vec<(String, u64)>,
-}
-
-impl IntervalRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that `label` took `ns` of virtual time.
-    pub fn record(&mut self, label: impl Into<String>, ns: u64) {
-        self.samples.push((label.into(), ns));
-    }
-
-    /// Times the closure `f` on `clock` and records the elapsed virtual time.
-    pub fn time<R>(&mut self, clock: &VClock, label: impl Into<String>, f: impl FnOnce() -> R) -> R {
-        let before = clock.now();
-        let out = f();
-        self.record(label, clock.now().saturating_sub(before));
-        out
-    }
-
-    /// All samples recorded so far.
-    pub fn samples(&self) -> &[(String, u64)] {
-        &self.samples
-    }
-
-    /// All samples for a given label, in recording order.
-    pub fn of(&self, label: &str) -> Vec<u64> {
-        self.samples
-            .iter()
-            .filter(|(l, _)| l == label)
-            .map(|&(_, ns)| ns)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -149,7 +103,7 @@ mod tests {
     #[test]
     fn charge_compute_advances() {
         let c = VClock::default();
-        let out = c.charge_compute(|| {
+        let out = c.charge_compute_scaled(1.0, || {
             let mut x = 0u64;
             for i in 0..300_000 {
                 x = x.wrapping_add(i * i);
@@ -158,18 +112,6 @@ mod tests {
         });
         std::hint::black_box(out);
         assert!(c.now() > 0);
-    }
-
-    #[test]
-    fn recorder_collects_by_label() {
-        let c = VClock::default();
-        let mut r = IntervalRecorder::new();
-        r.time(&c, "stage", || c.advance(10));
-        r.time(&c, "execute", || c.advance(99));
-        r.time(&c, "stage", || c.advance(20));
-        assert_eq!(r.of("stage"), vec![10, 20]);
-        assert_eq!(r.of("execute"), vec![99]);
-        assert_eq!(r.samples().len(), 3);
     }
 
     #[test]

@@ -249,15 +249,12 @@ fn binary_swap(comm: &dyn IceTComm, local: Image, root: usize) -> Result<Option<
     let mut round: u16 = 0;
     while bit < p2 {
         let partner = me ^ bit;
-        let (keep_low, send_part, keep_part) = {
-            let (low, high) = frag.split();
-            if me & bit == 0 {
-                (true, high, low)
-            } else {
-                (false, low, high)
-            }
+        let (low, high) = frag.split();
+        let (send_part, keep_part) = if me & bit == 0 {
+            (high, low)
+        } else {
+            (low, high)
         };
-        let _ = keep_low;
         // Deterministic exchange order: large sends are synchronous, so a
         // send/send crossing would deadlock. The lower rank sends first.
         let their = if me < partner {
@@ -290,11 +287,6 @@ fn binary_swap(comm: &dyn IceTComm, local: Image, root: usize) -> Result<Option<
         // Root outside the fold group cannot happen: root < p2 is required.
         let dst = if root < p2 { root } else { root - p2 };
         comm.send(&frag.to_bytes(), dst, TAG_GATHER)?;
-        if me != root && root >= p2 && me == root - p2 {
-            // Forwarding case: the folded root receives nothing here; the
-            // assembled image lives at its partner. Keep semantics simple:
-            // roots must be < p2.
-        }
         Ok(None)
     }
 }

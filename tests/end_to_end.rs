@@ -266,6 +266,14 @@ fn contouring_a_missing_field_fails_execute_and_the_server_keeps_serving() {
             err.to_string().contains("cannot apply"),
             "error must name the type mismatch: {err}"
         );
+        // A block that does not parse fails on every server alike, instead
+        // of stranding the blockless one in the stats allreduce.
+        let garbage = bytes::Bytes::from_static(b"not a dataset");
+        let err = run("garbage", &valid, &garbage).expect_err("an unreadable block must fail");
+        assert!(
+            err.to_string().contains("unreadable staged block"),
+            "error must name the unreadable block: {err}"
+        );
         run("gs", &valid, &payload).expect("the same server executes a valid pipeline");
     });
     area.shutdown();
