@@ -1,69 +1,59 @@
 //! **Figure 10** — Deep Water Impact with elasticity: rendering time per
 //! iteration for (a) an elastic staging area grown every other iteration
 //! once the data gets heavy, (b) a small static deployment, and (c) a
-//! large static deployment.
-//!
-//! Paper scale: 8 → 72 processes, growing by 8 every other iteration from
-//! iteration 13. Scaled default: 2 → 8, growing by 1 from iteration 12.
+//! large static deployment; the runs and their shape check live in
+//! [`colza_bench::scenarios::fig10`].
 //!
 //! Run: `cargo run --release -p colza-bench --bin fig10_elastic_dwi
 //!       [--small 2] [--large 8] [--blocks 16] [--clients 4] [--iters 30]
-//!       [--grow-from 12]`
+//!       [--grow-from 12] [--check-shape]`
+//!
+//! `--check-shape` exits nonzero unless, over iterations 26-30, the small
+//! static area takes at least 1.25x the large one and the elastic area is
+//! within 30 % of the large one (`tests/gates.rs` runs the same check).
 
-use colza::CommMode;
-use colza_bench::{report, run_pipeline_experiment, table, workloads, PipelineExperiment};
-use sims::dwi::DwiSeries;
+use colza_bench::scenarios::fig10;
+use colza_bench::{report, table};
 
 fn main() {
     let args = report::begin();
-    let small: usize = args.get("small", 2);
-    let large: usize = args.get("large", 8);
-    let blocks: usize = args.get("blocks", 16);
-    let clients: usize = args.get("clients", 4);
-    let iters: u64 = args.get("iters", 30);
-    let grow_from: u64 = args.get("grow-from", 12);
+    let defaults = fig10::Params::default();
+    let p = fig10::Params {
+        small: args.get("small", defaults.small),
+        large: args.get("large", defaults.large),
+        blocks: args.get("blocks", defaults.blocks),
+        clients: args.get("clients", defaults.clients),
+        iters: args.get("iters", defaults.iters),
+        grow_from: args.get("grow-from", defaults.grow_from),
+    };
     table::banner(
         "Figure 10: Deep Water Impact with an elastic staging area",
         &format!(
             "(servers: elastic {small}->{large} growing every other iteration from {grow_from}; \
-             vs static {small} and static {large}; paper: 8 -> 72 from iteration 13)"
+             vs static {small} and static {large}; paper: 8 -> 72 from iteration 13)",
+            small = p.small,
+            large = p.large,
+            grow_from = p.grow_from
         ),
     );
 
-    let series = DwiSeries::scaled_down(blocks);
-    let run = |servers: usize, grow_at: Vec<(u64, usize)>| {
-        let script = catalyst::PipelineScript::deep_water_impact(256, 192);
-        let mut exp = PipelineExperiment::new(servers, clients, CommMode::Mona, script, iters);
-        exp.grow_at = grow_at;
-        run_pipeline_experiment(exp, workloads::dwi(series, 1))
-    };
-    // Elastic: +1 server every other iteration from `grow_from`.
-    let elastic_times = run(
-        small,
-        (0..(large - small))
-            .map(|i| (grow_from + 2 * i as u64, 1))
-            .filter(|&(at, _)| at < iters)
-            .collect(),
-    );
-    let static_small = run(small, Vec::new());
-    let static_large = run(large, Vec::new());
-
+    let rows = fig10::run(&p);
     println!(
         "{:>10} {:>9} {:>18} {:>18} {:>18}",
         "iteration",
         "servers",
         "elastic",
-        format!("static {small}"),
-        format!("static {large}")
+        format!("static {}", p.small),
+        format!("static {}", p.large)
     );
-    for i in 0..iters as usize {
+    for r in &rows {
         println!(
             "{:>10} {:>9} {:>18} {:>18} {:>18}",
-            i + 1,
-            elastic_times[i].servers,
-            hpcsim::stats::fmt_ns(elastic_times[i].execute_ns),
-            hpcsim::stats::fmt_ns(static_small[i].execute_ns),
-            hpcsim::stats::fmt_ns(static_large[i].execute_ns),
+            r.iteration,
+            r.servers,
+            hpcsim::stats::fmt_ns(r.elastic_ns),
+            hpcsim::stats::fmt_ns(r.small_ns),
+            hpcsim::stats::fmt_ns(r.large_ns),
         );
     }
     println!();
@@ -71,5 +61,5 @@ fn main() {
     println!("unboundedly with the data; the elastic deployment keeps it bounded");
     println!("(spikes on join iterations from pipeline init); the large static");
     println!("deployment is the floor but wastes resources early in the run.");
-    report::finish();
+    report::finish_gated(&args, "check-shape", fig10::HOLDS, || fig10::check(&rows));
 }

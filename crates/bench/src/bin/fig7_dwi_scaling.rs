@@ -1,57 +1,50 @@
 //! **Figure 7** — Deep Water Impact: rendering time per iteration (the
 //! payload grows every iteration) at several staging-area sizes, MPI vs
-//! MoNA.
-//!
-//! Paper scale: 32 client processes reading 512 files per iteration;
-//! 8/16/32/64 Colza processes. Scaled defaults sweep smaller sizes.
+//! MoNA; the sweep and its shape check live in
+//! [`colza_bench::scenarios::fig7`].
 //!
 //! Run: `cargo run --release -p colza-bench --bin fig7_dwi_scaling
-//!       [--servers 2,4,8] [--blocks 16] [--clients 4] [--iters 30]`
+//!       [--servers 2,4,8] [--blocks 16] [--clients 4] [--iters 30]
+//!       [--check-shape]`
+//!
+//! `--check-shape` exits nonzero unless the mean execute over iterations
+//! 26-30 falls with every added server in each comm mode and, on the
+//! smallest area, is at least twice that of iterations 2-6
+//! (`tests/gates.rs` runs the same check).
 
-use colza::CommMode;
-use colza_bench::{report, run_pipeline_experiment, table, workloads, PipelineExperiment};
-use sims::dwi::DwiSeries;
+use colza_bench::scenarios::fig7;
+use colza_bench::{report, table};
 
 fn main() {
     let args = report::begin();
-    let server_list: Vec<usize> = args.get_list("servers", "2,4,8");
-    let blocks: usize = args.get("blocks", 16);
-    let clients: usize = args.get("clients", 4);
-    let iters: u64 = args.get("iters", 30);
+    let defaults = fig7::Params::default();
+    let p = fig7::Params {
+        servers: args.get_list("servers", "2,4,8"),
+        blocks: args.get("blocks", defaults.blocks),
+        clients: args.get("clients", defaults.clients),
+        iters: args.get("iters", defaults.iters),
+    };
     table::banner(
         "Figure 7: Deep Water Impact rendering time per iteration",
         &format!(
-            "({blocks} blocks over {clients} clients; growing mesh; \
-             paper: 512 files, 8-64 Colza processes)"
+            "({} blocks over {} clients; growing mesh; \
+             paper: 512 files, 8-64 Colza processes)",
+            p.blocks, p.clients
         ),
     );
 
-    let series = DwiSeries::scaled_down(blocks);
-    let mut columns = Vec::new();
-    let mut data: Vec<Vec<u64>> = vec![Vec::new(); iters as usize];
-    for &servers in &server_list {
-        for (mode, label) in [
-            (CommMode::MpiStatic(minimpi::Profile::Vendor), "MPI"),
-            (CommMode::Mona, "MoNA"),
-        ] {
-            columns.push(format!("{label}({servers})"));
-            let exp = PipelineExperiment::new(
-                servers,
-                clients,
-                mode,
-                catalyst::PipelineScript::deep_water_impact(256, 192),
-                iters,
-            );
-            let times = run_pipeline_experiment(exp, workloads::dwi(series, 1));
-            for (i, t) in times.iter().enumerate() {
-                data[i].push(t.execute_ns);
-            }
-        }
-    }
+    let rows = fig7::run(&p);
+    let columns: Vec<String> = rows
+        .iter()
+        .map(|r| format!("{}({})", r.mode, r.servers))
+        .collect();
+    let data: Vec<Vec<u64>> = (0..p.iters as usize)
+        .map(|i| rows.iter().map(|r| r.execute_ns[i]).collect())
+        .collect();
     table::print_series("iteration", &columns, &data);
     println!();
     println!("Paper shape: rendering time grows with the iteration number;");
     println!("more Colza processes keep it lower; MoNA is on par with MPI");
     println!("(occasionally faster at small scales thanks to shared memory).");
-    report::finish();
+    report::finish_gated(&args, "check-shape", fig7::HOLDS, || fig7::check(&rows));
 }

@@ -1,6 +1,7 @@
 //! The bench gates, as tests: every shape `scripts/check.sh` used to
 //! assert by running a `--smoke --assert` main is one `run` + `check` of
-//! the scenario library here, at the same smoke parameters.
+//! the scenario library here, at the same smoke parameters; the paper
+//! figures' gates run at their mains' default scale.
 //!
 //! Release only (`cargo test --release -p colza-bench --test gates`): the
 //! trigger gate's skip-cost and savings thresholds were set on release
@@ -8,7 +9,7 @@
 //! second time.
 #![cfg(not(debug_assertions))]
 
-use colza_bench::scenarios::{coll, heal, table2, tenant, trigger};
+use colza_bench::scenarios::{coll, fig10, fig7, heal, table2, tenant, trigger};
 
 fn assert_holds(violations: Vec<String>) {
     assert!(
@@ -66,4 +67,19 @@ fn coll_gate() {
 #[test]
 fn table2_shape_gate() {
     assert_holds(table2::check(&table2::run(64, 200, 16)));
+}
+
+/// Fig. 7 keeps the paper's shape at the main's default scale: late
+/// iterations render faster on every larger staging area, and the mesh
+/// growth shows on the smallest one.
+#[test]
+fn fig7_shape_gate() {
+    assert_holds(fig7::check(&fig7::run(&fig7::Params::default())));
+}
+
+/// Fig. 10 keeps the paper's shape at the main's default scale: the small
+/// static area falls behind, and the elastic one catches the large one.
+#[test]
+fn fig10_shape_gate() {
+    assert_holds(fig10::check(&fig10::run(&fig10::Params::default())));
 }

@@ -188,18 +188,18 @@ impl CatalystPipeline {
             agreed = Some(stats);
         }
 
-        let ctx = hpcsim::process::try_current();
         // Catalyst initialization is paid on the first iteration that
         // actually runs — skipped iterations never load the libraries.
         if !self.initialized.swap(true, Ordering::AcqRel) {
-            if let Some(ctx) = &ctx {
+            if let Some(ctx) = hpcsim::process::try_current() {
                 ctx.advance(self.config.init_cost_ns);
             }
         }
 
-        let produce = || -> Result<(Image, f32), String> {
-            // This rank's share, computed only where every stage can run:
-            // a failing code fails every rank at the agreement below.
+        // The local phase, charged: this rank's share, computed only where
+        // every stage can run (a failing code fails every rank at the
+        // agreement below), and its field stats for that agreement.
+        let (bounds, share, local) = charge(|| -> Result<_, String> {
             let runs = failing == NO_FAILING_STAGE;
             let (bounds, share) = match spec.mode {
                 RenderMode::Surface => {
@@ -247,27 +247,33 @@ impl CatalystPipeline {
                     (bounds, share)
                 }
             };
+            let mut local = BTreeMap::new();
+            if let (None, None, Some(f)) = (&agreed, spec.range, spec.field.as_deref()) {
+                let array = match &share {
+                    Share::Surface(merged) => merged.point_data.get(f),
+                    Share::Volume { grid, .. } => grid.cell_data.get(f),
+                };
+                let field_stats = array.map_or_else(ArrayStats::empty, |a| a.stats());
+                local.insert(f.to_string(), field_stats);
+            }
+            Ok((bounds, share, local))
+        })?;
 
-            // The one stats agreement on camera framing and color range,
-            // unless the trigger evaluation already ran it.
-            let stats = match agreed {
-                Some(stats) => stats,
-                None => {
-                    let mut local = BTreeMap::new();
-                    if let (None, Some(f)) = (spec.range, spec.field.as_deref()) {
-                        let array = match &share {
-                            Share::Surface(merged) => merged.point_data.get(f),
-                            Share::Volume { grid, .. } => grid.cell_data.get(f),
-                        };
-                        let field_stats = array.map_or_else(ArrayStats::empty, |a| a.stats());
-                        local.insert(f.to_string(), field_stats);
-                    }
-                    let stats = global_stats(ctrl, bounds, &local, failing)?;
-                    self.fail_at_stage(stats.failing_stage)?;
-                    stats
-                }
-            };
+        // The one stats agreement on camera framing and color range,
+        // unless the trigger evaluation already ran it. Uncharged: a
+        // collective inside a charge would hide the render tail behind
+        // the wait for the slowest rank.
+        let stats = match agreed {
+            Some(stats) => stats,
+            None => {
+                let stats = global_stats(ctrl, bounds, &local, failing)?;
+                self.fail_at_stage(stats.failing_stage)?;
+                stats
+            }
+        };
 
+        // The render tail, charged.
+        let (image, view_depth) = charge(|| {
             let camera = self.camera(stats.bounds, plan.zoom);
             let range = plan
                 .range
@@ -296,12 +302,8 @@ impl CatalystPipeline {
             };
             // Only volume blending reads the depth, to order the ranks.
             let center = bounds.map_or(camera.focal_point, |(lo, hi)| (lo + hi) * 0.5);
-            Ok((image, camera.view_depth(center)))
-        };
-        let (image, view_depth) = match &ctx {
-            Some(ctx) => ctx.charge_compute(produce),
-            None => produce(),
-        }?;
+            (image, camera.view_depth(center))
+        });
 
         // Composite across the staging area through the converted
         // communicator (the vtkIceTContext path).
@@ -470,6 +472,15 @@ impl CatalystPipeline {
             cam.position = cam.focal_point + dir * (1.0 / zoom as f32);
         }
         cam
+    }
+}
+
+/// Runs `f` as one compute phase of the calling simulated process, if
+/// there is one (`hpcsim::ProcessCtx::charge_compute`).
+fn charge<R>(f: impl FnOnce() -> R) -> R {
+    match hpcsim::process::try_current() {
+        Some(ctx) => ctx.charge_compute(f),
+        None => f(),
     }
 }
 
@@ -652,6 +663,7 @@ mod tests {
     use std::sync::Arc;
     use vizkit::controller::DummyComm;
     use vizkit::data::{CellType, DataArray, ImageData};
+    use vizkit::VtkComm;
 
     fn sphere_block(n: usize, offset: [f32; 3]) -> DataSet {
         let mut g = ImageData::new([n, n, n]);
@@ -937,6 +949,107 @@ mod tests {
         let root_cov = out[0].unwrap();
         assert!(out[1].is_none());
         assert!(root_cov > 0.01, "root coverage {root_cov}");
+    }
+
+    /// A communicator that logs its caller's virtual time on entering and
+    /// leaving each allreduce and gather.
+    struct Clocked {
+        inner: Arc<dyn VtkComm>,
+        log: Mutex<Vec<(&'static str, u64, u64)>>,
+    }
+
+    impl Clocked {
+        fn timed<R>(&self, op: &'static str, f: impl FnOnce() -> R) -> R {
+            let enter = hpcsim::current().now();
+            let out = f();
+            self.log.lock().push((op, enter, hpcsim::current().now()));
+            out
+        }
+
+        /// The (enter, leave) times of the one `op` this rank ran.
+        fn span(&self, op: &str) -> (u64, u64) {
+            let log = self.log.lock();
+            let mut spans = log.iter().filter(|(o, ..)| *o == op);
+            let (_, enter, leave) = *spans.next().expect("op ran");
+            assert!(spans.next().is_none(), "{op} ran twice");
+            (enter, leave)
+        }
+    }
+
+    impl VtkComm for Clocked {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+        fn kind(&self) -> &'static str {
+            self.inner.kind()
+        }
+        fn send(&self, data: &[u8], dst: usize, tag: u16) -> Result<(), String> {
+            self.inner.send(data, dst, tag)
+        }
+        fn recv(&self, src: usize, tag: u16) -> Result<Vec<u8>, String> {
+            self.inner.recv(src, tag)
+        }
+        fn bcast(&self, data: Option<&[u8]>, root: usize) -> Result<Vec<u8>, String> {
+            self.inner.bcast(data, root)
+        }
+        fn reduce(
+            &self,
+            data: &[u8],
+            op: &(dyn Fn(&mut [u8], &[u8]) + Sync),
+            root: usize,
+        ) -> Result<Option<Vec<u8>>, String> {
+            self.inner.reduce(data, op, root)
+        }
+        fn gather(&self, data: &[u8], root: usize) -> Result<Option<Vec<Vec<u8>>>, String> {
+            self.timed("gather", || self.inner.gather(data, root))
+        }
+        fn barrier(&self) -> Result<(), String> {
+            self.inner.barrier()
+        }
+        fn allreduce(
+            &self,
+            data: &[u8],
+            op: &(dyn Fn(&mut [u8], &[u8]) + Sync),
+        ) -> Result<Vec<u8>, String> {
+            self.timed("allreduce", || self.inner.allreduce(data, op))
+        }
+    }
+
+    #[test]
+    fn render_tail_is_charged_after_the_stats_agreement() {
+        // Rank 1 enters a volume execute 10 ms late, so rank 0 waits for
+        // it in the stats agreement. Rank 0's render tail must then start
+        // when the agreement ends, not hide inside that wait.
+        let spans = mona::testing::with_comm(2, mona::MonaConfig::default(), |comm| {
+            let vtk = crate::adapters::MonaVtkComm::new(comm);
+            let rank = vtk.rank();
+            let clocked = Arc::new(Clocked {
+                inner: vtk,
+                log: Mutex::new(Vec::new()),
+            });
+            let ctrl = Controller::new(clocked.clone());
+            let config = CatalystConfig { init_cost_ns: 0 };
+            let pipe = CatalystPipeline::new(PipelineScript::deep_water_impact(32, 32), config);
+            ctrl.comm().barrier().unwrap();
+            if rank == 1 {
+                hpcsim::current().advance(10 * hpcsim::MS);
+            }
+            pipe.execute(&[voxel_block(5.0)], &ctrl).unwrap();
+            (clocked.span("allreduce"), clocked.span("gather"))
+        });
+        let (late_arrival, _) = spans[1].0;
+        let ((_, agreed), (rendered, _)) = spans[0];
+        assert!(
+            agreed >= late_arrival,
+            "agreement ended at {agreed} before the late rank arrived at {late_arrival}"
+        );
+        assert!(
+            rendered > agreed,
+            "render tail hidden in the wait: it ended at {rendered}, the agreement at {agreed}"
+        );
     }
 
     #[test]

@@ -5,10 +5,14 @@
 //! thread: every thread acting for the process — its main thread or the
 //! harness thread running one of its steps, its margo handler and progress
 //! threads, its pool workers — may `merge` into it and `advance` it, and
-//! any thread may read it, so the counter is an atomic. Concurrent
-//! activities of one process therefore sum on one counter: a charge made
-//! while another thread merges a later arrival adds the compute on top of
-//! that arrival instead of overlapping it (ROADMAP item 1).
+//! any thread may read it, so the counter is an atomic.
+//!
+//! The compute rule: a compute phase that starts at `start` and spends
+//! `cpu` ends at `max(start + cpu, latest concurrent arrival)`. The arrivals
+//! other threads merge while the phase runs overlap its compute instead of
+//! adding to it. A charge therefore must not wrap a collective: a message
+//! it sends would leave at `start`, and the wait for a peer would swallow
+//! the compute after it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,13 +64,15 @@ impl VClock {
         }
     }
 
-    /// Runs `f`, charging this clock with the thread CPU time it consumed,
-    /// scaled by `scale` (1.0 = charge measured time as-is).
+    /// Runs `f` as one compute phase: the clock ends at the phase's start
+    /// plus the thread CPU time `f` consumed, scaled by `scale` (1.0 =
+    /// charge measured time as-is), or at a later time merged in meanwhile.
     pub fn charge_compute_scaled<R>(&self, scale: f64, f: impl FnOnce() -> R) -> R {
+        let start = self.now();
         let timer = CpuTimer::start();
         let out = f();
         let ns = (timer.elapsed_ns() as f64 * scale) as u64;
-        self.advance(ns);
+        self.merge(start + ns);
         out
     }
 }
@@ -112,6 +118,54 @@ mod tests {
         });
         std::hint::black_box(out);
         assert!(c.now() > 0);
+    }
+
+    /// Spins until this thread has spent at least `ns` of CPU time.
+    fn burn_cpu(ns: u64) {
+        let timer = CpuTimer::start();
+        while timer.elapsed_ns() < ns {
+            std::hint::spin_loop();
+        }
+    }
+
+    const MS: u64 = 1_000_000;
+
+    #[test]
+    fn charge_ends_at_a_later_concurrent_arrival() {
+        let c = VClock::starting_at(1_000);
+        c.charge_compute_scaled(1.0, || {
+            burn_cpu(MS);
+            let peer = c.clone();
+            std::thread::spawn(move || peer.merge(1_000 + 50 * MS))
+                .join()
+                .unwrap();
+        });
+        // 50 ms arrived during at most a few ms of CPU: the arrival, not
+        // arrival + CPU.
+        assert_eq!(c.now(), 1_000 + 50 * MS);
+    }
+
+    #[test]
+    fn charge_ends_at_start_plus_cpu_past_an_earlier_arrival() {
+        let c = VClock::starting_at(1_000);
+        c.charge_compute_scaled(1.0, || {
+            c.merge(1_000 + 3 * MS / 2);
+            burn_cpu(2 * MS);
+        });
+        let end = c.now();
+        assert!(end >= 1_000 + 2 * MS, "CPU not charged: {end}");
+        // The arrival overlapped the CPU: summing them would read 3.5 ms.
+        assert!(end < 1_000 + 3 * MS, "arrival summed: {end}");
+    }
+
+    #[test]
+    fn back_to_back_charges_sum() {
+        let c = VClock::default();
+        c.charge_compute_scaled(1.0, || burn_cpu(MS));
+        let first = c.now();
+        assert!(first >= MS);
+        c.charge_compute_scaled(1.0, || burn_cpu(MS));
+        assert!(c.now() >= first + MS, "{} after {first}", c.now());
     }
 
     #[test]

@@ -32,10 +32,10 @@ $B/fig3_renders                          > results/fig3.txt   2>&1
 $B/fig4_resize                           > results/fig4.txt   2>&1
 $B/fig5_mandelbulb_weak --max-servers 8 --grid 20 --iters 6 > results/fig5.txt 2>&1
 $B/fig6_grayscott_strong --max-servers 8 --grid 24 --clients 4 --iters 5 > results/fig6.txt 2>&1
-$B/fig7_dwi_scaling                      > results/fig7.txt   2>&1
+$B/fig7_dwi_scaling --check-shape        > results/fig7.txt   2>&1
 $B/fig8_frameworks --clients 8 --servers 8 --blocks-per-client 4 --iters 6 --grid 20 > results/fig8.txt 2>&1
 $B/fig9_elastic_mandelbulb               > results/fig9.txt   2>&1
-$B/fig10_elastic_dwi                     > results/fig10.txt  2>&1
+$B/fig10_elastic_dwi --check-shape       > results/fig10.txt  2>&1
 $B/ablation_2pc                          > results/ablation_2pc.txt 2>&1
 $B/bench_store --out results/BENCH_store.json > results/bench_store.txt 2>&1
 require_out results/BENCH_store.json
